@@ -4,8 +4,9 @@ Four routes are implemented: the optimization-free causality bound (trace
 norm of the channel PDM), the closed-form expression for shifted
 depolarizing channels, a Holevo-Werner comparison bound evaluated by
 multi-restart Nelder-Mead over pure bipartite inputs, and a max-Rains
-surrogate from the partially transposed Choi matrix. All values are in
-qubits per channel use.
+surrogate from the partially transposed Choi matrix. The PDM R from
+:func:`pdm.pdm_from_channel` is the one operator all of them read. All
+values are in qubits per channel use.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import pdm as pdm_mod
-from .channels import QuantumChannel, apply_on_second, conjugate, shifted_depolarizing
-from .linalg import inf_norm, partial_transpose, trace_norm
+from .channels import QuantumChannel, shifted_depolarizing
+from .linalg import inf_norm, trace_norm
 
 THREADS_ENV = "CAUSAL_CAPACITY_THREADS"
 
@@ -95,13 +95,6 @@ def _phase_fixed(amp: np.ndarray) -> np.ndarray:
     return amp / phase
 
 
-def _hw_state_norm(c: QuantumChannel, amp: np.ndarray, dim: int) -> float:
-    """Trace norm of (I x N T) applied to the pure state with amplitudes amp."""
-    rho = np.outer(amp, amp.conj())
-    out = apply_on_second(c, partial_transpose(rho, (dim, dim), 1), dim)
-    return trace_norm(out)
-
-
 def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
     """Holevo-Werner comparison bound via pure-state optimization.
 
@@ -111,10 +104,16 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
     entangled state, so the reported value never falls below the causality
     bound. The result is a best-found lower estimate of the true supremum;
     the restart record is kept in the diagnostics.
+
+    For the input with amplitude matrix Psi (reference x system), the
+    transpose-then-channel output is K W K^dag with K = Psi x I and
+    W = d R, R the channel PDM.
     """
-    if c.qubits_in != c.qubits_out:
-        raise ValueError(f"{c.label}: bound needs equal input/output qubit counts")
+    from scipy.optimize import minimize  # the only optimizer; costly to import
+
     dim = c.dim_in
+    w = dim * pdm_mod.pdm_from_channel(c).matrix
+    eye = np.eye(dim, dtype=complex)
     n_amp = dim * dim
 
     def objective(x: np.ndarray) -> float:
@@ -122,7 +121,8 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
         nrm = np.linalg.norm(amp)
         if nrm < 1e-12:
             return 0.0  # degenerate simplex point, worst possible objective
-        return -_hw_state_norm(c, amp / nrm, dim)
+        k = np.kron((amp / nrm).reshape(dim, dim), eye)
+        return -trace_norm(k @ w @ k.conj().T)
 
     rng = np.random.default_rng(cfg.seed)
     max_ent = np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
@@ -172,25 +172,17 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
 def maxrains_surrogate(c: QuantumChannel) -> BoundReport:
     """Upper-bound surrogate from the partially transposed Choi matrix.
 
-    The value is log2 of the trace norm of T_B(Choi); the diagnostics also
-    record the tighter infinity-norm intermediate and an independent
-    cross-check, the causality bound of the conjugate channel, which this
-    value must equal.
+    The value is log2 of the trace norm of T_B(Choi). T_B(Choi) is the full
+    transpose of T_A(Choi), the channel PDM, so the two share a spectrum and
+    the value equals the causality bound for every channel. The diagnostics
+    record the tighter infinity-norm intermediate.
     """
-    if c.qubits_in != c.qubits_out:
-        raise ValueError(f"{c.label}: bound needs equal input/output qubit counts")
-    tb = partial_transpose(c.choi, (c.dim_in, c.dim_out), 1)
-    value = math.log2(trace_norm(tb))
-    conj_caus = causality_bound(conjugate(c)).value
+    r = pdm_mod.pdm_from_channel(c)
     return BoundReport(
         channel_label=c.label,
         method="maxrains_surrogate",
-        value=value,
-        diagnostics={
-            "log2_inf_norm": math.log2(inf_norm(tb)),
-            "conjugate_causality": conj_caus,
-            "identity_residual": abs(value - conj_caus),
-        },
+        value=pdm_mod.causality_F(r),
+        diagnostics={"log2_inf_norm": math.log2(inf_norm(r.matrix))},
     )
 
 

@@ -1,8 +1,9 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
-A channel is stored as a validated list of Kraus operators together with an
-eagerly computed Choi matrix (normalized to trace 1, i.e. the channel acting
-on one half of a maximally entangled state). Channels are immutable after
+A channel is stored as a validated list of Kraus operators together with its
+Choi matrix (normalized to trace 1, i.e. the channel acting on one half of a
+maximally entangled state), computed eagerly from the Kraus list or, for
+:func:`kraus_from_choi`, taken from the validated input. Channels are immutable after
 construction and safe to share across threads.
 """
 
@@ -15,15 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    HERM_ATOL,
     I2,
     PAULI_Z,
     as_matrix,
-    dagger,
-    hermiticity_defect,
-    kron,
     partial_trace,
     random_complex,
+    require_hermitian,
 )
 
 COMPLETENESS_ATOL = 1e-9
@@ -64,11 +62,6 @@ def _completeness_residual(ops: Sequence[np.ndarray], dim_in: int) -> float:
     return float(np.max(np.abs(acc - np.eye(dim_in))))
 
 
-def max_entangled_state(dim: int) -> np.ndarray:
-    """Amplitude vector of the maximally entangled state on dim x dim."""
-    return np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
-
-
 def _choi_from_kraus(ops: Sequence[np.ndarray], dim_in: int) -> np.ndarray:
     # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
     vecs = [a.T.reshape(-1) / np.sqrt(dim_in) for a in ops]
@@ -91,6 +84,8 @@ def from_kraus(
     rows, cols = mats[0].shape
     if any(a.shape != (rows, cols) for a in mats):
         raise ValueError("Kraus operators must share a common shape")
+    if not all(np.isfinite(a).all() for a in mats):
+        raise ValueError("Kraus entries must be finite (found NaN or infinity)")
     if qubits_in is None:
         qubits_in = int(np.log2(cols))
     if qubits_out is None:
@@ -121,21 +116,6 @@ def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_on_second(c: QuantumChannel, m: np.ndarray, ref_dim: int) -> np.ndarray:
-    """Apply the channel to the second tensor factor of a bipartite operator."""
-    m = as_matrix(m)
-    if m.shape != (ref_dim * c.dim_in, ref_dim * c.dim_in):
-        raise ValueError(
-            f"operator shape {m.shape} does not match {ref_dim} x {c.dim_in} bipartition"
-        )
-    out = np.zeros((ref_dim * c.dim_out, ref_dim * c.dim_out), dtype=complex)
-    eye = np.eye(ref_dim, dtype=complex)
-    for a in c.kraus:
-        ext = np.kron(eye, a)
-        out += ext @ m @ ext.conj().T
-    return out
-
-
 def choi(c: QuantumChannel) -> np.ndarray:
     """Trace-1 Choi matrix (cached at construction)."""
     return c.choi
@@ -147,20 +127,18 @@ def kraus_from_choi(
     qubits_out: int,
     label: str = "channel",
 ) -> QuantumChannel:
-    """Extract a Kraus list from a trace-1 Choi matrix.
+    """Channel from a trace-1 Choi matrix, with Kraus operators from its eigenvectors.
 
     The Choi matrix must be Hermitian, positive semi-definite up to
     eigenvalue tolerance, and have a maximally mixed marginal on the input
-    factor (trace preservation).
+    factor (trace preservation). The validated, symmetrized matrix becomes
+    the channel's Choi matrix.
     """
     j = as_matrix(j)
     dim_in, dim_out = 2**qubits_in, 2**qubits_out
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise ValueError(f"Choi shape {j.shape} does not match {qubits_in}->{qubits_out} qubits")
-    defect = hermiticity_defect(j)
-    if defect > HERM_ATOL:
-        raise ValueError(f"Choi matrix is not Hermitian (max defect {defect:.3e})")
-    j = 0.5 * (j + j.conj().T)
+    j = require_hermitian(j)
     if abs(np.trace(j).real - 1.0) > 1e-9:
         raise ValueError(f"Choi matrix trace {np.trace(j).real!r} is not 1")
     vals, vecs = np.linalg.eigh(j)
@@ -177,7 +155,8 @@ def kraus_from_choi(
         # column-of-Choi eigenvector w[x*dim_out + y] -> Kraus entry A[y, x]
         a = np.sqrt(lam * dim_in) * vec.reshape(dim_in, dim_out).T
         ops.append(a)
-    return from_kraus(ops, qubits_in, qubits_out, label=label)
+    j.setflags(write=False)
+    return QuantumChannel(qubits_in, qubits_out, tuple(ops), j, label)
 
 
 def compose(d: QuantumChannel, c: QuantumChannel) -> QuantumChannel:
@@ -213,24 +192,17 @@ def conjugate(c: QuantumChannel) -> QuantumChannel:
 def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2.
 
-    Constructed through its Choi matrix (the action is given directly, a
-    Kraus list is not), then converted with :func:`kraus_from_choi`.
+    Built from its closed-form Choi matrix
+    (1-4p)|Phi+><Phi+| + 4p (I/2 x (I + gamma Z)/2), with Kraus operators
+    from :func:`kraus_from_choi`.
     """
     if not 0.0 <= p <= 0.25:
         raise ValueError(f"p={p!r} outside [0, 1/4]")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma!r} outside [0, 1]")
-    shift = (np.eye(2) + gamma * PAULI_Z) / 2.0
-
-    def act(e: np.ndarray) -> np.ndarray:
-        return (1.0 - 4.0 * p) * e + 4.0 * p * np.trace(e) * shift
-
-    j = np.zeros((4, 4), dtype=complex)
-    for x in range(2):
-        for y in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[x, y] = 1.0
-            j += 0.5 * np.kron(e, act(e))
+    phi = I2.reshape(-1) / np.sqrt(2.0)
+    shift = (I2 + gamma * PAULI_Z) / 2.0
+    j = (1.0 - 4.0 * p) * np.outer(phi, phi) + 4.0 * p * np.kron(I2 / 2.0, shift)
     return kraus_from_choi(
         j, 1, 1, label=f"shifted-depolarizing(p={p:g},gamma={gamma:g})"
     )

@@ -8,7 +8,7 @@ attempt is made at sparse storage or large-dimension performance.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,35 +23,11 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
 
 
-class EigenDecomposition(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` is real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product, with an explicit shape check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch in matmul: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,16 +110,9 @@ def require_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     defect = hermiticity_defect(a)
-    if defect > atol:
+    if not defect <= atol:  # also rejects NaN entries, whose defect is NaN
         raise ValueError(f"matrix is not Hermitian (max defect {defect:.3e} > {atol:.0e})")
     return 0.5 * (a + a.conj().T)
-
-
-def herm_eig(a: np.ndarray) -> EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix."""
-    m = require_hermitian(a)
-    vals, vecs = np.linalg.eigh(m)
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def trace_norm(a: np.ndarray) -> float:

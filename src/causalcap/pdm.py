@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_on_second
+from .channels import QuantumChannel
 from .linalg import (
+    I2,
     PAULIS,
     anticommutator,
     as_matrix,
@@ -69,16 +70,6 @@ def swap_matrix(l: int) -> np.ndarray:
     return permute_qubits(per_pair, order)
 
 
-def swap_permutation(l: int) -> np.ndarray:
-    """The same operator in its permutation form, sum |x><y| x |y><x|."""
-    d = 2**l
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for x in range(d):
-        for y in range(d):
-            s[x * d + y, y * d + x] = 1.0
-    return s
-
-
 def _require_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = require_hermitian(rho)
     if rho.shape != (dim, dim):
@@ -95,24 +86,30 @@ def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
     """PDM of one channel use bracketed by two single-qubit measurements.
 
     Computes (I x N)({rho x I/2, SWAP}) for a single-qubit input state rho.
+    The channel acts on the second factor only, so it commutes with
+    multiplication by rho x I and the result is {rho x I, R} for the channel
+    PDM R.
     """
     rho = _require_density(as_matrix(rho), 2)
     if c.qubits_in != 1 or c.qubits_out != 1:
         raise ValueError(f"{c.label} is not a single-qubit channel")
-    pre = anticommutator(kron(rho, np.eye(2, dtype=complex) / 2.0), swap_matrix(1))
-    return PseudoDensityMatrix(apply_on_second(c, pre, 2), l_in=1, l_out=1)
+    r = pdm_from_channel(c).matrix
+    return PseudoDensityMatrix(anticommutator(kron(rho, I2), r), l_in=1, l_out=1)
 
 
 def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
-    """PDM of a channel probed with a maximally mixed earlier-time register."""
+    """PDM of a channel probed with a maximally mixed earlier-time register.
+
+    R = (I x N)(SWAP / d) is the Choi matrix transposed on its reference
+    factor, since SWAP / d = T_A(|Phi+><Phi+|) and T_A commutes with I x N.
+    """
     if c.qubits_in != c.qubits_out:
         raise ValueError(
             f"{c.label}: PDM construction needs equal input/output qubit counts "
             f"(got {c.qubits_in}->{c.qubits_out})"
         )
-    l = c.qubits_in
-    src = swap_matrix(l) / 2**l
-    return PseudoDensityMatrix(apply_on_second(c, src, 2**l), l_in=l, l_out=l)
+    r = partial_transpose(c.choi, (c.dim_in, c.dim_out), 0)
+    return PseudoDensityMatrix(r, l_in=c.qubits_in, l_out=c.qubits_out)
 
 
 def causality_F(r: PseudoDensityMatrix) -> float:

@@ -100,6 +100,21 @@ class TestHwBound:
             rep = hw_bound(chan, OptimizerConfig(restarts=2, max_iters=200, seed=seed))
             assert rep.value >= causality_bound(chan).value - 1e-9
 
+    def test_value_matches_best_input_via_kraus(self):
+        cfg = OptimizerConfig(restarts=2, max_iters=300, seed=2)
+        for chan in (
+            shifted_depolarizing(0.15, 1.0),
+            named_channel("amplitude-damping", eta=0.3),
+            random_channel(1, 1, env_qubits=2, seed=8),
+        ):
+            rep = hw_bound(chan, cfg)
+            # transpose the system factor, then apply the channel to it
+            tb = rep.best_input.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+            ext = [np.kron(I2, a) for a in chan.kraus]
+            out = sum(e @ tb @ e.conj().T for e in ext)
+            norm = np.abs(np.linalg.eigvalsh(out)).sum()
+            assert abs(math.log2(norm) - rep.value) < 1e-9
+
     def test_diagnostics(self):
         rep = hw_bound(shifted_depolarizing(0.1, 0.0), FAST_CFG)
         assert rep.diagnostics["restarts"] == FAST_CFG.restarts

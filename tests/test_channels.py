@@ -60,6 +60,13 @@ class TestFromKraus:
         with pytest.raises(ValueError):
             from_kraus([])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite(self, entry):
+        bad = I2.copy()
+        bad[0, 1] = entry
+        with pytest.raises(ValueError, match="finite"):
+            from_kraus([bad])
+
 
 class TestApply:
     def test_shift_endpoint(self):
@@ -216,6 +223,12 @@ class TestShiftedDepolarizing:
             expected = (1 - 4 * p) * sigma + 4 * p * np.trace(sigma) * shift
             assert np.max(np.abs(apply(c, sigma) - expected)) < 1e-12
 
+    def test_choi_matches_kraus_on_grid(self):
+        for p in np.linspace(0.0, 0.25, 26):
+            for gamma in np.linspace(0.0, 1.0, 21):
+                c = shifted_depolarizing(p, gamma)
+                assert np.max(np.abs(from_kraus(c.kraus).choi - c.choi)) < 1e-9
+
     @pytest.mark.parametrize("p,gamma", [(-0.1, 0.0), (0.3, 0.0), (0.1, 1.5)])
     def test_range_checks(self, p, gamma):
         with pytest.raises(ValueError):
@@ -277,6 +290,13 @@ class TestChannelFile:
         data = channel_to_dict(DEPHASE)
         data["kraus"] = data["kraus"][:1]
         with pytest.raises(ChannelFormatError, match="not trace preserving"):
+            channel_from_dict(data)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entry(self, entry):
+        data = channel_to_dict(DEPHASE)
+        data["kraus"][0][0][0] = [entry, 0.0]
+        with pytest.raises(ChannelFormatError, match="finite"):
             channel_from_dict(data)
 
     def test_rejects_missing_field(self):

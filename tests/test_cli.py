@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from causalcap.channels import save_channel, shifted_depolarizing
+from causalcap.channels import channel_to_dict, save_channel, shifted_depolarizing
 from causalcap.cli import main
 
 FAST = ["--restarts", "4"]
@@ -13,6 +13,16 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(params=[float("nan"), float("inf")], ids=["nan", "inf"])
+def non_finite_file(request, tmp_path):
+    """Channel file whose first Kraus entry is NaN or infinite (JSON NaN/Infinity)."""
+    data = channel_to_dict(shifted_depolarizing(0.1, 0.0))
+    data["kraus"][0][0][0] = [request.param, 0.0]
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 class TestBound:
@@ -60,6 +70,15 @@ class TestBound:
         code, _, err = run(capsys, ["bound", "--channel", str(path), "--method", "causality"])
         assert code == 3
         assert "error" in err
+
+    def test_non_finite_file_exit3(self, capsys, non_finite_file):
+        code, out, err = run(
+            capsys, ["bound", "--channel", str(non_finite_file), "--method", "causality"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
 
     def test_bad_params_exit2(self, capsys):
         code, _, err = run(
@@ -150,3 +169,10 @@ class TestChannelInfo:
         code, _, err = run(capsys, ["channel-info", "--channel", str(path)])
         assert code == 3
         assert "error" in err
+
+    def test_non_finite_file_exit3(self, capsys, non_finite_file):
+        code, out, err = run(capsys, ["channel-info", "--channel", str(non_finite_file)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err

@@ -6,14 +6,10 @@ from hypothesis import strategies as st
 from causalcap.linalg import (
     I2,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     anticommutator,
-    dagger,
-    herm_eig,
     inf_norm,
     kron,
-    matmul,
     partial_trace,
     partial_transpose,
     permute_qubits,
@@ -35,35 +31,6 @@ def swap2():
     return np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert np.allclose(matmul(I2, PAULI_X), PAULI_X)
-
-    def test_pauli_involution(self):
-        assert np.allclose(matmul(PAULI_X, PAULI_X), I2)
-
-    def test_pauli_algebra(self):
-        assert np.allclose(matmul(PAULI_Z, PAULI_X), 1j * PAULI_Y)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(I2, np.ones((3, 3)))
-
-
-class TestDagger:
-    def test_hermitian_fixed_point(self):
-        assert np.allclose(dagger(PAULI_X), PAULI_X)
-
-    def test_antihermitian(self):
-        assert np.allclose(dagger(1j * I2), -1j * I2)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_involution(self, seed):
-        a = np.random.default_rng(seed).standard_normal((3, 3)) * (1 + 1j)
-        assert np.allclose(dagger(dagger(a)), a)
 
 
 class TestKron:
@@ -140,31 +107,6 @@ class TestPartialTranspose:
         assert np.allclose(pt, pt.conj().T)
 
 
-class TestHermEig:
-    def test_pauli_z(self):
-        dec = herm_eig(PAULI_Z)
-        assert np.allclose(dec.eigenvalues, [-1, 1])
-
-    def test_swap_spectrum(self):
-        dec = herm_eig(swap2())
-        assert np.allclose(dec.eigenvalues, [-1, 1, 1, 1])
-
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-    def test_reconstruction(self, dim):
-        rng = np.random.default_rng(dim)
-        for _ in range(25):
-            m = random_hermitian(dim, rng)
-            vals, vecs = herm_eig(m)
-            recon = (vecs * vals) @ vecs.conj().T
-            assert np.max(np.abs(recon - m)) < 1e-9
-            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-9
-            assert np.isclose(vals.sum(), np.trace(m).real, atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestNorms:
     def test_trace_norm_diag(self):
         assert np.isclose(trace_norm(np.diag([1.0, -1.0])), 2.0)
@@ -208,6 +150,12 @@ class TestNorms:
             trace_norm(bad)
         with pytest.raises(ValueError):
             inf_norm(bad)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite(self, entry):
+        bad = np.diag([entry, 1.0]).astype(complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_norm(bad)
 
 
 def test_permute_qubits_swaps_factors():

@@ -25,10 +25,25 @@ from causalcap.pdm import (
     pdm_from_channel,
     pdm_two_point,
     swap_matrix,
-    swap_permutation,
 )
 
 IDENT = from_kraus([I2], label="identity")
+
+
+def swap_permutation(l):
+    """SWAP on l + l qubits in its permutation form, sum |x><y| x |y><x|."""
+    d = 2**l
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for x in range(d):
+        for y in range(d):
+            s[x * d + y, y * d + x] = 1.0
+    return s
+
+
+def apply_on_second_ref(c, m):
+    """Reference Kraus loop: (I x N)(m) for m on (reference x channel input)."""
+    ext = [np.kron(np.eye(m.shape[0] // c.dim_in), a) for a in c.kraus]
+    return sum(e @ m @ e.conj().T for e in ext)
 
 
 class TestSwapMatrix:
@@ -70,6 +85,15 @@ class TestPdmTwoPoint:
         assert np.allclose(sorted(vals), [-0.5, 0.0, 0.5, 1.0])
         assert np.isclose(causality_F(r), 1.0)
 
+    def test_matches_kraus_loop(self):
+        rng = np.random.default_rng(5)
+        for seed in range(10):
+            rho = random_density(2, rng)
+            c = random_channel(1, 1, env_qubits=2, seed=seed)
+            pre = np.kron(rho, I2 / 2) @ swap_permutation(1)
+            ref = apply_on_second_ref(c, pre + pre.conj().T)
+            assert np.max(np.abs(pdm_two_point(rho, c).matrix - ref)) < 1e-12
+
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
             pdm_two_point(np.diag([1.0, 1.0]), IDENT)
@@ -93,6 +117,13 @@ class TestPdmFromChannel:
     def test_matches_closed_form_value(self):
         r = pdm_from_channel(shifted_depolarizing(0.1, 0.0))
         assert np.isclose(causality_F(r), math.log2(1.4), atol=1e-10)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_kraus_loop(self, l):
+        for seed in range(5):
+            c = random_channel(l, l, env_qubits=2, seed=seed)
+            ref = apply_on_second_ref(c, swap_permutation(l) / 2**l)
+            assert np.max(np.abs(pdm_from_channel(c).matrix - ref)) < 1e-12
 
     def test_trace_and_hermiticity(self):
         for seed in range(20):
