@@ -2,9 +2,9 @@
 
 Four routes are implemented: the optimization-free causality bound (trace
 norm of the channel PDM), the closed-form expression for shifted
-depolarizing channels, a Holevo-Werner comparison bound evaluated by
-multi-restart Nelder-Mead over pure bipartite inputs, and a max-Rains
-surrogate from the partially transposed Choi matrix. The PDM R from
+depolarizing channels, the Holevo-Werner comparison bound solved as a
+concave problem over the input marginal with a certified bracket, and a
+max-Rains surrogate from the partially transposed Choi matrix. The PDM R from
 :func:`pdm.pdm_from_channel` is the one operator all of them read. All
 values are in qubits per channel use.
 """
@@ -12,23 +12,25 @@ values are in qubits per channel use.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import pdm as pdm_mod
 from .channels import QuantumChannel, shifted_depolarizing
-from .linalg import inf_norm, trace_norm
-
-THREADS_ENV = "CAUSAL_CAPACITY_THREADS"
+from .linalg import inf_norm, trace_norm  # noqa: F401  (trace_norm stays importable here)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the derivative-free Holevo-Werner search."""
+    """Settings for the Holevo-Werner solver.
+
+    ``max_iters`` caps the solver's steps and ``tol`` is the target width of
+    the certified bracket in log2 units. ``restarts`` and ``seed`` are
+    validated but have no effect: the solver is deterministic and, because
+    the problem is concave, needs no restarts.
+    """
 
     restarts: int = 32
     max_iters: int = 2000
@@ -88,82 +90,106 @@ def analytic_shifted_depol(p: float, gamma: float) -> float:
     return math.log2(1.0 - p + 0.5 * root + 0.5 * abs(2.0 * p - root))
 
 
-def _phase_fixed(amp: np.ndarray) -> np.ndarray:
-    """Rotate the largest-magnitude amplitude onto the nonnegative real axis."""
-    k = int(np.argmax(np.abs(amp)))
-    phase = amp[k] / abs(amp[k]) if abs(amp[k]) > 0 else 1.0
-    return amp / phase
+def _bracket(w: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
+    """Lower ends f(sigma) = ||M||_1 and eigenpairs of G for a stack of inputs.
+
+    M = (sqrt(sigma) x I) W (sqrt(sigma) x I), G = sigma^(-1/2) Tr_out|M| sigma^(-1/2).
+    Y = (sigma^(-1/2) x I)|M|(sigma^(-1/2) x I) satisfies Y >= +-W, so
+    lambda_max(G) = ||Tr_out Y||_inf is an upper end.
+    """
+    n, d, dim = *root.shape[:2], w.shape[-1]
+    w5 = w.reshape(n, d, dim // d, d, dim // d)
+    mu, u = np.linalg.eigh(np.einsum("nab,nbicj,ncd->naidj", root, w5, root).reshape(w.shape))
+    u4 = u.reshape(n, d, dim // d, dim)
+    marginal = np.einsum("naik,nk,nbik->nab", u4, np.abs(mu), u4.conj())
+    return (np.abs(mu).sum(axis=1),) + tuple(np.linalg.eigh(inv_root @ marginal @ inv_root))
+
+
+def _step(w, root, g_vals, g_vecs, squarings):
+    """sigma <- normalise(sqrt(sigma) (G / lambda_max G)^alpha sqrt(sigma)), bracketed.
+
+    alpha = 2**squarings is applied by repeated squaring, so every input in a
+    stack takes exactly the arithmetic it would take alone.
+    """
+    ratio = np.clip(g_vals, 0.0, None) / g_vals[:, -1:]
+    for j in range(int(squarings.max(initial=0))):
+        ratio = np.where((squarings > j)[:, None], ratio * ratio, ratio)
+    sigma = root @ ((g_vecs * ratio[:, None, :]) @ g_vecs.conj().swapaxes(1, 2)) @ root
+    vals, vecs = np.linalg.eigh(sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None])
+    vh, sqrt_vals = vecs.conj().swapaxes(1, 2), np.sqrt(vals)[:, None, :]
+    root = (vecs * sqrt_vals) @ vh
+    return (root,) + _bracket(w, root, (vecs / sqrt_vals) @ vh)
+
+
+def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
+    """Certified brackets on ||Theta o N||_dia for a stack of W = d R.
+
+    Maximises the concave f(sigma) from sigma = I/d. The step exponent
+    doubles while the iterate's bracket narrows; otherwise the step is
+    retaken at exponent 1, the plain fixed point sigma <- Tr_out|M| / ||M||_1.
+    An input stops once its log2 bracket is at most ``cfg.tol`` wide, or
+    after ``cfg.max_iters`` steps. Returns, per input, log2 of the best lower
+    end and of the smallest upper end, the amplitude matrix sqrt(sigma*) of
+    the best lower-end iterate, and the step count.
+    """
+    n = w.shape[0]
+    root = np.tile(np.eye(d, dtype=complex) / math.sqrt(d), (n, 1, 1))
+    lower, g_vals, g_vecs = _bracket(w, root, root * d)
+    upper, best_lower, best_root = g_vals[:, -1].copy(), lower.copy(), root.copy()
+    squarings, iters = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    a = np.arange(n)
+    while True:
+        a = a[np.log2(upper[a]) - np.log2(best_lower[a]) > cfg.tol]
+        if not a.size:
+            break
+        trial = _step(w[a], root[a], g_vals[a], g_vecs[a], squarings[a])
+        # a step stands when the iterate's own bracket narrows
+        narrowed = trial[2][:, -1] - trial[1] < g_vals[a, -1] - lower[a]
+        retry = np.flatnonzero(~narrowed & (squarings[a] > 0))
+        if retry.size:
+            b = a[retry]
+            plain = _step(w[b], root[b], g_vals[b], g_vecs[b], np.zeros(b.size, dtype=int))
+            for arr, new in zip(trial, plain):
+                arr[retry] = new
+        # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
+        squarings[a] = np.where(narrowed, np.minimum(squarings[a] + 1, 52), 0)
+        root[a], lower[a], g_vals[a], g_vecs[a] = trial
+        better = a[lower[a] > best_lower[a]]
+        best_lower[better], best_root[better] = lower[better], root[better]
+        upper[a] = np.fmin(upper[a], g_vals[a, -1])
+        iters[a] += 1
+        a = a[iters[a] < cfg.max_iters]
+    # the value lies in [lower, upper]; an upper end below the lower end is rounding
+    return np.log2(best_lower), np.log2(np.fmax(upper, best_lower)), best_root, iters
 
 
 def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
-    """Holevo-Werner comparison bound via pure-state optimization.
+    """Holevo-Werner comparison bound log2 ||Theta o N||_dia (Theta the transpose).
 
-    Maximizes the trace norm of the transpose-then-channel map over pure
-    bipartite inputs (reference dimension equal to the input dimension),
-    with Nelder-Mead restarts. One restart always starts at the maximally
-    entangled state, so the reported value never falls below the causality
-    bound. The result is a best-found lower estimate of the true supremum;
-    the restart record is kept in the diagnostics.
-
-    For the input with amplitude matrix Psi (reference x system), the
-    transpose-then-channel output is K W K^dag with K = Psi x I and
-    W = d R, R the channel PDM.
+    A pure input with amplitude matrix Psi (reference x system) has output
+    K W K^dag, K = Psi x I, W = d R (R the channel PDM), whose trace norm is
+    concave in sigma = Psi^dag Psi. ``value`` is a certified upper bound; the
+    diagnostics keep ``lower`` (attained by ``best_input``, amplitude matrix
+    sqrt(sigma*)) and ``gap`` = value - lower. The start sigma = I/d keeps
+    ``lower`` >= the causality bound and ``value`` <= log2 lambda_max(Tr_out|W|).
     """
-    from scipy.optimize import minimize  # the only optimizer; costly to import
-
     dim = c.dim_in
     w = dim * pdm_mod.pdm_from_channel(c).matrix
-    eye = np.eye(dim, dtype=complex)
-    n_amp = dim * dim
-
-    def objective(x: np.ndarray) -> float:
-        amp = x[:n_amp] + 1j * x[n_amp:]
-        nrm = np.linalg.norm(amp)
-        if nrm < 1e-12:
-            return 0.0  # degenerate simplex point, worst possible objective
-        k = np.kron((amp / nrm).reshape(dim, dim), eye)
-        return -trace_norm(k @ w @ k.conj().T)
-
-    rng = np.random.default_rng(cfg.seed)
-    max_ent = np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
-    starts = [np.concatenate([max_ent.real, max_ent.imag])]
-    for _ in range(cfg.restarts - 1):
-        starts.append(rng.standard_normal(2 * n_amp))
-
-    best_val = -np.inf
-    best_x = starts[0]
-    per_restart = []
-    total_iters = 0
-    converged = 0
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.max_iters, "xatol": cfg.tol, "fatol": cfg.tol},
-        )
-        found = max(-res.fun, -objective(x0))
-        per_restart.append(found)
-        total_iters += int(res.nit)
-        converged += int(bool(res.success))
-        if found > best_val:
-            best_val = found
-            best_x = res.x if -res.fun >= -objective(x0) else x0
-    amp = best_x[:n_amp] + 1j * best_x[n_amp:]
-    amp = _phase_fixed(amp / np.linalg.norm(amp))
+    lower, upper, root, iters = _solve_hw(w[None], dim, cfg)
+    value, low = float(upper[0]), float(lower[0])
+    amp = root[0].reshape(-1)
     return BoundReport(
         channel_label=c.label,
         method="holevo_werner",
-        value=math.log2(best_val),
+        value=value,
         diagnostics={
-            "restarts": cfg.restarts,
-            "iterations": total_iters,
-            "converged_restarts": converged,
-            "seed": cfg.seed,
+            "restarts": 1,
+            "iterations": int(iters[0]),
+            "converged_restarts": int(value - low <= cfg.tol),
             "tolerance": cfg.tol,
-            "best_objective": best_val,
-            "per_restart": per_restart,
-            "note": "best-found lower estimate of the supremum",
+            "lower": low,
+            "gap": value - low,
+            "note": "certified upper bound; best_input attains the lower end",
         },
         best_input=np.outer(amp, amp.conj()),
     )
@@ -200,31 +226,6 @@ def compare_bounds(
     }
 
 
-def _row_config(cfg: OptimizerConfig, index: int) -> OptimizerConfig:
-    # independent substream per grid point so results do not depend on
-    # execution order
-    sub = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
-    return replace(cfg, seed=sub)
-
-
-def _sweep_point(args) -> SweepRow:
-    p, gamma, cfg = args
-    chan = shifted_depolarizing(p, gamma)
-    caus = causality_bound(chan).value
-    analytic = analytic_shifted_depol(p, gamma)
-    hw = hw_bound(chan, cfg).value
-    return SweepRow(p, gamma, caus, analytic, hw, hw - caus)
-
-
-def sweep_workers() -> int:
-    """Worker count for sweeps; capped by CAUSAL_CAPACITY_THREADS."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    cap = int(raw) if raw else 0
-    if cap < 0:
-        raise ValueError(f"{THREADS_ENV} must be nonnegative")
-    return cap if cap > 0 else (os.cpu_count() or 1)
-
-
 def sweep_shifted_depol(
     p_grid: Sequence[float],
     gamma_grid: Sequence[float],
@@ -233,21 +234,15 @@ def sweep_shifted_depol(
 ) -> list[SweepRow]:
     """Evaluate every bound over a (p, gamma) grid, rows in row-major order.
 
-    Deterministic per seed regardless of worker count: each grid point draws
-    from its own substream derived from (seed, row index).
+    The Holevo-Werner values of all grid points are solved as one stack, each
+    with exactly the arithmetic :func:`hw_bound` uses on it alone. ``workers``
+    is accepted for compatibility and has no effect.
     """
-    points = []
-    idx = 0
-    for p in p_grid:
-        for gamma in gamma_grid:
-            points.append((float(p), float(gamma), _row_config(cfg, idx)))
-            idx += 1
-    if workers is None:
-        workers = sweep_workers()
-    if workers > 1 and len(points) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_sweep_point, points, chunksize=4))
-        except (OSError, PermissionError):
-            pass  # restricted environments: fall back to in-process execution
-    return [_sweep_point(args) for args in points]
+    points = [(float(p), float(g)) for p in p_grid for g in gamma_grid]
+    pdms = [pdm_mod.pdm_from_channel(shifted_depolarizing(p, g)) for p, g in points]
+    hw = _solve_hw(np.array([2.0 * r.matrix for r in pdms]).reshape(-1, 4, 4), 2, cfg)[1]
+    rows = []
+    for (p, g), r, value in zip(points, pdms, hw.tolist()):
+        caus = pdm_mod.causality_F(r)
+        rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))
+    return rows

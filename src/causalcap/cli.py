@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="all",
         choices=["causality", "hw", "analytic", "maxrains", "all"],
     )
-    p_bound.add_argument("--seed", type=int, default=0)
-    p_bound.add_argument("--restarts", type=int, default=32)
+    # the Holevo-Werner solver is deterministic and needs no restarts
+    p_bound.add_argument("--seed", type=int, default=0, help="accepted; no effect")
+    p_bound.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
     p_bound.set_defaults(func=cmd_bound)
 
     p_sweep = sub.add_parser("sweep", help="bound sweep over a (p, gamma) grid")
@@ -226,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma-max", type=float, default=1.0)
     p_sweep.add_argument("--gamma-steps", type=int, default=21)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--restarts", type=int, default=32)
+    p_sweep.add_argument("--seed", type=int, default=0, help="accepted; no effect")
+    p_sweep.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run verification suites")

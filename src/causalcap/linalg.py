@@ -99,18 +99,15 @@ def permute_qubits(a: np.ndarray, order: Sequence[int]) -> np.ndarray:
     return t.transpose(axes).reshape(2**n, 2**n)
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    a = as_matrix(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def require_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
-    """Reject non-Hermitian input; symmetrize tolerated floating-point drift."""
+    """Reject non-finite or non-Hermitian input; symmetrize tolerated drift."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = hermiticity_defect(a)
-    if not defect <= atol:  # also rejects NaN entries, whose defect is NaN
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (found NaN or infinity)")
+    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if defect > atol:
         raise ValueError(f"matrix is not Hermitian (max defect {defect:.3e} > {atol:.0e})")
     return 0.5 * (a + a.conj().T)
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The optimized Holevo-Werner values for criteria 3-5 are computed once per
-session (32 restarts, fixed seed) and shared across the three tests.
+The certified Holevo-Werner values for criteria 3-5 are computed once per
+session and shared across the three tests.
 """
 
 import math

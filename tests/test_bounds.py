@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalcap.bounds import (
     OptimizerConfig,
@@ -27,6 +29,18 @@ FAST_CFG = OptimizerConfig(restarts=8, max_iters=1500, seed=7)
 
 # best value found by a 256-restart reference run, stable across seeds
 HW_P015_G1 = 0.2969817377571
+# inside the certified bracket [0.00443224631526, 0.00443224631537] at tol 1e-13
+HW_P024_G1 = 0.0044322463153
+
+
+def hw_ceiling(chan) -> float:
+    """log2 lambda_max(Tr_out |d R|), the HW upper end at the maximally mixed marginal."""
+    d = chan.dim_in
+    pdm = chan.choi.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+    vals, vecs = np.linalg.eigh(d * pdm)
+    absw = (vecs * np.abs(vals)) @ vecs.conj().T
+    marginal = np.trace(absw.reshape(d, d, d, d), axis1=1, axis2=3)
+    return math.log2(np.linalg.eigvalsh(marginal)[-1])
 
 
 class TestCausalityBound:
@@ -113,19 +127,60 @@ class TestHwBound:
             ext = [np.kron(I2, a) for a in chan.kraus]
             out = sum(e @ tb @ e.conj().T for e in ext)
             norm = np.abs(np.linalg.eigvalsh(out)).sum()
-            assert abs(math.log2(norm) - rep.value) < 1e-9
+            assert abs(math.log2(norm) - rep.diagnostics["lower"]) < 1e-9
+            assert rep.diagnostics["lower"] <= rep.value
 
     def test_diagnostics(self):
-        rep = hw_bound(shifted_depolarizing(0.1, 0.0), FAST_CFG)
-        assert rep.diagnostics["restarts"] == FAST_CFG.restarts
-        assert len(rep.diagnostics["per_restart"]) == FAST_CFG.restarts
-        assert "lower estimate" in rep.diagnostics["note"]
+        rep = hw_bound(shifted_depolarizing(0.15, 1.0), FAST_CFG)
+        diag = rep.diagnostics
+        assert diag["restarts"] == 1
+        assert diag["converged_restarts"] == 1
+        assert 0 < diag["iterations"] <= FAST_CFG.max_iters
+        assert diag["tolerance"] == FAST_CFG.tol
+        assert diag["gap"] == rep.value - diag["lower"]
+        assert 0.0 <= diag["gap"] <= FAST_CFG.tol
+        assert "certified upper bound" in diag["note"]
+        assert not {"per_restart", "seed", "best_objective"} & diag.keys()
+
+    def test_unconverged_bracket_is_reported(self):
+        rep = hw_bound(shifted_depolarizing(0.24, 1.0), OptimizerConfig(max_iters=2))
+        diag = rep.diagnostics
+        assert diag["iterations"] == 2
+        assert diag["converged_restarts"] == 0
+        assert diag["gap"] > diag["tolerance"]
+        assert rep.value >= HW_P024_G1 >= diag["lower"]
 
     def test_deterministic_per_seed(self):
         chan = shifted_depolarizing(0.12, 0.9)
         a = hw_bound(chan, FAST_CFG)
         b = hw_bound(chan, FAST_CFG)
         assert a.value == b.value
+
+
+class TestHwBracketProperties:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        qubits=st.sampled_from([1, 2]),
+        env_qubits=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certified_bracket(self, qubits, env_qubits, seed):
+        chan = random_channel(qubits, qubits, env_qubits=env_qubits, seed=seed)
+        rep = hw_bound(chan)
+        diag = rep.diagnostics
+        tol = OptimizerConfig().tol
+        assert diag["lower"] <= rep.value
+        assert diag["lower"] >= causality_bound(chan).value - tol
+        assert rep.value <= hw_ceiling(chan) + 1e-12
+        assert diag["gap"] <= tol
+        assert diag["converged_restarts"] == 1
+
+    def test_certified_bracket_on_three_qubits(self):
+        chan = random_channel(3, 3, env_qubits=2, seed=3)
+        rep = hw_bound(chan)
+        assert rep.diagnostics["converged_restarts"] == 1
+        assert rep.diagnostics["lower"] >= causality_bound(chan).value - 1e-9
+        assert rep.value <= hw_ceiling(chan) + 1e-12
 
 
 class TestMaxRainsSurrogate:
@@ -188,7 +243,14 @@ class TestSweep:
         cfg = OptimizerConfig(restarts=2, max_iters=300, seed=11)
         serial = sweep_shifted_depol([0.1, 0.2], [0.0, 1.0], cfg, workers=1)
         parallel = sweep_shifted_depol([0.1, 0.2], [0.0, 1.0], cfg, workers=2)
-        assert serial == parallel
+        no_op = dataclasses.replace(cfg, restarts=5, seed=12)
+        assert serial == parallel == sweep_shifted_depol([0.1, 0.2], [0.0, 1.0], no_op)
+
+    def test_batched_rows_match_single_channel_solves(self):
+        rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 11), np.linspace(0.0, 1.0, 6))
+        for row in rows:
+            single = hw_bound(shifted_depolarizing(row.p, row.gamma)).value
+            assert abs(row.hw - single) <= 1e-12
 
     def test_sweeprow_is_plain_data(self):
         row = SweepRow(0.1, 0.0, 0.5, 0.5, 0.5, 0.0)

@@ -154,7 +154,7 @@ class TestNorms:
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_rejects_non_finite(self, entry):
         bad = np.diag([entry, 1.0]).astype(complex)
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(ValueError, match="must be finite"):
             trace_norm(bad)
 
 
