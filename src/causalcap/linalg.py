@@ -15,6 +15,9 @@ import numpy as np
 # Hermiticity tolerance: inputs within this max-entry distance of their own
 # conjugate transpose are accepted and symmetrized before decomposition.
 HERM_ATOL = 1e-10
+# State tolerance: the most negative eigenvalue and the trace defect a density
+# matrix may carry.
+STATE_ATOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -110,6 +113,18 @@ def require_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
     if defect > atol:
         raise ValueError(f"matrix is not Hermitian (max defect {defect:.3e} > {atol:.0e})")
     return 0.5 * (a + a.conj().T)
+
+
+def require_state(rho: np.ndarray) -> np.ndarray:
+    """Reject anything but a density matrix; return it symmetrized."""
+    rho = require_hermitian(rho)
+    vals = np.linalg.eigvalsh(rho)
+    if vals[0] < -STATE_ATOL:
+        raise ValueError(f"not a state: eigenvalue {vals[0]:.3e}")
+    trace = np.trace(rho).real
+    if abs(trace - 1.0) > STATE_ATOL:
+        raise ValueError(f"not a state: trace {trace!r}")
+    return rho
 
 
 def trace_norm(a: np.ndarray) -> float:

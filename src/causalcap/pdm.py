@@ -23,6 +23,7 @@ from .linalg import (
     partial_transpose,
     permute_qubits,
     require_hermitian,
+    require_state,
     trace_norm,
 )
 
@@ -70,18 +71,6 @@ def swap_matrix(l: int) -> np.ndarray:
     return permute_qubits(per_pair, order)
 
 
-def _require_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    rho = require_hermitian(rho)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state shape {rho.shape} does not match dimension {dim}")
-    vals = np.linalg.eigvalsh(rho)
-    if vals[0] < -1e-9:
-        raise ValueError(f"state has negative eigenvalue {vals[0]:.3e}")
-    if abs(np.trace(rho).real - 1.0) > TRACE_ATOL:
-        raise ValueError(f"state trace {np.trace(rho).real!r} is not 1")
-    return rho
-
-
 def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
     """PDM of one channel use bracketed by two single-qubit measurements.
 
@@ -90,7 +79,9 @@ def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
     multiplication by rho x I and the result is {rho x I, R} for the channel
     PDM R.
     """
-    rho = _require_density(as_matrix(rho), 2)
+    rho = require_state(rho)
+    if rho.shape != (2, 2):
+        raise ValueError(f"state shape {rho.shape} does not match dimension 2")
     if c.qubits_in != 1 or c.qubits_out != 1:
         raise ValueError(f"{c.label} is not a single-qubit channel")
     r = pdm_from_channel(c).matrix
@@ -112,12 +103,18 @@ def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
     return PseudoDensityMatrix(r, l_in=c.qubits_in, l_out=c.qubits_out)
 
 
+def clamp_log2(value: float) -> float:
+    """A log2 norm with rounding below zero removed.
+
+    The norms the bounds take (PDM trace norm, diamond norm of Theta o N) are
+    at least 1, so a log2 value in (-NEG_CLAMP, 0) is floating noise.
+    """
+    return 0.0 if -NEG_CLAMP < value < 0.0 else value
+
+
 def causality_F(r: PseudoDensityMatrix) -> float:
     """log2 of the PDM trace norm; zero for positive semi-definite PDMs."""
-    value = math.log2(trace_norm(r.matrix))
-    if -NEG_CLAMP < value < 0.0:
-        return 0.0
-    return value
+    return clamp_log2(math.log2(trace_norm(r.matrix)))
 
 
 def f_tr(r: PseudoDensityMatrix) -> float:

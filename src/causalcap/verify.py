@@ -27,21 +27,9 @@ from .linalg import (
     random_density,
     random_isometry,
     random_unitary,
-    require_hermitian,
+    require_state,
     trace_norm,
 )
-
-STATE_EIG_ATOL = 1e-9
-
-
-def _require_state(rho: np.ndarray) -> np.ndarray:
-    rho = require_hermitian(rho)
-    vals = np.linalg.eigvalsh(rho)
-    if vals[0] < -STATE_EIG_ATOL:
-        raise ValueError(f"not a state: eigenvalue {vals[0]:.3e}")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError(f"not a state: trace {np.trace(rho).real!r}")
-    return rho
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
@@ -52,8 +40,8 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
-    rho = _require_state(rho)
-    sigma = _require_state(sigma)
+    rho = require_state(rho)
+    sigma = require_state(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"state shapes differ: {rho.shape} vs {sigma.shape}")
     root = _sqrtm_psd(rho)
@@ -64,7 +52,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def entanglement_fidelity(rho: np.ndarray, c: QuantumChannel) -> float:
     """Schumacher entanglement fidelity, sum_k |Tr(rho A_k)|^2."""
-    rho = _require_state(rho)
+    rho = require_state(rho)
     if rho.shape != (c.dim_in, c.dim_in):
         raise ValueError(f"state shape {rho.shape} does not match channel input")
     return float(sum(abs(np.trace(rho @ a)) ** 2 for a in c.kraus))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from causalcap.bounds import (
     OptimizerConfig,
     SweepRow,
+    _solve_hw,
     analytic_shifted_depol,
     causality_bound,
     compare_bounds,
@@ -24,6 +25,7 @@ from causalcap.channels import (
     shifted_depolarizing,
 )
 from causalcap.linalg import I2
+from causalcap.pdm import pdm_from_channel
 
 FAST_CFG = OptimizerConfig(restarts=8, max_iters=1500, seed=7)
 
@@ -141,6 +143,9 @@ class TestHwBound:
         assert 0.0 <= diag["gap"] <= FAST_CFG.tol
         assert "certified upper bound" in diag["note"]
         assert not {"per_restart", "seed", "best_objective"} & diag.keys()
+        # the start plus one to three bracket evaluations per step
+        assert diag["iterations"] + 1 <= diag["evaluations"] <= 3 * diag["iterations"] + 1
+        assert 0 < diag["accelerated_steps"] <= diag["iterations"]
 
     def test_unconverged_bracket_is_reported(self):
         rep = hw_bound(shifted_depolarizing(0.24, 1.0), OptimizerConfig(max_iters=2))
@@ -149,6 +154,32 @@ class TestHwBound:
         assert diag["converged_restarts"] == 0
         assert diag["gap"] > diag["tolerance"]
         assert rep.value >= HW_P024_G1 >= diag["lower"]
+
+    def test_rounding_below_zero_is_clamped(self):
+        # entanglement-breaking, so ||Theta o N||_dia = 1; the solve lands 1e-15 below log2 = 0
+        reports = compare_bounds(random_channel(1, 1, env_qubits=3, seed=93))
+        assert reports["holevo_werner"].value == 0.0
+        assert reports["holevo_werner"].diagnostics["hw_minus_causality"] == 0.0
+        assert [row.hw for row in sweep_shifted_depol([0.21], [0.0, 0.5])] == [0.0, 0.0]
+
+    def test_ill_conditioned_channel_converges(self):
+        # sigma* has an eigenvalue of 4e-5; the power step alone needs 3506 steps here
+        chan = random_channel(2, 2, env_qubits=3, seed=3455773250)
+        diag = hw_bound(chan).diagnostics
+        assert diag["converged_restarts"] == 1
+        assert diag["gap"] <= OptimizerConfig().tol
+
+    @pytest.mark.parametrize("seed", [1413296698, 4003012333])
+    def test_singular_optimum_is_reported_unconverged(self, seed):
+        # sigma* is singular, and upper ends from nearly singular sigma are rounding
+        # artefacts: the solve stops with its certified bracket instead
+        rep = hw_bound(random_channel(2, 2, env_qubits=3, seed=seed))
+        diag = rep.diagnostics
+        assert diag["converged_restarts"] == 0
+        assert diag["tolerance"] < diag["gap"] < 1e-3
+        if seed == 1413296698:
+            # an input found by a longer path attains this lower end (checked via Kraus)
+            assert rep.value >= 0.5005858542607435
 
     def test_deterministic_per_seed(self):
         chan = shifted_depolarizing(0.12, 0.9)
@@ -251,6 +282,13 @@ class TestSweep:
         for row in rows:
             single = hw_bound(shifted_depolarizing(row.p, row.gamma)).value
             assert abs(row.hw - single) <= 1e-12
+
+    def test_default_grid_step_count(self):
+        points = [(p, g) for p in np.linspace(0.0, 0.25, 26) for g in np.linspace(0.0, 1.0, 21)]
+        w = np.array([2.0 * pdm_from_channel(shifted_depolarizing(p, g)).matrix for p, g in points])
+        lower, upper, _, counts = _solve_hw(w, 2, OptimizerConfig())
+        assert counts["iterations"].max() <= 40
+        assert np.all(upper - lower <= OptimizerConfig().tol)
 
     def test_sweeprow_is_plain_data(self):
         row = SweepRow(0.1, 0.0, 0.5, 0.5, 0.5, 0.0)

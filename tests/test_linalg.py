@@ -16,6 +16,7 @@ from causalcap.linalg import (
     random_density,
     random_hermitian,
     random_unitary,
+    require_state,
     trace_norm,
 )
 
@@ -156,6 +157,23 @@ class TestNorms:
         bad = np.diag([entry, 1.0]).astype(complex)
         with pytest.raises(ValueError, match="must be finite"):
             trace_norm(bad)
+
+
+class TestRequireState:
+    def test_accepts_and_symmetrizes(self):
+        rho = random_density(3, RNG)
+        drift = rho + 1e-12 * np.triu(np.ones((3, 3)), 1)
+        out = require_state(drift)
+        assert np.array_equal(out, out.conj().T)
+        assert np.max(np.abs(out - rho)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [(np.diag([1.5, -0.5]), "eigenvalue"), (np.diag([1.0, 1.0]), "trace")],
+    )
+    def test_rejects_non_states(self, bad, reason):
+        with pytest.raises(ValueError, match=f"not a state: {reason}"):
+            require_state(bad.astype(complex))
 
 
 def test_permute_qubits_swaps_factors():
