@@ -320,6 +320,9 @@ def compare_bounds(
     """All applicable bounds for one channel, keyed by method."""
     caus = causality_bound(c)
     hw = hw_bound(c, cfg)
+    # HW >= causality exactly (sigma = I/d attains ||R||_1); raising the upper end keeps it a bound
+    hw.value = max(hw.value, caus.value)
+    hw.diagnostics["gap"] = hw.value - hw.diagnostics["lower"]
     hw.diagnostics["hw_minus_causality"] = hw.value - caus.value
     return {
         "causality": caus,
@@ -346,5 +349,6 @@ def sweep_shifted_depol(
     rows = []
     for (p, g), r, value in zip(points, pdms, map(pdm_mod.clamp_log2, hw.tolist())):
         caus = pdm_mod.causality_F(r)
+        value = max(value, caus)  # as in compare_bounds
         rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))
     return rows

@@ -16,20 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    CPTP_ATOL,
     I2,
+    KRAUS_TRUNCATION,
     PAULI_Z,
     as_matrix,
-    partial_trace,
     random_complex,
     require_hermitian,
 )
-
-COMPLETENESS_ATOL = 1e-9
-CHOI_EIG_ATOL = 1e-9
-CHOI_MARGINAL_ATOL = 1e-8
-# Choi eigenvalues below this are treated as numerical rank noise and dropped
-# during Kraus extraction.
-KRAUS_TRUNCATION = 1e-10
 
 
 class ChannelFormatError(ValueError):
@@ -55,20 +49,14 @@ class QuantumChannel:
         return 2**self.qubits_out
 
 
-def _completeness_residual(ops: Sequence[np.ndarray], dim_in: int) -> float:
-    acc = np.zeros((dim_in, dim_in), dtype=complex)
-    for a in ops:
-        acc += a.conj().T @ a
-    return float(np.max(np.abs(acc - np.eye(dim_in))))
+def tp_residual(j: np.ndarray, dim_in: int) -> float:
+    """Trace-preservation residual max|d_in Tr_out J - I| of a trace-1 Choi matrix.
 
-
-def _choi_from_kraus(ops: Sequence[np.ndarray], dim_in: int) -> np.ndarray:
-    # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
-    vecs = [a.T.reshape(-1) / np.sqrt(dim_in) for a in ops]
-    j = np.zeros((len(vecs[0]), len(vecs[0])), dtype=complex)
-    for v in vecs:
-        j += np.outer(v, v.conj())
-    return j
+    For J built from Kraus operators A_k it is max|sum_k A_k^dag A_k - I|.
+    """
+    dim_out = j.shape[0] // dim_in
+    marginal = np.einsum("xyzy->xz", j.reshape(dim_in, dim_out, dim_in, dim_out))
+    return float(np.max(np.abs(dim_in * marginal - np.eye(dim_in))))
 
 
 def from_kraus(
@@ -94,13 +82,15 @@ def from_kraus(
         raise ValueError(
             f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
         )
-    residual = _completeness_residual(mats, cols)
-    if residual > COMPLETENESS_ATOL:
+    # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
+    vecs = np.stack(mats).swapaxes(1, 2).reshape(len(mats), -1) / np.sqrt(cols)
+    choi = vecs.T @ vecs.conj()
+    choi = 0.5 * (choi + choi.conj().T)
+    residual = tp_residual(choi, cols)
+    if residual > CPTP_ATOL:
         raise ValueError(
             f"Kraus list is not trace preserving (completeness residual {residual:.3e})"
         )
-    choi = _choi_from_kraus(mats, cols)
-    choi = 0.5 * (choi + choi.conj().T)
     choi.setflags(write=False)
     return QuantumChannel(qubits_in, qubits_out, mats, choi, label)
 
@@ -130,31 +120,32 @@ def kraus_from_choi(
     """Channel from a trace-1 Choi matrix, with Kraus operators from its eigenvectors.
 
     The Choi matrix must be Hermitian, positive semi-definite up to
-    eigenvalue tolerance, and have a maximally mixed marginal on the input
-    factor (trace preservation). The validated, symmetrized matrix becomes
-    the channel's Choi matrix.
+    eigenvalue tolerance, and trace preserving to within :func:`tp_residual`
+    <= ``CPTP_ATOL``, which bounds its trace defect by ``CPTP_ATOL`` as well.
+    The validated, symmetrized matrix becomes the channel's Choi matrix. The
+    Kraus operators A_k from eigenvalues above ``KRAUS_TRUNCATION`` are
+    rescaled to A_k S^(-1/2), S = sum_k A_k^dag A_k, so the dropped eigenvalues
+    leave the Kraus list exactly complete and every accepted channel passes
+    :func:`from_kraus` again.
     """
     j = as_matrix(j)
     dim_in, dim_out = 2**qubits_in, 2**qubits_out
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise ValueError(f"Choi shape {j.shape} does not match {qubits_in}->{qubits_out} qubits")
     j = require_hermitian(j)
-    if abs(np.trace(j).real - 1.0) > 1e-9:
-        raise ValueError(f"Choi matrix trace {np.trace(j).real!r} is not 1")
     vals, vecs = np.linalg.eigh(j)
-    if vals[0] < -CHOI_EIG_ATOL:
+    if vals[0] < -CPTP_ATOL:
         raise ValueError(f"not completely positive (Choi eigenvalue {vals[0]:.3e})")
-    marginal = partial_trace(j, [dim_in, dim_out], keep={0})
-    marg_res = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
-    if marg_res > CHOI_MARGINAL_ATOL:
-        raise ValueError(f"not trace preserving (input marginal residual {marg_res:.3e})")
-    ops = []
-    for lam, vec in zip(vals, vecs.T):
-        if lam <= KRAUS_TRUNCATION:
-            continue
-        # column-of-Choi eigenvector w[x*dim_out + y] -> Kraus entry A[y, x]
-        a = np.sqrt(lam * dim_in) * vec.reshape(dim_in, dim_out).T
-        ops.append(a)
+    residual = tp_residual(j, dim_in)
+    if residual > CPTP_ATOL:
+        raise ValueError(f"not trace preserving (completeness residual {residual:.3e})")
+    keep = vals > KRAUS_TRUNCATION
+    # column-of-Choi eigenvector w[x*dim_out + y] -> Kraus entry A[y, x]
+    vecs = vecs[:, keep].T.reshape(-1, dim_in, dim_out).swapaxes(1, 2)
+    ops = np.sqrt(vals[keep] * dim_in)[:, None, None] * vecs
+    stacked = ops.reshape(-1, dim_in)  # the A_k one above another
+    s_vals, s_vecs = np.linalg.eigh(stacked.conj().T @ stacked)
+    ops = ops @ ((s_vecs / np.sqrt(s_vals)) @ s_vecs.conj().T)
     j.setflags(write=False)
     return QuantumChannel(qubits_in, qubits_out, tuple(ops), j, label)
 

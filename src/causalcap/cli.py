@@ -26,6 +26,7 @@ from .channels import (
     QuantumChannel,
     load_channel,
     named_channel,
+    tp_residual,
 )
 
 EXIT_OK = 0
@@ -174,14 +175,13 @@ def cmd_channel_info(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     spectrum = np.linalg.eigvalsh(chan.choi)
-    acc = sum(a.conj().T @ a for a in chan.kraus)
     info = {
         "label": chan.label,
         "qubits_in": chan.qubits_in,
         "qubits_out": chan.qubits_out,
         "kraus_rank": len(chan.kraus),
         "choi_spectrum": [float(v) for v in spectrum],
-        "tp_residual": float(np.max(np.abs(acc - np.eye(chan.dim_in)))),
+        "tp_residual": tp_residual(chan.choi, chan.dim_in),
         "cp_min_eigenvalue": float(spectrum[0]),
     }
     print(json.dumps(info))

@@ -12,12 +12,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Hermiticity tolerance: inputs within this max-entry distance of their own
-# conjugate transpose are accepted and symmetrized before decomposition.
+# Tolerances: every numerical threshold of the package, in one table.
+# HERM_ATOL: max-entry distance at which two matrices count as equal: a matrix and
+#   its conjugate transpose (then symmetrized), or the sides of the swap identity.
 HERM_ATOL = 1e-10
-# State tolerance: the most negative eigenvalue and the trace defect a density
-# matrix may carry.
-STATE_ATOL = 1e-9
+# CPTP_ATOL: the trace defect and most negative eigenvalue of a density or Choi
+#   matrix, the TP residual max|d_in Tr_out J - I| of a channel, and the margin
+#   on the identities the verification suites check.
+CPTP_ATOL = 1e-9
+# KRAUS_TRUNCATION: Choi eigenvalues at or below it yield no Kraus operator.
+KRAUS_TRUNCATION = 1e-10
+# NEG_CLAMP: a log2 norm in (-NEG_CLAMP, 0) is rounding of a norm >= 1 and reads 0.
+NEG_CLAMP = 1e-12
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,7 +108,7 @@ def permute_qubits(a: np.ndarray, order: Sequence[int]) -> np.ndarray:
     return t.transpose(axes).reshape(2**n, 2**n)
 
 
-def require_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Reject non-finite or non-Hermitian input; symmetrize tolerated drift."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -110,8 +116,8 @@ def require_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (found NaN or infinity)")
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > atol:
-        raise ValueError(f"matrix is not Hermitian (max defect {defect:.3e} > {atol:.0e})")
+    if defect > HERM_ATOL:
+        raise ValueError(f"matrix is not Hermitian (max defect {defect:.3e} > {HERM_ATOL:.0e})")
     return 0.5 * (a + a.conj().T)
 
 
@@ -119,10 +125,10 @@ def require_state(rho: np.ndarray) -> np.ndarray:
     """Reject anything but a density matrix; return it symmetrized."""
     rho = require_hermitian(rho)
     vals = np.linalg.eigvalsh(rho)
-    if vals[0] < -STATE_ATOL:
+    if vals[0] < -CPTP_ATOL:
         raise ValueError(f"not a state: eigenvalue {vals[0]:.3e}")
     trace = np.trace(rho).real
-    if abs(trace - 1.0) > STATE_ATOL:
+    if abs(trace - 1.0) > CPTP_ATOL:
         raise ValueError(f"not a state: trace {trace!r}")
     return rho
 

@@ -15,7 +15,9 @@ import numpy as np
 
 from .channels import QuantumChannel
 from .linalg import (
+    CPTP_ATOL,
     I2,
+    NEG_CLAMP,
     PAULIS,
     anticommutator,
     as_matrix,
@@ -26,10 +28,6 @@ from .linalg import (
     require_state,
     trace_norm,
 )
-
-# F values above this negative floor are floating noise and clamp to zero.
-NEG_CLAMP = 1e-12
-TRACE_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class PseudoDensityMatrix:
                 f"{self.l_in}+{self.l_out} qubits"
             )
         tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if abs(tr - 1.0) > CPTP_ATOL:
             raise ValueError(f"pseudo-density matrix trace {tr!r} is not 1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -123,11 +121,8 @@ def f_tr(r: PseudoDensityMatrix) -> float:
 
 
 def log_negativity(state: np.ndarray, dims) -> float:
-    """log2 trace norm of the partial transpose of a bipartite state."""
-    state = require_hermitian(state)
-    if abs(np.trace(state).real - 1.0) > TRACE_ATOL:
-        raise ValueError(f"state trace {np.trace(state).real!r} is not 1")
-    return math.log2(trace_norm(partial_transpose(state, dims, 1)))
+    """log2 trace norm of the partial transpose of a bipartite density matrix."""
+    return math.log2(trace_norm(partial_transpose(require_state(state), dims, 1)))
 
 
 def lemma1_check(k_map: np.ndarray, k: int, m: int) -> float:

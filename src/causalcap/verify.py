@@ -24,6 +24,8 @@ from .channels import (
     shifted_depolarizing,
 )
 from .linalg import (
+    CPTP_ATOL,
+    HERM_ATOL,
     random_density,
     random_isometry,
     random_unitary,
@@ -103,7 +105,7 @@ def _random_single_qubit_channel(rng: np.random.Generator) -> QuantumChannel:
     return random_channel(1, 1, env_qubits=2, seed=int(rng.integers(2**31)))
 
 
-def lemma2_suite(seed: int = 0, cases: int = 100, tol: float = 1e-9) -> SuiteResult:
+def lemma2_suite(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
     """Causality never increases under isometric encoding plus decoding.
 
     Each case draws a random channel N on m qubits, a random isometric
@@ -134,7 +136,7 @@ def lemma2_suite(seed: int = 0, cases: int = 100, tol: float = 1e-9) -> SuiteRes
     return SuiteResult("lemma2", cases, failures, worst)
 
 
-def suite_pdm(seed: int = 0, cases: int = 100, tol: float = 1e-9) -> SuiteResult:
+def suite_pdm(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
     """Causality-measure properties plus the Choi log-negativity identity."""
     failures = 0
     worst = -np.inf
@@ -177,7 +179,7 @@ def suite_pdm(seed: int = 0, cases: int = 100, tol: float = 1e-9) -> SuiteResult
     return SuiteResult("pdm", cases, failures, worst, notes)
 
 
-def suite_lemmas(seed: int = 0, cases: int = 50, tol: float = 1e-9) -> SuiteResult:
+def suite_lemmas(seed: int = 0, cases: int = 50, tol: float = CPTP_ATOL) -> SuiteResult:
     """Swap intertwining residuals plus the encoding/decoding monotonicity."""
     worst_residual = 0.0
     failures = 0
@@ -188,7 +190,7 @@ def suite_lemmas(seed: int = 0, cases: int = 50, tol: float = 1e-9) -> SuiteResu
         iso = random_isometry(2**m, 2**k, rng)
         residual = pdm_mod.lemma1_check(iso, k, m)
         worst_residual = max(worst_residual, residual)
-        if residual > 1e-10:
+        if residual > HERM_ATOL:
             failures += 1
     mono = lemma2_suite(seed=seed, cases=cases, tol=tol)
     return SuiteResult(
@@ -200,7 +202,7 @@ def suite_lemmas(seed: int = 0, cases: int = 50, tol: float = 1e-9) -> SuiteResu
     )
 
 
-def suite_fidelity(seed: int = 0, cases: int = 100, tol: float = 1e-9) -> SuiteResult:
+def suite_fidelity(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
     """Fidelity inequality gaps and the two entanglement-fidelity routes."""
     failures = 0
     worst = -np.inf
@@ -239,7 +241,7 @@ def _entanglement_fidelity_purified(rho: np.ndarray, c: QuantumChannel) -> float
     return float(np.real(phi.conj() @ evolved @ phi))
 
 
-def suite_bounds(seed: int = 0, cases: int = 100, tol: float = 1e-9) -> SuiteResult:
+def suite_bounds(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
     """Max-Rains surrogate identity, norm ordering, and the HW bracket.
 
     The surrogate must equal the causality bound of the conjugate channel,

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalcap.channels import (
     ChannelFormatError,
@@ -19,6 +21,7 @@ from causalcap.channels import (
     save_channel,
     shifted_depolarizing,
     tensor,
+    tp_residual,
 )
 from causalcap.linalg import (
     I2,
@@ -27,6 +30,7 @@ from causalcap.linalg import (
     partial_trace,
     permute_qubits,
     random_density,
+    random_hermitian,
 )
 
 IDENT = from_kraus([I2], label="identity")
@@ -36,6 +40,15 @@ DEPHASE = from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z], label="dephase
 def phi_plus_projector():
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return np.outer(v, v.conj())
+
+
+def noisy_choi(c, scale, seed):
+    """c's Choi matrix plus Hermitian noise of largest entry ``scale`` whose input
+    marginal is removed, so the result is exactly trace preserving."""
+    h = random_hermitian(c.choi.shape[0], np.random.default_rng(seed))
+    marginal = partial_trace(h, [c.dim_in, c.dim_out], {0})
+    h = h - np.kron(marginal, np.eye(c.dim_out) / c.dim_out)
+    return c.choi + scale * h / np.max(np.abs(h))
 
 
 class TestFromKraus:
@@ -102,6 +115,21 @@ class TestChoi:
             assert np.max(np.abs(marg - I2 / 2)) < 1e-8
 
 
+class TestTpResidual:
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_equals_completeness_residual(self, qubits):
+        rng = np.random.default_rng(16)
+        ops = [a + 0.01 * rng.standard_normal(a.shape)
+               for a in random_channel(qubits, qubits, env_qubits=2, seed=qubits).kraus]
+        d = 2**qubits
+        vecs = [a.T.reshape(-1) / np.sqrt(d) for a in ops]
+        j = sum(np.outer(v, v.conj()) for v in vecs)
+        completeness = sum(a.conj().T @ a for a in ops)
+        expected = np.max(np.abs(completeness - np.eye(d)))
+        assert expected > 1e-3
+        assert abs(tp_residual(j, d) - expected) < 1e-12
+
+
 class TestKrausFromChoi:
     def test_max_entangled_gives_identity(self):
         c = kraus_from_choi(phi_plus_projector(), 1, 1)
@@ -132,6 +160,32 @@ class TestKrausFromChoi:
         bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="not trace preserving"):
             kraus_from_choi(bad, 1, 1)
+
+    def test_rejects_marginal_drift_beyond_completeness_tolerance(self):
+        # input marginal I/2 + 4e-9 Z: completeness residual 8e-9
+        drifted = np.eye(4, dtype=complex) / 4 + 4e-9 * np.diag([1.0, 0.0, -1.0, 0.0])
+        with pytest.raises(ValueError, match="not trace preserving"):
+            kraus_from_choi(drifted, 1, 1)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        qubits=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.0, 2e-10),
+    )
+    def test_accepted_channel_survives_every_kraus_operation(
+        self, tmp_path_factory, qubits, seed, scale
+    ):
+        exact = random_channel(qubits, qubits, env_qubits=2, seed=seed)
+        c = kraus_from_choi(noisy_choi(exact, scale, seed), qubits, qubits)
+        assert np.max(np.abs(from_kraus(c.kraus).choi - c.choi)) < 1e-8
+        path = tmp_path_factory.mktemp("noisy") / "chan.json"
+        save_channel(c, path)
+        loaded = load_channel(path)
+        assert np.max(np.abs(loaded.choi - c.choi)) < 1e-8
+        conjugate(loaded)
+        compose(c, loaded)
+        tensor(c, loaded)
 
 
 class TestComposeTensor:

@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from causalcap.channels import channel_to_dict, save_channel, shifted_depolarizing
+from causalcap.bounds import causality_bound
+from causalcap.channels import (
+    channel_to_dict,
+    kraus_from_choi,
+    random_channel,
+    save_channel,
+    shifted_depolarizing,
+)
 from causalcap.cli import main
+from causalcap.linalg import partial_trace, random_hermitian
 
 FAST = ["--restarts", "4"]
 
@@ -169,6 +177,20 @@ class TestChannelInfo:
         code, _, err = run(capsys, ["channel-info", "--channel", str(path)])
         assert code == 3
         assert "error" in err
+
+    def test_file_from_noisy_choi_reports_validated_residual(self, capsys, tmp_path):
+        # an exactly trace-preserving 2-qubit Choi matrix with 2e-10 Hermitian noise
+        exact = random_channel(2, 2, env_qubits=2, seed=5)
+        h = random_hermitian(16, np.random.default_rng(5))
+        h -= np.kron(partial_trace(h, [4, 4], {0}), np.eye(4) / 4)
+        path = tmp_path / "noisy.json"
+        save_channel(kraus_from_choi(exact.choi + 2e-10 * h / np.max(np.abs(h)), 2, 2), path)
+        code, out, _ = run(capsys, ["channel-info", "--channel", str(path)])
+        assert code == 0
+        assert json.loads(out.strip())["tp_residual"] <= 1e-9
+        code, out, _ = run(capsys, ["bound", "--channel", str(path), "--method", "causality"])
+        assert code == 0
+        assert abs(json.loads(out.strip())["value"] - causality_bound(exact).value) < 1e-8
 
     def test_non_finite_file_exit3(self, capsys, non_finite_file):
         code, out, err = run(capsys, ["channel-info", "--channel", str(non_finite_file)])

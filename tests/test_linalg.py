@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalcap
 from causalcap.linalg import (
     I2,
     PAULI_X,
@@ -180,3 +184,16 @@ def test_permute_qubits_swaps_factors():
     a = random_hermitian(2, RNG)
     b = random_hermitian(2, RNG)
     assert np.allclose(permute_qubits(np.kron(a, b), [1, 0]), np.kron(b, a))
+
+
+def test_tolerances_are_defined_only_in_linalg():
+    suffixes = ("_ATOL", "_TRUNCATION", "_CLAMP")
+    defined = {}
+    for path in sorted(Path(causalcap.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    if name.id.endswith(suffixes):
+                        defined.setdefault(path.stem, []).append(name.id)
+    assert set(defined) == {"linalg"}, defined

@@ -196,6 +196,11 @@ class TestLogNegativity:
     def test_maximally_mixed(self):
         assert abs(log_negativity(np.eye(4) / 4, (2, 2))) < 1e-12
 
+    def test_rejects_non_state(self):
+        # SWAP / 2 is Hermitian with unit trace, but has eigenvalue -1/2
+        with pytest.raises(ValueError, match="not a state"):
+            log_negativity(swap_matrix(1) / 2, (2, 2))
+
     def test_matches_pdm_causality(self):
         for seed in range(100):
             c = random_channel(1, 1, env_qubits=2, seed=seed)
