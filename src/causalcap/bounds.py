@@ -269,13 +269,15 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
     diagnostics keep ``lower`` (attained by ``best_input``, amplitude matrix
     sqrt(sigma*)) and ``gap`` = value - lower, with the counts of solver
     steps (``iterations``), bracket evaluations and accepted Anderson steps.
-    The start sigma = I/d keeps ``lower`` >= the causality bound and
-    ``value`` <= log2 lambda_max(Tr_out|W|). Rounding below zero is clamped.
+    The start sigma = I/d keeps ``value`` <= log2 lambda_max(Tr_out|W|).
+    Rounding below zero is clamped, and rounding below the causality bound
+    F(R) is raised to it: sigma = I/d attains ||R||_1, so HW >= F(R) exactly.
     """
     dim = c.dim_in
-    w = dim * pdm_mod.pdm_from_channel(c).matrix
-    lower, upper, root, counts = _solve_hw(w[None], dim, cfg)
-    value, low = pdm_mod.clamp_log2(float(upper[0])), float(lower[0])
+    r = pdm_mod.pdm_from_channel(c)
+    lower, upper, root, counts = _solve_hw(dim * r.matrix[None], dim, cfg)
+    value = max(pdm_mod.clamp_log2(float(upper[0])), pdm_mod.causality_F(r))
+    low = float(lower[0])
     amp = root[0].reshape(-1)
     return BoundReport(
         channel_label=c.label,
@@ -320,9 +322,6 @@ def compare_bounds(
     """All applicable bounds for one channel, keyed by method."""
     caus = causality_bound(c)
     hw = hw_bound(c, cfg)
-    # HW >= causality exactly (sigma = I/d attains ||R||_1); raising the upper end keeps it a bound
-    hw.value = max(hw.value, caus.value)
-    hw.diagnostics["gap"] = hw.value - hw.diagnostics["lower"]
     hw.diagnostics["hw_minus_causality"] = hw.value - caus.value
     return {
         "causality": caus,
@@ -349,6 +348,6 @@ def sweep_shifted_depol(
     rows = []
     for (p, g), r, value in zip(points, pdms, map(pdm_mod.clamp_log2, hw.tolist())):
         caus = pdm_mod.causality_F(r)
-        value = max(value, caus)  # as in compare_bounds
+        value = max(value, caus)  # as in hw_bound
         rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))
     return rows

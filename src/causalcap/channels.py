@@ -1,16 +1,17 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
-A channel is stored as a validated list of Kraus operators together with its
-Choi matrix (normalized to trace 1, i.e. the channel acting on one half of a
-maximally entangled state), computed eagerly from the Kraus list or, for
-:func:`kraus_from_choi`, taken from the validated input. Channels are immutable after
-construction and safe to share across threads.
+A channel stores a validated list of Kraus operators. Its Choi matrix J
+(normalized to trace 1, i.e. the channel acting on one half of a maximally
+entangled state) is always built from that stored list, whichever
+constructor made the channel, so the two cannot disagree and a saved channel
+reloads with a bit-identical J. Channels are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,13 +33,26 @@ class ChannelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive trace-preserving map between qubit registers."""
+    """Completely positive trace-preserving map between qubit registers.
+
+    ``choi`` is not an argument: it is built from ``kraus``, symmetrized and
+    made read-only.
+    """
 
     qubits_in: int
     qubits_out: int
     kraus: tuple
-    choi: np.ndarray
     label: str = "channel"
+    choi: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
+        vecs = np.array(self.kraus).swapaxes(1, 2).reshape(len(self.kraus), -1)
+        vecs = vecs / np.sqrt(self.dim_in)
+        j = vecs.T @ vecs.conj()
+        j = 0.5 * (j + j.conj().T)
+        j.setflags(write=False)
+        object.__setattr__(self, "choi", j)
 
     @property
     def dim_in(self) -> int:
@@ -82,17 +96,13 @@ def from_kraus(
         raise ValueError(
             f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
         )
-    # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
-    vecs = np.stack(mats).swapaxes(1, 2).reshape(len(mats), -1) / np.sqrt(cols)
-    choi = vecs.T @ vecs.conj()
-    choi = 0.5 * (choi + choi.conj().T)
-    residual = tp_residual(choi, cols)
+    c = QuantumChannel(qubits_in, qubits_out, mats, label)
+    residual = tp_residual(c.choi, cols)
     if residual > CPTP_ATOL:
         raise ValueError(
             f"Kraus list is not trace preserving (completeness residual {residual:.3e})"
         )
-    choi.setflags(write=False)
-    return QuantumChannel(qubits_in, qubits_out, mats, choi, label)
+    return c
 
 
 def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -106,11 +116,6 @@ def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def choi(c: QuantumChannel) -> np.ndarray:
-    """Trace-1 Choi matrix (cached at construction)."""
-    return c.choi
-
-
 def kraus_from_choi(
     j: np.ndarray,
     qubits_in: int,
@@ -122,11 +127,13 @@ def kraus_from_choi(
     The Choi matrix must be Hermitian, positive semi-definite up to
     eigenvalue tolerance, and trace preserving to within :func:`tp_residual`
     <= ``CPTP_ATOL``, which bounds its trace defect by ``CPTP_ATOL`` as well.
-    The validated, symmetrized matrix becomes the channel's Choi matrix. The
-    Kraus operators A_k from eigenvalues above ``KRAUS_TRUNCATION`` are
+    The Kraus operators A_k from eigenvalues above ``KRAUS_TRUNCATION`` are
     rescaled to A_k S^(-1/2), S = sum_k A_k^dag A_k, so the dropped eigenvalues
     leave the Kraus list exactly complete and every accepted channel passes
-    :func:`from_kraus` again.
+    :func:`from_kraus` again. As for every channel, the Choi matrix is then
+    built from that Kraus list, not taken from the input: it differs from the
+    input by the dropped eigenvalues and the rescale, and a saved file
+    reproduces it bit for bit.
     """
     j = as_matrix(j)
     dim_in, dim_out = 2**qubits_in, 2**qubits_out
@@ -146,8 +153,7 @@ def kraus_from_choi(
     stacked = ops.reshape(-1, dim_in)  # the A_k one above another
     s_vals, s_vecs = np.linalg.eigh(stacked.conj().T @ stacked)
     ops = ops @ ((s_vecs / np.sqrt(s_vals)) @ s_vecs.conj().T)
-    j.setflags(write=False)
-    return QuantumChannel(qubits_in, qubits_out, tuple(ops), j, label)
+    return QuantumChannel(qubits_in, qubits_out, tuple(ops), label)
 
 
 def compose(d: QuantumChannel, c: QuantumChannel) -> QuantumChannel:
@@ -213,10 +219,7 @@ def named_channel(name: str, **params) -> QuantumChannel:
     if name == "depolarizing":
         p = float(params.pop("p"))
         _reject_extra(name, params)
-        c = shifted_depolarizing(p, 0.0)
-        return QuantumChannel(
-            c.qubits_in, c.qubits_out, c.kraus, c.choi, label=f"depolarizing(p={p:g})"
-        )
+        return replace(shifted_depolarizing(p, 0.0), label=f"depolarizing(p={p:g})")
     if name == "shifted-depolarizing":
         p = float(params.pop("p"))
         gamma = float(params.pop("gamma"))

@@ -8,7 +8,7 @@ attempt is made at sparse storage or large-dimension performance.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +26,7 @@ KRAUS_TRUNCATION = 1e-10
 NEG_CLAMP = 1e-12
 
 I2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -37,45 +34,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     return m
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB + BA for square matrices of equal dimension."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(
-            f"anticommutator needs equal square matrices, got {a.shape} and {b.shape}"
-        )
-    return a @ b + b @ a
-
-
-def partial_trace(a: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions in tensor order; their product
-    must equal the (square) matrix dimension.
-    """
-    a = as_matrix(a)
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    total = int(np.prod(dims))
-    if a.shape != (total, total):
-        raise ValueError(f"dims {dims} do not match matrix shape {a.shape}")
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    t = a.reshape(dims + dims)
-    remaining = n
-    for i in sorted((i for i in range(n) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + remaining)
-        remaining -= 1
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
 
 
 def partial_transpose(a: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
@@ -92,20 +50,6 @@ def partial_transpose(a: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     t = a.reshape(d1, d2, d1, d2)
     t = t.transpose(2, 1, 0, 3) if subsystem == 0 else t.transpose(0, 3, 2, 1)
     return t.reshape(d1 * d2, d1 * d2)
-
-
-def permute_qubits(a: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Reorder the qubit wires of an operator on len(order) qubits.
-
-    New wire ``j`` carries old wire ``order[j]``.
-    """
-    a = as_matrix(a)
-    n = len(order)
-    if a.shape != (2**n, 2**n) or sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a wire permutation for shape {a.shape}")
-    t = a.reshape([2] * (2 * n))
-    axes = list(order) + [n + q for q in order]
-    return t.transpose(axes).reshape(2**n, 2**n)
 
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
@@ -139,12 +83,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-def inf_norm(a: np.ndarray) -> float:
-    """Largest absolute eigenvalue, for Hermitian input only."""
-    m = require_hermitian(a)
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-
-
 def random_complex(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -161,11 +99,6 @@ def random_isometry(dim_out: int, dim_in: int, rng: np.random.Generator) -> np.n
     if dim_out < dim_in:
         raise ValueError(f"no isometry from dimension {dim_in} into {dim_out}")
     return random_unitary(dim_out, rng)[:, :dim_in]
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = random_complex(dim, dim, rng)
-    return 0.5 * (g + g.conj().T)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,12 +18,8 @@ from .linalg import (
     CPTP_ATOL,
     I2,
     NEG_CLAMP,
-    PAULIS,
-    anticommutator,
     as_matrix,
-    kron,
     partial_transpose,
-    permute_qubits,
     require_hermitian,
     require_state,
     trace_norm,
@@ -55,18 +51,13 @@ class PseudoDensityMatrix:
 def swap_matrix(l: int) -> np.ndarray:
     """SWAP^(x l) on 2l qubits, pairing qubit i with qubit l+i.
 
-    Built from the Pauli-sum form of the two-qubit SWAP, per pair, then
-    rewired so the first l qubits form the earlier-time register.
+    It exchanges the two l-qubit registers: |x, y> -> |y, x>.
     """
     if l < 1:
         raise ValueError("need at least one qubit pair")
-    swap2 = 0.5 * sum(kron(s, s) for s in PAULIS)
-    per_pair = swap2
-    for _ in range(l - 1):
-        per_pair = kron(per_pair, swap2)
-    # per-pair wire layout (a1,b1,a2,b2,...) -> (a1..al, b1..bl)
-    order = [2 * j for j in range(l)] + [2 * j + 1 for j in range(l)]
-    return permute_qubits(per_pair, order)
+    d = 2**l
+    swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+    return swap.reshape(d * d, d * d)
 
 
 def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
@@ -83,7 +74,8 @@ def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
     if c.qubits_in != 1 or c.qubits_out != 1:
         raise ValueError(f"{c.label} is not a single-qubit channel")
     r = pdm_from_channel(c).matrix
-    return PseudoDensityMatrix(anticommutator(kron(rho, I2), r), l_in=1, l_out=1)
+    k = np.kron(rho, I2)
+    return PseudoDensityMatrix(k @ r + r @ k, l_in=1, l_out=1)
 
 
 def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
@@ -136,6 +128,6 @@ def lemma1_check(k_map: np.ndarray, k: int, m: int) -> float:
         raise ValueError(f"map shape {k_map.shape} does not match {k}->{m} qubits")
     eye_k = np.eye(2**k, dtype=complex)
     eye_m = np.eye(2**m, dtype=complex)
-    lhs = kron(eye_k, k_map) @ swap_matrix(k) @ kron(eye_k, k_map.conj().T)
-    rhs = kron(k_map.conj().T, eye_m) @ swap_matrix(m) @ kron(k_map, eye_m)
+    lhs = np.kron(eye_k, k_map) @ swap_matrix(k) @ np.kron(eye_k, k_map.conj().T)
+    rhs = np.kron(k_map.conj().T, eye_m) @ swap_matrix(m) @ np.kron(k_map, eye_m)
     return float(np.max(np.abs(lhs - rhs)))

@@ -116,6 +116,12 @@ class TestHwBound:
             rep = hw_bound(chan, OptimizerConfig(restarts=2, max_iters=200, seed=seed))
             assert rep.value >= causality_bound(chan).value - 1e-9
 
+    def test_never_below_causality_on_default_grid(self):
+        for p in np.linspace(0.0, 0.25, 26):
+            for gamma in np.linspace(0.0, 1.0, 21):
+                chan = shifted_depolarizing(p, gamma)
+                assert hw_bound(chan).value >= causality_bound(chan).value, (p, gamma)
+
     def test_value_matches_best_input_via_kraus(self):
         cfg = OptimizerConfig(restarts=2, max_iters=300, seed=2)
         for chan in (

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalcap.bounds import causality_bound
 from causalcap.channels import (
     ChannelFormatError,
     apply,
     channel_from_dict,
     channel_to_dict,
-    choi,
     compose,
     conjugate,
     from_kraus,
@@ -23,15 +23,9 @@ from causalcap.channels import (
     tensor,
     tp_residual,
 )
-from causalcap.linalg import (
-    I2,
-    PAULI_X,
-    PAULI_Z,
-    partial_trace,
-    permute_qubits,
-    random_density,
-    random_hermitian,
-)
+from causalcap.linalg import I2, PAULI_Z, random_complex, random_density
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 IDENT = from_kraus([I2], label="identity")
 DEPHASE = from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z], label="dephase")
@@ -42,11 +36,21 @@ def phi_plus_projector():
     return np.outer(v, v.conj())
 
 
+def random_hermitian(dim, rng):
+    g = random_complex(dim, dim, rng)
+    return 0.5 * (g + g.conj().T)
+
+
+def input_marginal(j, dim_in, dim_out):
+    """Tr_out of an operator on (input x output)."""
+    return np.einsum("xyzy->xz", j.reshape(dim_in, dim_out, dim_in, dim_out))
+
+
 def noisy_choi(c, scale, seed):
     """c's Choi matrix plus Hermitian noise of largest entry ``scale`` whose input
     marginal is removed, so the result is exactly trace preserving."""
     h = random_hermitian(c.choi.shape[0], np.random.default_rng(seed))
-    marginal = partial_trace(h, [c.dim_in, c.dim_out], {0})
+    marginal = input_marginal(h, c.dim_in, c.dim_out)
     h = h - np.kron(marginal, np.eye(c.dim_out) / c.dim_out)
     return c.choi + scale * h / np.max(np.abs(h))
 
@@ -99,11 +103,11 @@ class TestApply:
 
 class TestChoi:
     def test_identity(self):
-        assert np.allclose(choi(IDENT), phi_plus_projector())
+        assert np.allclose(IDENT.choi, phi_plus_projector())
 
     def test_fully_depolarizing(self):
         c = shifted_depolarizing(0.25, 0.0)
-        assert np.allclose(choi(c), np.eye(4) / 4, atol=1e-9)
+        assert np.allclose(c.choi, np.eye(4) / 4, atol=1e-9)
 
     def test_random_channel_choi_is_state(self):
         for seed in range(10):
@@ -111,7 +115,7 @@ class TestChoi:
             vals = np.linalg.eigvalsh(c.choi)
             assert vals[0] > -1e-9
             assert np.isclose(np.trace(c.choi).real, 1.0, atol=1e-9)
-            marg = partial_trace(c.choi, [2, 2], {0})
+            marg = input_marginal(c.choi, 2, 2)
             assert np.max(np.abs(marg - I2 / 2)) < 1e-8
 
 
@@ -178,14 +182,22 @@ class TestKrausFromChoi:
     ):
         exact = random_channel(qubits, qubits, env_qubits=2, seed=seed)
         c = kraus_from_choi(noisy_choi(exact, scale, seed), qubits, qubits)
-        assert np.max(np.abs(from_kraus(c.kraus).choi - c.choi)) < 1e-8
+        assert np.array_equal(from_kraus(c.kraus).choi, c.choi)
         path = tmp_path_factory.mktemp("noisy") / "chan.json"
         save_channel(c, path)
         loaded = load_channel(path)
-        assert np.max(np.abs(loaded.choi - c.choi)) < 1e-8
+        assert np.array_equal(loaded.choi, c.choi)
         conjugate(loaded)
         compose(c, loaded)
         tensor(c, loaded)
+
+    def test_saved_noisy_channel_has_the_same_causality_bound(self, tmp_path):
+        path = tmp_path / "chan.json"
+        for seed in range(100):
+            exact = random_channel(2, 2, env_qubits=2, seed=seed)
+            c = kraus_from_choi(noisy_choi(exact, 2e-10, seed), 2, 2)
+            save_channel(c, path)
+            assert causality_bound(load_channel(path)).value == causality_bound(c).value
 
 
 class TestComposeTensor:
@@ -231,9 +243,34 @@ class TestComposeTensor:
         c = shifted_depolarizing(0.05, 0.2)
         d = DEPHASE
         t = tensor(c, d)
-        # (in_c, in_d, out_c, out_d) -> (in_c, out_c, in_d, out_d)
-        reordered = permute_qubits(np.kron(c.choi, d.choi), [0, 2, 1, 3])
+        # (in_c, out_c, in_d, out_d) -> (in_c, in_d, out_c, out_d), rows and columns alike
+        wires = np.kron(c.choi, d.choi).reshape([2] * 8)
+        reordered = wires.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
         assert np.max(np.abs(t.choi - reordered)) < 1e-9
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.0, 0.25),
+    gamma=st.floats(0.0, 1.0),
+)
+def test_every_constructor_builds_choi_from_its_kraus_list(seed, p, gamma):
+    a = random_channel(1, 1, env_qubits=2, seed=seed)
+    b = from_kraus(random_channel(1, 1, env_qubits=1, seed=seed).kraus)
+    made = [
+        a,
+        b,
+        kraus_from_choi(noisy_choi(a, 2e-10, seed), 1, 1),
+        compose(a, b),
+        tensor(a, b),
+        conjugate(a),
+        named_channel("depolarizing", p=p),
+        named_channel("shifted-depolarizing", p=p, gamma=gamma),
+        named_channel("amplitude-damping", eta=gamma),
+    ]
+    for c in made:
+        assert np.array_equal(c.choi, from_kraus(c.kraus).choi), c.label
 
 
 class TestConjugate:
@@ -281,7 +318,7 @@ class TestShiftedDepolarizing:
         for p in np.linspace(0.0, 0.25, 26):
             for gamma in np.linspace(0.0, 1.0, 21):
                 c = shifted_depolarizing(p, gamma)
-                assert np.max(np.abs(from_kraus(c.kraus).choi - c.choi)) < 1e-9
+                assert np.array_equal(from_kraus(c.kraus).choi, c.choi)
 
     @pytest.mark.parametrize("p,gamma", [(-0.1, 0.0), (0.3, 0.0), (0.1, 1.5)])
     def test_range_checks(self, p, gamma):
@@ -334,7 +371,7 @@ class TestChannelFile:
         save_channel(c, path)
         loaded = load_channel(path)
         assert loaded.label == c.label
-        assert np.max(np.abs(loaded.choi - c.choi)) < 1e-12
+        assert np.array_equal(loaded.choi, c.choi)
 
     def test_dict_round_trip(self):
         c = DEPHASE

@@ -12,7 +12,7 @@ from causalcap.channels import (
     shifted_depolarizing,
 )
 from causalcap.cli import main
-from causalcap.linalg import partial_trace, random_hermitian
+from causalcap.linalg import random_complex
 
 FAST = ["--restarts", "4"]
 
@@ -64,6 +64,16 @@ class TestBound:
         assert np.isclose(by_method["causality"], 0.485427, atol=1e-6)
         assert np.isclose(by_method["analytic_shifted_depol"], by_method["causality"])
         assert abs(by_method["holevo_werner"] - by_method["causality"]) < 1e-3
+
+    def test_hw_not_below_causality_where_they_coincide(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["bound", "--channel", "shifted-depolarizing", "--p", "0.16",
+             "--gamma", "0", "--method", "all"],
+        )
+        assert code == 0
+        by_method = {rep["method"]: rep["value"] for rep in map(json.loads, out.splitlines())}
+        assert by_method["holevo_werner"] >= by_method["causality"]
 
     def test_channel_file(self, capsys, tmp_path):
         path = tmp_path / "chan.json"
@@ -181,8 +191,9 @@ class TestChannelInfo:
     def test_file_from_noisy_choi_reports_validated_residual(self, capsys, tmp_path):
         # an exactly trace-preserving 2-qubit Choi matrix with 2e-10 Hermitian noise
         exact = random_channel(2, 2, env_qubits=2, seed=5)
-        h = random_hermitian(16, np.random.default_rng(5))
-        h -= np.kron(partial_trace(h, [4, 4], {0}), np.eye(4) / 4)
+        g = random_complex(16, 16, np.random.default_rng(5))
+        h = 0.5 * (g + g.conj().T)
+        h -= np.kron(np.einsum("xyzy->xz", h.reshape(4, 4, 4, 4)), np.eye(4) / 4)
         path = tmp_path / "noisy.json"
         save_channel(kraus_from_choi(exact.choi + 2e-10 * h / np.max(np.abs(h)), 2, 2), path)
         code, out, _ = run(capsys, ["channel-info", "--channel", str(path)])

@@ -11,7 +11,6 @@ from causalcap.channels import (
 )
 from causalcap.linalg import (
     I2,
-    kron,
     random_density,
     random_isometry,
     random_unitary,
@@ -167,7 +166,7 @@ class TestCausalityMeasure:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             r = pdm_from_channel(random_channel(1, 1, env_qubits=2, seed=seed))
-            u = kron(random_unitary(2, rng), random_unitary(2, rng))
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             rotated = PseudoDensityMatrix(u @ r.matrix @ u.conj().T, 1, 1)
             assert abs(causality_F(rotated) - causality_F(r)) < 1e-9
 

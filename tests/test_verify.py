@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from causalcap.channels import from_kraus, named_channel, shifted_depolarizing
-from causalcap.linalg import I2, PAULIS, random_density
+from causalcap.linalg import I2, PAULI_Z, random_density
 from causalcap.verify import (
     FidelityCheckRecord,
     entanglement_fidelity,
@@ -51,7 +51,9 @@ class TestEntanglementFidelity:
 
     def test_fully_depolarizing_on_mixed(self):
         # Kraus list is the four Paulis over 2, so each term is |Tr(sigma/4)|^2
-        c = from_kraus([s / 2 for s in PAULIS], label="full-depol")
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        paulis = (I2, x, 1j * x @ PAULI_Z, PAULI_Z)
+        c = from_kraus([s / 2 for s in paulis], label="full-depol")
         assert np.isclose(entanglement_fidelity(I2 / 2, c), 0.25, atol=1e-12)
 
     def test_matches_purification_route(self):
