@@ -93,20 +93,22 @@ def analytic_shifted_depol(p: float, gamma: float) -> float:
 
 # Anderson mixing depth: the earlier (sigma, T(sigma)) pairs an extrapolated step mixes in
 ANDERSON_DEPTH = 5
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_OTHERS = {(k, j): np.delete(np.arange(k), j) for k in range(ANDERSON_DEPTH + 2) for j in range(k)}
 
 
-def _bracket(w: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
+def _bracket(w5: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
     """Lower ends f(sigma) = ||M||_1, eigenpairs of G and images T(sigma) for a stack.
 
-    M = (sqrt(sigma) x I) W (sqrt(sigma) x I), G = sigma^(-1/2) Tr_out|M| sigma^(-1/2).
-    Y = (sigma^(-1/2) x I)|M|(sigma^(-1/2) x I) satisfies Y >= +-W, so
-    lambda_max(G) = ||Tr_out Y||_inf is an upper end. T(sigma) = Tr_out|M| / ||M||_1
-    is the plain fixed-point image.
+    W comes reshaped to (n, d, d_out, d, d_out). M = (sqrt(sigma) x I) W (sqrt(sigma) x I),
+    G = sigma^(-1/2) Tr_out|M| sigma^(-1/2). Y = (sigma^(-1/2) x I)|M|(sigma^(-1/2) x I)
+    satisfies Y >= +-W, so lambda_max(G) = ||Tr_out Y||_inf is an upper end.
+    T(sigma) = Tr_out|M| / ||M||_1 is the plain fixed-point image.
     """
-    n, d, dim = *root.shape[:2], w.shape[-1]
-    w5 = w.reshape(n, d, dim // d, d, dim // d)
-    mu, u = np.linalg.eigh(np.einsum("nab,nbicj,ncd->naidj", root, w5, root).reshape(w.shape))
-    u4 = u.reshape(n, d, dim // d, dim)
+    n, d, d_out = w5.shape[:3]
+    m = np.einsum("nab,nbicj,ncd->naidj", root, w5, root).reshape(n, d * d_out, -1)
+    mu, u = np.linalg.eigh(m)
+    u4 = u.reshape(n, d, d_out, -1)
     abs_mu = np.abs(mu)
     marginal = np.einsum("naik,nk,nbik->nab", u4, abs_mu, u4.conj())
     lower = abs_mu.sum(axis=1)
@@ -114,7 +116,7 @@ def _bracket(w: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
     return lower, g_vals, g_vecs, marginal / lower[:, None, None]
 
 
-def _evaluate(w, sigma, floor):
+def _evaluate(w5, sigma, floor):
     """Iterates (sigma, sqrt(sigma), lower, G eigenpairs, T(sigma)) at a stack of sigma.
 
     Also returns which sigma have every eigenvalue above ``floor``. The others
@@ -124,18 +126,7 @@ def _evaluate(w, sigma, floor):
     vals, vecs = np.linalg.eigh(sigma)
     vh, sqrt_vals = vecs.conj().swapaxes(1, 2), np.sqrt(np.fmax(vals, floor))[:, None, :]
     root = (vecs * sqrt_vals) @ vh
-    return vals[:, 0] > floor, (sigma, root) + _bracket(w, root, (vecs / sqrt_vals) @ vh)
-
-
-def _width(iterate) -> np.ndarray:
-    """lambda_max(G) - f(sigma), the width of an iterate's bracket."""
-    return iterate[3][:, -1] - iterate[2]
-
-
-def _store(state, rows, trial, take) -> None:
-    """Write the trial iterates flagged in ``take`` into ``state`` at ``rows``."""
-    for arr, new in zip(state, trial):
-        arr[rows[take]] = new[take]
+    return vals[:, 0] > floor, (sigma, root) + _bracket(w5, root, (vecs / sqrt_vals) @ vh)
 
 
 def _power(root, g_vals, g_vecs, squarings):
@@ -144,11 +135,12 @@ def _power(root, g_vals, g_vecs, squarings):
     alpha is applied by repeated squaring, so every input in a stack takes
     exactly the arithmetic it would take alone.
     """
-    ratio = np.clip(g_vals, 0.0, None) / g_vals[:, -1:]
-    for j in range(int(squarings.max(initial=0))):
-        ratio = np.where((squarings > j)[:, None], ratio * ratio, ratio)
+    ratio = np.maximum(g_vals, 0.0) / g_vals[:, -1:]
+    same = squarings.min() == squarings.max()  # then every row is squared alike
+    for j in range(int(squarings.max())):
+        ratio = ratio * ratio if same else np.where((squarings > j)[:, None], ratio * ratio, ratio)
     sigma = root @ ((g_vecs * ratio[:, None, :]) @ g_vecs.conj().swapaxes(1, 2)) @ root
-    return sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
+    return sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]
 
 
 def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
@@ -161,12 +153,12 @@ def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
     ``latest``. A Levenberg-Marquardt ridge keeps the Gram system nonsingular.
     """
     n, k = xs.shape[:2]
-    others = [j for j in range(k) if j != latest]
+    others = _OTHERS[k, latest]
     f = (gs - xs).reshape(n, k, -1).view(float)
     df = f[:, latest, None] - f[:, others]
     gram = df @ df.swapaxes(1, 2)
-    diag = np.einsum("nii->ni", gram)  # a writeable view
-    diag += 1e-12 * diag + np.finfo(float).tiny
+    diag = gram.reshape(n, -1)[:, ::k]  # the diagonal, as a writeable view
+    diag += 1e-12 * diag + _TINY
     coef = np.linalg.solve(gram, df @ f[:, latest, :, None]).swapaxes(1, 2)
     dg = (gs[:, latest, None] - gs[:, others]).reshape(n, k - 1, -1)
     cand = gs[:, latest] - (coef @ dg).reshape(gs.shape[:1] + gs.shape[2:])
@@ -178,83 +170,89 @@ def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
 def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
     """Certified brackets on ||Theta o N||_dia for a stack of W = d R.
 
-    Maximises the concave f(sigma) from sigma = I/d. Each step first tries
-    the Anderson extrapolation of the last ``ANDERSON_DEPTH + 1`` iterates
-    and their fixed-point images T(sigma) = Tr_out|M| / ||M||_1; it stands
-    if its own bracket is narrower than the current iterate's. Otherwise the
-    step falls back to a power step whose exponent doubles while the
-    iterate's bracket narrows; a power step that widens it is retaken at
-    exponent 1, the plain fixed point. The history is kept across such
-    fallbacks. A trial sigma counts only if its eigenvalues exceed
-    eps / ``cfg.tol``: the upper end carries a relative rounding error of up
-    to about eps / lambda_min(sigma), which must stay below the tolerance.
-    An input stops once its log2 bracket is at most ``cfg.tol`` wide, after
-    ``cfg.max_iters`` steps, or when no trial counts. Returns, per input, log2
-    of the best lower end and of the smallest upper end, the amplitude matrix
-    sqrt(sigma*) of the best lower-end iterate, and the counts of steps,
-    bracket evaluations (the start and rejected trials included) and
-    accepted extrapolations.
+    Maximises the concave f(sigma) from sigma = I/d. Each step first tries the Anderson
+    extrapolation of the last ``ANDERSON_DEPTH + 1`` iterates and their fixed-point
+    images T(sigma) = Tr_out|M| / ||M||_1; it stands if its own bracket is narrower than
+    the current iterate's. Otherwise the step falls back to a power step whose exponent
+    doubles while the iterate's bracket narrows; a power step that widens it is retaken
+    at exponent 1, the plain fixed point. The history is kept across such fallbacks. A
+    trial sigma counts only if its eigenvalues exceed eps / ``cfg.tol``: the upper end
+    carries a relative rounding error of up to about eps / lambda_min(sigma), which must
+    stay below the tolerance. An input stops once its log2 bracket is at most
+    ``cfg.tol`` wide, after ``cfg.max_iters`` steps, or when no trial counts. Returns,
+    per input, log2 of the best lower end and of the smallest upper end, the amplitude
+    matrix sqrt(sigma*) of the best lower-end iterate, and the counts of steps, bracket
+    evaluations (the start and rejected trials included) and accepted extrapolations.
+    The arrays hold only the active inputs, compacted whenever some stop; every operation
+    acts row by row, so a stacked input takes exactly the arithmetic of a lone one.
     """
-    n = w.shape[0]
-    floor = np.finfo(float).eps / cfg.tol
-    sigma = np.tile(np.eye(d, dtype=complex) / d, (n, 1, 1))
+    n, dim = w.shape[:2]
+    floor = _EPS / cfg.tol
+    w5 = w.reshape(n, d, dim // d, d, dim // d)
     root = np.tile(np.eye(d, dtype=complex) / math.sqrt(d), (n, 1, 1))
-    state = (sigma, root) + _bracket(w, root, root * d)
-    _, _, lower, g_vals, g_vecs, image = state
-    upper, best_lower, best_root = g_vals[:, -1].copy(), lower.copy(), root.copy()
-    # ring buffer of (sigma, T(sigma)): step t is in slot t % (ANDERSON_DEPTH + 1), and
-    # all active inputs have taken equally many steps
-    xs = np.zeros((n, ANDERSON_DEPTH + 1, d, d), dtype=complex)
-    gs = np.zeros_like(xs)
-    xs[:, 0], gs[:, 0] = sigma, image
-    squarings, iters = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    lower, g_vals, g_vecs, image = _bracket(w5, root, root * d)
+    upper, best_lower, best_root = g_vals[:, -1].copy(), lower, root
     evaluations, accelerated = np.ones(n, dtype=int), np.zeros(n, dtype=int)
-    a = np.arange(n)
+    idx, dead, done, t = np.arange(n), np.zeros(n, dtype=bool), [], 0
+    xs = gs = squarings = None  # allocated by the first step
     while True:
-        a = a[np.log2(upper[a]) - np.log2(best_lower[a]) > cfg.tol]
-        if not a.size:
-            break
-        width = _width(state)[a]
-        t = int(iters[a[0]])
-        k = min(t + 1, ANDERSON_DEPTH + 1)
-        todo = np.ones(a.size, dtype=bool)
-        if k > 1:
-            cand = _extrapolate(xs[a, :k], gs[a, :k], t % (ANDERSON_DEPTH + 1))
-            valid, trial = _evaluate(w[a], cand, floor)
-            won = valid & (_width(trial) < width)
-            _store(state, a, trial, won)
-            evaluations[a] += 1
-            accelerated[a[won]] += 1
-            todo = ~won
-        s = a[todo]
-        if s.size:
-            valid, trial = _evaluate(w[s], _power(root[s], g_vals[s], g_vecs[s], squarings[s]), floor)
-            evaluations[s] += 1
-            # a power step stands when the iterate's own bracket narrows; at exponent 1 it
-            # stands anyway
-            narrowed = valid & (_width(trial) < width[todo])
-            stands = narrowed | (valid & (squarings[s] == 0))
-            retry = ~stands & (squarings[s] > 0)
+        # an input whose last step found no standing trial kept its ends; it stops here
+        stop = dead | ~(np.log2(upper) - np.log2(best_lower) > cfg.tol)
+        last = t == cfg.max_iters or stop.all()
+        if last or stop.any():
+            done.append([x[slice(None) if last else stop] for x in (
+                idx, best_lower, upper, best_root, t - dead, evaluations, accelerated)])
+            if last:
+                break
+            (w5, root, lower, g_vals, g_vecs, image, upper, best_lower, best_root, evaluations,
+             accelerated, idx, xs, gs, squarings) = (None if x is None else x[~stop] for x in (
+                w5, root, lower, g_vals, g_vecs, image, upper, best_lower, best_root,
+                evaluations, accelerated, idx, xs, gs, squarings))
+        if t:
+            cand = _extrapolate(xs[:, : t + 1], gs[:, : t + 1], t % (ANDERSON_DEPTH + 1))
+            valid, trial = _evaluate(w5, cand, floor)
+            won = valid & (trial[3][:, -1] - trial[2] < g_vals[:, -1] - lower)
+            evaluations += 1
+            accelerated += won
+        else:  # ring buffer of (sigma, T(sigma)): step t is in slot t % (ANDERSON_DEPTH + 1)
+            xs = np.tile(np.eye(d, dtype=complex) / d, (idx.size, ANDERSON_DEPTH + 1, 1, 1))
+            gs = np.repeat(image[:, None], ANDERSON_DEPTH + 1, axis=1)
+            squarings, won = np.zeros(idx.size, dtype=int), np.zeros(idx.size, dtype=bool)
+        dead, wins = ~won, np.count_nonzero(won)
+        if wins < won.size:
+            rows = ~won if wins else slice(None)  # the whole arrays if no input won
+            root_s, g_vals_s, g_vecs_s, sq = (x[rows] for x in (root, g_vals, g_vecs, squarings))
+            valid, power = _evaluate(w5[rows], _power(root_s, g_vals_s, g_vecs_s, sq), floor)
+            # a power step stands if it narrows the iterate's bracket, and at exponent 1 anyway
+            narrowed = valid & (power[3][:, -1] - power[2] < g_vals_s[:, -1] - lower[rows])
+            stands = narrowed | (valid & (sq == 0))
+            retry = ~stands & (sq > 0)
             # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
-            squarings[s] = np.where(narrowed, np.minimum(squarings[s] + 1, 52), 0)
+            squarings[rows] = np.where(narrowed, np.minimum(sq + 1, 52), 0)
+            evaluations[rows] += 1 + retry
             if retry.any():
-                r = s[retry]
-                plain = _power(root[r], g_vals[r], g_vecs[r], np.zeros_like(r))
-                stands[retry], again = _evaluate(w[r], plain, floor)
-                evaluations[r] += 1
-                for arr, new in zip(trial, again):
+                plain = _power(root_s[retry], g_vals_s[retry], g_vecs_s[retry], 0 * sq[retry])
+                stands[retry], again = _evaluate(w5[rows][retry], plain, floor)
+                for arr, new in zip(power, again):
                     arr[retry] = new
-            _store(state, s, trial, stands)
-            todo[todo] = ~stands
-        # an input without a trial sigma far enough from singular stops here
-        a = a[~todo]
-        slot = (t + 1) % (ANDERSON_DEPTH + 1)
-        xs[a, slot], gs[a, slot] = sigma[a], image[a]
-        better = a[lower[a] > best_lower[a]]
-        best_lower[better], best_root[better] = lower[better], root[better]
-        upper[a] = np.fmin(upper[a], g_vals[a, -1])
-        iters[a] += 1
-        a = a[iters[a] < cfg.max_iters]
+            if wins:
+                for arr, new in zip(trial, power):
+                    arr[rows] = new
+            else:
+                trial = power
+            dead[rows] = ~stands
+        sigma, root, lower, g_vals, g_vecs, image = trial
+        t += 1
+        xs[:, t % (ANDERSON_DEPTH + 1)], gs[:, t % (ANDERSON_DEPTH + 1)] = sigma, image
+        better = ~dead & (lower > best_lower)
+        upper = np.where(dead, upper, np.fmin(upper, g_vals[:, -1]))
+        best_lower = np.where(better, lower, best_lower)
+        best_root = np.where(better[:, None, None], root, best_root)
+    if len(done) > 1:
+        order = np.empty(n, dtype=int)  # the inverse of the permutation idx, by a scatter
+        order[np.concatenate([part[0] for part in done])] = np.arange(n)
+        done = [tuple(np.concatenate(col)[order] for col in zip(*done))]
+    _, best_lower, upper, best_root, iters, evaluations, accelerated = done[0]
     # the value lies in [lower, upper]; an upper end below the lower end is rounding
     counts = {"iterations": iters, "evaluations": evaluations, "accelerated_steps": accelerated}
     return np.log2(best_lower), np.log2(np.fmax(upper, best_lower)), best_root, counts

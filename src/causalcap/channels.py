@@ -11,7 +11,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,19 +31,19 @@ class ChannelFormatError(ValueError):
     """A channel description (file or dict) violates the channel contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map between qubit registers.
 
     ``choi`` is not an argument: it is built from ``kraus``, symmetrized and
-    made read-only.
+    made read-only. Channels compare and hash by identity; compare ``choi`` for value equality.
     """
 
     qubits_in: int
     qubits_out: int
     kraus: tuple
     label: str = "channel"
-    choi: np.ndarray = field(init=False, compare=False)
+    choi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
@@ -193,6 +193,10 @@ def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     (1-4p)|Phi+><Phi+| + 4p (I/2 x (I + gamma Z)/2), with Kraus operators
     from :func:`kraus_from_choi`.
     """
+    return _shifted_depolarizing(p, gamma, f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
+
+
+def _shifted_depolarizing(p: float, gamma: float, label: str) -> QuantumChannel:
     if not 0.0 <= p <= 0.25:
         raise ValueError(f"p={p!r} outside [0, 1/4]")
     if not 0.0 <= gamma <= 1.0:
@@ -200,9 +204,7 @@ def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     phi = I2.reshape(-1) / np.sqrt(2.0)
     shift = (I2 + gamma * PAULI_Z) / 2.0
     j = (1.0 - 4.0 * p) * np.outer(phi, phi) + 4.0 * p * np.kron(I2 / 2.0, shift)
-    return kraus_from_choi(
-        j, 1, 1, label=f"shifted-depolarizing(p={p:g},gamma={gamma:g})"
-    )
+    return kraus_from_choi(j, 1, 1, label)
 
 
 def named_channel(name: str, **params) -> QuantumChannel:
@@ -219,7 +221,7 @@ def named_channel(name: str, **params) -> QuantumChannel:
     if name == "depolarizing":
         p = float(params.pop("p"))
         _reject_extra(name, params)
-        return replace(shifted_depolarizing(p, 0.0), label=f"depolarizing(p={p:g})")
+        return _shifted_depolarizing(p, 0.0, f"depolarizing(p={p:g})")
     if name == "shifted-depolarizing":
         p = float(params.pop("p"))
         gamma = float(params.pop("gamma"))

@@ -193,6 +193,47 @@ class TestHwBound:
         b = hw_bound(chan, FAST_CFG)
         assert a.value == b.value
 
+    @pytest.mark.parametrize(
+        "chan, counts",
+        [
+            (shifted_depolarizing(0.1, 0.0), (0, 1, 0)),
+            (shifted_depolarizing(0.15, 0.5), (7, 8, 6)),
+            (shifted_depolarizing(0.24, 1.0), (19, 34, 5)),
+            (named_channel("amplitude-damping", eta=0.3), (4, 5, 3)),
+        ],
+    )
+    def test_trajectory_and_eigensolves_are_pinned(self, chan, counts, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        diag = hw_bound(chan).diagnostics
+        assert (diag["iterations"], diag["evaluations"], diag["accelerated_steps"]) == counts
+        # the start solves M and G; every later evaluation also solves its sigma
+        assert len(calls) == 3 * diag["evaluations"] - 1
+
+    @pytest.mark.parametrize("max_iters", [2000, 40])
+    def test_stacked_inputs_match_lone_solves_bit_for_bit(self, max_iters):
+        # these inputs stop for different reasons (converged, no trial above the
+        # eigenvalue floor, max_iters) and after different numbers of steps
+        seeds = [1413296698, 3455773250, 4003012333, 0, 1, 2, 5]
+        w = np.array([
+            4.0 * pdm_from_channel(random_channel(2, 2, env_qubits=3, seed=s)).matrix
+            for s in seeds
+        ])
+        cfg = OptimizerConfig(max_iters=max_iters)
+        lower, upper, root, counts = _solve_hw(w, 4, cfg)
+        assert len(set(counts["iterations"].tolist())) > 3
+        for i in range(len(seeds)):
+            lone_lower, lone_upper, lone_root, lone_counts = _solve_hw(w[i : i + 1], 4, cfg)
+            assert lone_lower[0] == lower[i] and lone_upper[0] == upper[i]
+            assert np.array_equal(lone_root[0], root[i])
+            for key, value in lone_counts.items():
+                assert value[0] == counts[key][i], key
+
 
 class TestHwBracketProperties:
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -292,7 +333,7 @@ class TestSweep:
         rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 11), np.linspace(0.0, 1.0, 6))
         for row in rows:
             single = hw_bound(shifted_depolarizing(row.p, row.gamma)).value
-            assert abs(row.hw - single) <= 1e-12
+            assert row.hw == single
 
     def test_default_grid_step_count(self):
         points = [(p, g) for p in np.linspace(0.0, 0.25, 26) for g in np.linspace(0.0, 1.0, 21)]

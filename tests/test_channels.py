@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from causalcap.bounds import causality_bound
 from causalcap.channels import (
     ChannelFormatError,
+    QuantumChannel,
     apply,
     channel_from_dict,
     channel_to_dict,
@@ -336,6 +337,21 @@ class TestNamedChannel:
         b = shifted_depolarizing(0.1, 0.5)
         assert np.allclose(a.choi, b.choi)
 
+    def test_depolarizing_builds_choi_once(self, monkeypatch):
+        ref = shifted_depolarizing(0.1, 0.0)
+        post_init, labels = QuantumChannel.__post_init__, []
+
+        def counted(chan):
+            labels.append(chan.label)
+            post_init(chan)
+
+        monkeypatch.setattr(QuantumChannel, "__post_init__", counted)
+        c = named_channel("depolarizing", p=0.1)
+        assert labels == ["depolarizing(p=0.1)"] == [c.label]
+        assert len(c.kraus) == len(ref.kraus)
+        assert all(np.array_equal(a, b) for a, b in zip(c.kraus, ref.kraus))
+        assert np.array_equal(c.choi, ref.choi)
+
     def test_amplitude_damping_zero_is_identity(self):
         c = named_channel("amplitude-damping", eta=0.0)
         rho = random_density(2, np.random.default_rng(15))
@@ -344,6 +360,16 @@ class TestNamedChannel:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown channel"):
             named_channel("teleporter")
+
+
+def test_channels_compare_and_hash_by_identity():
+    c = shifted_depolarizing(0.1, 0.2)
+    twin = shifted_depolarizing(0.1, 0.2)
+    assert c == c and c != twin
+    assert hash(c) == hash(c)
+    assert {c, twin, c} == {c, twin}
+    # value equality of the maps is equality of their Choi matrices
+    assert np.array_equal(c.choi, twin.choi)
 
 
 class TestRandomChannel:
