@@ -88,17 +88,20 @@ def from_kraus(
         raise ValueError("Kraus operators must share a common shape")
     if not all(np.isfinite(a).all() for a in mats):
         raise ValueError("Kraus entries must be finite (found NaN or infinity)")
-    if qubits_in is None:
-        qubits_in = int(np.log2(cols))
-    if qubits_out is None:
-        qubits_out = int(np.log2(rows))
-    if (2**qubits_in, 2**qubits_out) != (cols, rows):
+    # compare bit lengths, never 2**q, so a huge qubit count fails at once
+    q_in, q_out = max(cols.bit_length() - 1, 0), max(rows.bit_length() - 1, 0)
+    qubits_in = q_in if qubits_in is None else qubits_in
+    qubits_out = q_out if qubits_out is None else qubits_out
+    if (1 << q_in, 1 << q_out, q_in, q_out) != (cols, rows, qubits_in, qubits_out):
         raise ValueError(
             f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
         )
+    # sum_k A_k^dag A_k = I bounds every entry by 1; a larger one could overflow J
+    if not all(np.abs(a).max() <= 1.0 + CPTP_ATOL for a in mats):
+        raise ValueError("Kraus entries must have magnitude at most 1")
     c = QuantumChannel(qubits_in, qubits_out, mats, label)
     residual = tp_residual(c.choi, cols)
-    if residual > CPTP_ATOL:
+    if not residual <= CPTP_ATOL:  # NaN-safe
         raise ValueError(
             f"Kraus list is not trace preserving (completeness residual {residual:.3e})"
         )
@@ -209,42 +212,46 @@ def _shifted_depolarizing(p: float, gamma: float, label: str) -> QuantumChannel:
 
 def named_channel(name: str, **params) -> QuantumChannel:
     """Construct one of the built-in channel families by name."""
-    name = name.lower()
-    if name == "identity":
-        qubits = int(params.pop("qubits", 1))
-        if qubits < 1:
-            raise ValueError("identity channel needs qubits >= 1")
-        _reject_extra(name, params)
-        return from_kraus(
-            [np.eye(2**qubits, dtype=complex)], qubits, qubits, label=f"identity({qubits})"
-        )
-    if name == "depolarizing":
-        p = float(params.pop("p"))
-        _reject_extra(name, params)
-        return _shifted_depolarizing(p, 0.0, f"depolarizing(p={p:g})")
-    if name == "shifted-depolarizing":
-        p = float(params.pop("p"))
-        gamma = float(params.pop("gamma"))
-        _reject_extra(name, params)
-        return shifted_depolarizing(p, gamma)
-    if name == "dephasing":
-        lam = float(params.pop("strength", 1.0))
-        _reject_extra(name, params)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"dephasing strength {lam!r} outside [0, 1]")
-        return from_kraus(
-            [np.sqrt(1.0 - lam / 2.0) * I2, np.sqrt(lam / 2.0) * PAULI_Z],
-            1, 1, label=f"dephasing({lam:g})",
-        )
-    if name == "amplitude-damping":
-        eta = float(params.pop("eta"))
-        _reject_extra(name, params)
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"damping eta {eta!r} outside [0, 1]")
-        a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
-        a1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
-        return from_kraus([a0, a1], 1, 1, label=f"amplitude-damping({eta:g})")
-    raise ValueError(f"unknown channel name {name!r}")
+    try:
+        name = name.lower()
+        if name == "identity":
+            qubits = int(params.pop("qubits", 1))
+            if qubits < 1:
+                raise ValueError("identity channel needs qubits >= 1")
+            _reject_extra(name, params)
+            return from_kraus(
+                [np.eye(2**qubits, dtype=complex)], qubits, qubits,
+                label=f"identity({qubits})",
+            )
+        if name == "depolarizing":
+            p = float(params.pop("p"))
+            _reject_extra(name, params)
+            return _shifted_depolarizing(p, 0.0, f"depolarizing(p={p:g})")
+        if name == "shifted-depolarizing":
+            p = float(params.pop("p"))
+            gamma = float(params.pop("gamma"))
+            _reject_extra(name, params)
+            return shifted_depolarizing(p, gamma)
+        if name == "dephasing":
+            lam = float(params.pop("strength", 1.0))
+            _reject_extra(name, params)
+            if not 0.0 <= lam <= 1.0:
+                raise ValueError(f"dephasing strength {lam!r} outside [0, 1]")
+            return from_kraus(
+                [np.sqrt(1.0 - lam / 2.0) * I2, np.sqrt(lam / 2.0) * PAULI_Z],
+                1, 1, label=f"dephasing({lam:g})",
+            )
+        if name == "amplitude-damping":
+            eta = float(params.pop("eta"))
+            _reject_extra(name, params)
+            if not 0.0 <= eta <= 1.0:
+                raise ValueError(f"damping eta {eta!r} outside [0, 1]")
+            a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
+            a1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
+            return from_kraus([a0, a1], 1, 1, label=f"amplitude-damping({eta:g})")
+        raise ValueError(f"unknown channel name {name!r}")
+    except KeyError as exc:  # a params.pop without a default
+        raise ValueError(f"channel {name!r} needs parameter {exc.args[0]!r}") from None
 
 
 def _reject_extra(name: str, params: dict) -> None:
@@ -297,19 +304,20 @@ def channel_from_dict(data: dict) -> QuantumChannel:
     """Parse the channel JSON schema, naming the violated invariant on failure."""
     try:
         label = str(data["label"])
-        qubits_in = int(data["qubits_in"])
-        qubits_out = int(data["qubits_out"])
+        qubits_in, qubits_out = data["qubits_in"], data["qubits_out"]
         raw = data["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ChannelFormatError(f"malformed channel description: {exc}") from exc
-    if qubits_in < 1 or qubits_out < 1:
-        raise ChannelFormatError("qubit counts must be positive")
+    if not all(type(q) is int and q >= 1 for q in (qubits_in, qubits_out)):
+        raise ChannelFormatError(
+            f"qubit counts must be positive integers, got {qubits_in!r} and {qubits_out!r}"
+        )
     try:
         ops = [
             np.array([[complex(re, im) for re, im in row] for row in a], dtype=complex)
             for a in raw
         ]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ChannelFormatError(f"kraus entries must be [re, im] pairs: {exc}") from exc
     try:
         return from_kraus(ops, qubits_in, qubits_out, label=label)
@@ -318,11 +326,13 @@ def channel_from_dict(data: dict) -> QuantumChannel:
 
 
 def load_channel(path) -> QuantumChannel:
-    """Load a channel from a JSON file."""
+    """Load a channel from a JSON file; every way of failing is a ChannelFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ChannelFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return channel_from_dict(data)
 

@@ -7,12 +7,16 @@ Subcommands:
   channel-info  summarize a channel's Kraus and Choi data
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 invalid
-channel file, 4 unwritable output path.
+channel file, 4 unwritable output path. Commands raise and :func:`main` alone
+maps the exception to a code: ``ChannelFormatError`` (every way a channel file
+can fail to load) to 3, ``OSError`` (only writing ``--out`` raises one) to 4,
+and any other ``ValueError`` (bad or conflicting arguments) to 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,8 +39,6 @@ EXIT_USAGE = 2
 EXIT_BAD_CHANNEL = 3
 EXIT_BAD_OUTPUT = 4
 
-CSV_HEADER = "p,gamma,causality,analytic,hw,hw_minus_causality"
-
 
 def _fmt(x: float) -> str:
     """12 significant digits, enough to round-trip doubles for diffing."""
@@ -45,106 +47,74 @@ def _fmt(x: float) -> str:
 
 def _resolve_channel(args) -> QuantumChannel:
     spec = args.channel
+    params = {
+        k: v for k in ("qubits", "p", "gamma", "eta", "strength")
+        if (v := getattr(args, k)) is not None
+    }
     if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
+        if params:
+            flags = ", ".join(f"--{k}" for k in params)
+            raise ValueError(f"{flags} cannot be combined with the channel file {spec}")
         return load_channel(spec)
-    params = {}
-    for key in ("qubits", "p", "gamma", "eta", "strength"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
     return named_channel(spec, **params)
 
 
 def _report_json(rep: bounds_mod.BoundReport) -> str:
-    diagnostics = {
-        k: (v.tolist() if isinstance(v, np.ndarray) else v)
-        for k, v in rep.diagnostics.items()
-    }
     return json.dumps(
         {
             "channel": rep.channel_label,
             "method": rep.method,
             "value": rep.value,
-            "diagnostics": diagnostics,
+            "diagnostics": rep.diagnostics,
         }
     )
 
 
 def cmd_bound(args) -> int:
-    try:
-        chan = _resolve_channel(args)
-    except (ChannelFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CHANNEL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    chan = _resolve_channel(args)
     reports = []
-    try:
-        if args.method in ("causality", "all"):
-            reports.append(bounds_mod.causality_bound(chan))
-        if args.method in ("analytic", "all"):
-            if args.p is None:
-                if args.method == "analytic":
-                    print(
-                        "error: --method analytic needs a (shifted-)depolarizing "
-                        "channel with --p (and optionally --gamma)",
-                        file=sys.stderr,
-                    )
-                    return EXIT_USAGE
-            else:
-                value = bounds_mod.analytic_shifted_depol(args.p, args.gamma or 0.0)
-                reports.append(
-                    bounds_mod.BoundReport(
-                        channel_label=chan.label,
-                        method="analytic_shifted_depol",
-                        value=value,
-                        diagnostics={"p": args.p, "gamma": args.gamma or 0.0},
-                    )
+    if args.method in ("causality", "all"):
+        reports.append(bounds_mod.causality_bound(chan))
+    if args.method in ("analytic", "all"):
+        if args.p is not None:
+            value = bounds_mod.analytic_shifted_depol(args.p, args.gamma or 0.0)
+            reports.append(
+                bounds_mod.BoundReport(
+                    channel_label=chan.label,
+                    method="analytic_shifted_depol",
+                    value=value,
+                    diagnostics={"p": args.p, "gamma": args.gamma or 0.0},
                 )
-        if args.method in ("hw", "all"):
-            reports.append(bounds_mod.hw_bound(chan, cfg))
-        if args.method in ("maxrains", "all"):
-            reports.append(bounds_mod.maxrains_surrogate(chan))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            )
+        elif args.method == "analytic":
+            raise ValueError(
+                "--method analytic needs a (shifted-)depolarizing channel with --p "
+                "(and optionally --gamma)"
+            )
+    if args.method in ("hw", "all"):
+        reports.append(bounds_mod.hw_bound(chan, cfg))
+    if args.method in ("maxrains", "all"):
+        reports.append(bounds_mod.maxrains_surrogate(chan))
     for rep in reports:
         print(_report_json(rep))
     return EXIT_OK
 
 
 def write_sweep_csv(rows, path) -> None:
+    names = [f.name for f in dataclasses.fields(bounds_mod.SweepRow)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(",".join(names) + "\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.p, r.gamma, r.causality, r.analytic, r.hw,
-                        r.hw_minus_causality,
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(_fmt(getattr(r, n)) for n in names) + "\n")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        p_grid = np.linspace(args.p_min, args.p_max, args.p_steps)
-        gamma_grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
-        cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        rows = bounds_mod.sweep_shifted_depol(p_grid, gamma_grid, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        write_sweep_csv(rows, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_BAD_OUTPUT
+    p_grid = np.linspace(args.p_min, args.p_max, args.p_steps)
+    gamma_grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
+    cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    rows = bounds_mod.sweep_shifted_depol(p_grid, gamma_grid, cfg)
+    write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -166,14 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_channel_info(args) -> int:
-    try:
-        chan = _resolve_channel(args)
-    except (ChannelFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CHANNEL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    chan = _resolve_channel(args)
     spectrum = np.linalg.eigvalsh(chan.choi)
     info = {
         "label": chan.label,
@@ -253,9 +216,17 @@ def main(argv=None) -> int:
         parser.error("grid steps must be at least 1")
     if args.command == "verify" and args.cases < 1:
         parser.error("--cases must be at least 1")
-    if args.command in ("bound", "sweep") and args.restarts < 1:
-        parser.error("--restarts must be at least 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, ChannelFormatError):  # a ValueError, so tested first
+            code, message = EXIT_BAD_CHANNEL, exc
+        elif isinstance(exc, OSError):  # load_channel raises none; writing --out can
+            code, message = EXIT_BAD_OUTPUT, f"cannot write output: {exc}"
+        else:
+            code, message = EXIT_USAGE, exc
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

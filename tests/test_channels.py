@@ -85,6 +85,17 @@ class TestFromKraus:
         with pytest.raises(ValueError, match="finite"):
             from_kraus([bad])
 
+    def test_rejects_overflowing_entry(self):
+        # J of this list overflows to inf/NaN; the entry bound rejects it first
+        bad = I2.copy()
+        bad[0, 0] = 1e308
+        with pytest.raises(ValueError, match="magnitude"):
+            from_kraus([bad])
+
+    def test_rejects_huge_qubit_count_without_computing_its_dimension(self):
+        with pytest.raises(ValueError, match="does not match"):
+            from_kraus([I2], 10**400, 1)
+
 
 class TestApply:
     def test_shift_endpoint(self):
@@ -361,6 +372,18 @@ class TestNamedChannel:
         with pytest.raises(ValueError, match="unknown channel"):
             named_channel("teleporter")
 
+    @pytest.mark.parametrize(
+        "name, params, missing",
+        [
+            ("depolarizing", {}, "p"),
+            ("shifted-depolarizing", {"p": 0.1}, "gamma"),
+            ("amplitude-damping", {}, "eta"),
+        ],
+    )
+    def test_missing_parameter_is_a_value_error_naming_it(self, name, params, missing):
+        with pytest.raises(ValueError, match=f"needs parameter '{missing}'"):
+            named_channel(name, **params)
+
 
 def test_channels_compare_and_hash_by_identity():
     c = shifted_depolarizing(0.1, 0.2)
@@ -424,4 +447,31 @@ class TestChannelFile:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ChannelFormatError, match="invalid JSON"):
+            load_channel(path)
+
+    @pytest.mark.parametrize(
+        "qubits", [1.5, True, "1", 0, 10**400], ids=["float", "bool", "str", "zero", "huge"]
+    )
+    def test_rejects_qubit_count_that_is_not_a_positive_int(self, qubits):
+        data = channel_to_dict(DEPHASE)
+        data["qubits_in"] = qubits
+        with pytest.raises(ChannelFormatError):
+            channel_from_dict(data)
+
+    def test_rejects_entry_too_large_for_a_float(self):
+        data = channel_to_dict(DEPHASE)
+        data["kraus"][0][0][0] = [10**400, 0]
+        with pytest.raises(ChannelFormatError, match="pairs"):
+            channel_from_dict(data)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "too_deep"])
+    def test_every_read_failure_is_a_format_error(self, tmp_path, kind):
+        path = tmp_path / "chan.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"label": "\xff"}')
+        elif kind == "too_deep":
+            path.write_text("[" * 100_000)
+        with pytest.raises(ChannelFormatError):
             load_channel(path)

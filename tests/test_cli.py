@@ -1,12 +1,21 @@
+import ast
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import causalcap
 from causalcap.bounds import causality_bound
 from causalcap.channels import (
     channel_to_dict,
     kraus_from_choi,
+    named_channel,
     random_channel,
     save_channel,
     shifted_depolarizing,
@@ -209,3 +218,213 @@ class TestChannelInfo:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
+
+
+def ad_doc():
+    """Channel-file contents for amplitude damping at eta = 0.3."""
+    return channel_to_dict(named_channel("amplitude-damping", eta=0.3))
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "ad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def assert_clean_failure(code, out, err, expected):
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err and "Warning" not in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "flags, missing",
+        [
+            (["--channel", "depolarizing"], "p"),
+            (["--channel", "shifted-depolarizing", "--p", "0.1"], "gamma"),
+            (["--channel", "amplitude-damping"], "eta"),
+        ],
+    )
+    def test_missing_channel_parameter_exit2(self, capsys, flags, missing):
+        code, out, err = run(capsys, ["bound", *flags, "--method", "causality"])
+        assert_clean_failure(code, out, err, 2)
+        assert f"'{missing}'" in err
+
+    def test_non_utf8_file_exit3(self, capsys, tmp_path):
+        path = tmp_path / "chan.json"
+        path.write_bytes(b'{"label": "\xff\xfe"}')
+        assert_clean_failure(*run(capsys, ["channel-info", "--channel", str(path)]), 3)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_exit3(self, capsys, tmp_path, kind):
+        path = tmp_path / "chan.json"
+        if kind == "directory":
+            path.mkdir()
+        assert_clean_failure(*run(capsys, ["bound", "--channel", str(path)]), 3)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--p", "0.1", "--method", "analytic"], ["--eta", "0.3"], ["--qubits", "1"]],
+    )
+    def test_channel_flags_with_a_file_exit2(self, capsys, tmp_path, flags):
+        # the analytic case printed the depolarizing closed form under the file's label
+        path = write_doc(tmp_path, ad_doc())
+        code, out, err = run(capsys, ["bound", "--channel", str(path), *flags])
+        assert_clean_failure(code, out, err, 2)
+        assert flags[0] in err
+
+    @pytest.mark.parametrize("command", ["bound", "channel-info"])
+    def test_overflowing_kraus_entry_exit3(self, capsys, tmp_path, command):
+        doc = ad_doc()
+        doc["kraus"][0][0][0] = [1e308, 0.0]
+        code, out, err = run(capsys, [command, "--channel", str(write_doc(tmp_path, doc))])
+        assert_clean_failure(code, out, err, 3)
+        assert "magnitude" in err
+
+    @pytest.mark.parametrize(
+        "qubits", [1.5, True, "1", 10**400], ids=["float", "bool", "str", "huge"]
+    )
+    def test_qubit_count_that_is_not_a_positive_int_exit3(self, capsys, tmp_path, qubits):
+        doc = ad_doc()
+        doc["qubits_in"] = qubits
+        path = write_doc(tmp_path, doc)
+        assert_clean_failure(*run(capsys, ["channel-info", "--channel", str(path)]), 3)
+
+    def test_entry_too_large_for_a_float_exit3(self, capsys, tmp_path):
+        doc = ad_doc()
+        doc["kraus"][0][0][0] = [10**400, 0]
+        path = write_doc(tmp_path, doc)
+        assert_clean_failure(*run(capsys, ["bound", "--channel", str(path)]), 3)
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_zero_restarts_exit2(self, capsys, tmp_path, command):
+        argv = {
+            "bound": ["bound", "--channel", "identity"],
+            "sweep": ["sweep", "--p-steps", "1", "--gamma-steps", "1",
+                      "--out", str(tmp_path / "x.csv")],
+        }[command]
+        code, out, err = run(capsys, argv + ["--restarts", "0"])
+        assert_clean_failure(code, out, err, 2)
+        assert "restarts" in err
+
+
+def test_only_main_maps_exceptions_to_exit_codes():
+    """cli.py has one try statement, in main, and only main names the error codes."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(causalcap.__file__).parent.glob("*.py"))
+    }
+    cli = trees["cli.py"]
+    (main_def,) = [n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = list(ast.walk(main_def))
+    tries = [n for n in ast.walk(cli) if isinstance(n, ast.Try)]
+    assert len(tries) == 1 and tries[0] in in_main
+    codes = {"EXIT_USAGE", "EXIT_BAD_CHANNEL", "EXIT_BAD_OUTPUT"}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in codes:
+                defined = isinstance(node.ctx, ast.Store) and name == "cli.py"
+                assert defined or node in in_main, f"{name}:{node.lineno} names {node.id}"
+
+
+# --------------------------------------------- exit-code contract, fuzzed in process
+
+VALID_DOCS = [
+    ad_doc(),
+    channel_to_dict(random_channel(1, 1, env_qubits=1, seed=3)),
+    channel_to_dict(random_channel(2, 1, env_qubits=1, seed=4)),
+]
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**400), 10**400),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+NAMES = ["identity", "depolarizing", "shifted-depolarizing", "dephasing",
+         "amplitude-damping", "teleporter"]
+FLAG_VALUES = {
+    "qubits": st.integers(-1, 3),
+    **{k: st.floats(allow_nan=True, allow_infinity=True) | st.floats(0.0, 1.0)
+       for k in ("p", "gamma", "eta", "strength")},
+}
+
+
+@st.composite
+def channel_files(draw):
+    """Bytes of a channel file: valid, with one part replaced, truncated or not UTF-8."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    kraus = doc["kraus"]
+    k, r = draw(st.integers(0, len(kraus) - 1)), draw(st.integers(0, len(kraus[0]) - 1))
+    c = draw(st.integers(0, len(kraus[0][0]) - 1))
+    kind = draw(st.sampled_from(
+        ["valid"] * 4 + ["entry", "part", "row", "operator", "field", "drop", "truncate", "bytes"]
+    ))
+    if kind == "entry":  # an [re, im] pair replaced: wrong nesting, non-numeric, NaN, huge
+        kraus[k][r][c] = draw(JSON_VALUES)
+    elif kind == "part":
+        kraus[k][r][c][draw(st.integers(0, 1))] = draw(JSON_VALUES)
+    elif kind == "row":  # unequal Kraus shapes
+        kraus[k][r] = kraus[k][r][:c] if c else kraus[k][r] + [[0.0, 0.0]]
+    elif kind == "operator":
+        kraus[k] = draw(JSON_VALUES)
+    elif kind == "field":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(doc).encode()
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "bytes":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.binary(min_size=1, max_size=4)) + b"\xff" + text[at:]
+    return text
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(
+        [["channel-info"]]
+        + [["bound", "--method", m] for m in ("causality", "analytic", "hw", "maxrains", "all")]
+    ),
+    source=st.one_of(st.sampled_from(NAMES), channel_files()),
+    flags=st.just({})
+    | st.sets(st.sampled_from(sorted(FLAG_VALUES)), min_size=1, max_size=3).flatmap(
+        lambda keys: st.fixed_dictionaries({k: FLAG_VALUES[k] for k in sorted(keys)})
+    ),
+    restarts=st.none() | st.sampled_from([0, 1]),
+)
+def test_exit_code_contract(fuzz_dir, command, source, flags, restarts):
+    if isinstance(source, bytes):
+        path = fuzz_dir / "chan.json"
+        path.write_bytes(source)
+        source = str(path)
+    argv = [*command, "--channel", source] + [f"--{k}={v!r}" for k, v in flags.items()]
+    if restarts is not None and command[0] == "bound":
+        argv.append(f"--restarts={restarts}")
+    code, out, err = call(argv)
+    assert code in (0, 2, 3), (argv, err)
+    if code == 0:
+        assert out and all(json.loads(line) for line in out.splitlines())
+    else:
+        assert out == "" and err.startswith("error:"), (argv, out, err)
+    if source.endswith(".json") and (flags or "--restarts=0" in argv):
+        assert code == 2, (argv, err)
