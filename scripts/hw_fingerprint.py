@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 digest over the Holevo-Werner solver's results.
+"""Print two SHA-256 digests over the Holevo-Werner results.
 
-The digest covers the rows of the default 26x21 shifted depolarizing sweep
-and, for a fixed channel list, the ``hw_bound`` value, every diagnostic and
-the bytes of ``best_input``. The list is ``random_channel(q, q,
-env_qubits=e, seed=s)`` for q in {1, 2}, e in {1, 2, 3} and s < 50, plus
-three 2-qubit channels on which the solver stops early or converges slowly.
-Floats enter the digest exactly (as ``float.hex``), so two checkouts that
-print the same digest produced bit-identical results. Run from the
-repository root:
+The first ("named") covers the rows of the default 26x21 shifted depolarizing
+sweep and ``hw_bound`` on the named 1-qubit channels: amplitude damping at 41
+strengths in [0, 1], dephasing at 11 strengths in [0, 1] and depolarizing at
+11 weights p in [0, 1/4]. These channels all commute with phase rotations.
+The second ("random") covers ``hw_bound`` on ``random_channel(q, q,
+env_qubits=e, seed=s)`` for q in {1, 2}, e in {1, 2, 3} and s < 50, plus three
+2-qubit channels on which the solver stops early or converges slowly. For a
+channel the digest takes the ``hw_bound`` value, every diagnostic and the
+bytes of ``best_input``. Floats enter the digests exactly (as ``float.hex``),
+so two checkouts that print the same digest produced bit-identical results.
+Run from the repository root:
 
     PYTHONPATH=src python3 scripts/hw_fingerprint.py
 """
@@ -20,14 +23,22 @@ import time
 import numpy as np
 
 from causalcap.bounds import hw_bound, sweep_shifted_depol
-from causalcap.channels import random_channel
+from causalcap.channels import named_channel, random_channel
 
 # 2 -> 2 qubit channels with 3 environment qubits: a singular optimal input
 # marginal (the first and last) and an ill-conditioned one (the middle)
 HARD_SEEDS = (1413296698, 3455773250, 4003012333)
 
 
-def channel_list():
+def named_channels():
+    return (
+        [named_channel("amplitude-damping", eta=eta) for eta in np.linspace(0.0, 1.0, 41)]
+        + [named_channel("dephasing", strength=s) for s in np.linspace(0.0, 1.0, 11)]
+        + [named_channel("depolarizing", p=p) for p in np.linspace(0.0, 0.25, 11)]
+    )
+
+
+def random_channels():
     chans = [
         random_channel(q, q, env_qubits=e, seed=s)
         for q in (1, 2)
@@ -43,26 +54,42 @@ def _field(value) -> bytes:
     return repr(value).encode()
 
 
-def fingerprint() -> tuple[str, int, int]:
-    """(hex digest, sweep rows, channels) over the sweep and the channel list."""
-    digest = hashlib.sha256()
-    rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
-    for row in rows:
-        digest.update(b"row" + b",".join(map(_field, dataclasses.astuple(row))))
-    chans = channel_list()
+def _hash_channels(digest, chans) -> None:
     for c in chans:
         rep = hw_bound(c)
         digest.update(b"chan" + c.label.encode() + _field(rep.value))
         for key in sorted(rep.diagnostics):
             digest.update(key.encode() + b"=" + _field(rep.diagnostics[key]))
         digest.update(np.ascontiguousarray(rep.best_input).tobytes())
+
+
+def named_fingerprint() -> tuple[str, int, int]:
+    """(hex digest, sweep rows, channels) over the sweep and the named channels."""
+    digest = hashlib.sha256()
+    rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
+    for row in rows:
+        digest.update(b"row" + b",".join(map(_field, dataclasses.astuple(row))))
+    chans = named_channels()
+    _hash_channels(digest, chans)
     return digest.hexdigest(), len(rows), len(chans)
+
+
+def random_fingerprint() -> tuple[str, int]:
+    """(hex digest, channels) over the random channel list."""
+    digest = hashlib.sha256()
+    chans = random_channels()
+    _hash_channels(digest, chans)
+    return digest.hexdigest(), len(chans)
 
 
 def main() -> None:
     t0 = time.perf_counter()
-    hexdigest, rows, chans = fingerprint()
-    print(f"{rows} sweep rows, {chans} channels in {time.perf_counter() - t0:.1f} s")
+    hexdigest, rows, chans = named_fingerprint()
+    print(f"named: {rows} sweep rows, {chans} channels in {time.perf_counter() - t0:.1f} s")
+    print(hexdigest)
+    t0 = time.perf_counter()
+    hexdigest, chans = random_fingerprint()
+    print(f"random: {chans} channels in {time.perf_counter() - t0:.1f} s")
     print(hexdigest)
 
 

@@ -2,11 +2,12 @@
 
 Four routes are implemented: the optimization-free causality bound (trace
 norm of the channel PDM), the closed-form expression for shifted
-depolarizing channels, the Holevo-Werner comparison bound solved as a
-concave problem over the input marginal with a certified bracket, and a
-max-Rains surrogate from the partially transposed Choi matrix. The PDM R from
-:func:`pdm.pdm_from_channel` is the one operator all of them read. All
-values are in qubits per channel use.
+depolarizing channels, the Holevo-Werner comparison bound as a certified
+bracket on a concave problem over the input marginal (in closed form where
+W = d R has the phase-covariant pattern of every named channel, else by a
+fixed-point solve), and a max-Rains surrogate from the partially transposed
+Choi matrix. The PDM R from :func:`pdm.pdm_from_channel` is the one operator
+all of them read. All values are in qubits per channel use.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import pdm as pdm_mod
 from .channels import QuantumChannel, shifted_depolarizing
-from .linalg import trace_norm  # noqa: F401  (trace_norm stays importable here)
+from .linalg import HERM_ATOL, trace_norm  # noqa: F401  (trace_norm stays importable here)
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,8 @@ def analytic_shifted_depol(p: float, gamma: float) -> float:
 ANDERSON_DEPTH = 5
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _OTHERS = {(k, j): np.delete(np.arange(k), j) for k in range(ANDERSON_DEPTH + 2) for j in range(k)}
+# the entries a phase-covariant 4x4 W may have: w00, w11, w22, w33, w12 and w21
+_COVARIANT = np.isin(np.arange(16), (0, 5, 6, 9, 10, 15)).reshape(4, 4)
 
 
 def _bracket(w5: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
@@ -129,16 +132,11 @@ def _evaluate(w5, sigma, floor):
     return vals[:, 0] > floor, (sigma, root) + _bracket(w5, root, (vecs / sqrt_vals) @ vh)
 
 
-def _power(root, g_vals, g_vecs, squarings):
-    """normalise(sqrt(sigma) (G / lambda_max G)^alpha sqrt(sigma)), alpha = 2**squarings.
-
-    alpha is applied by repeated squaring, so every input in a stack takes
-    exactly the arithmetic it would take alone.
-    """
+def _power(root, g_vals, g_vecs, squarings: int):
+    """normalise(sqrt(sigma) (G / lambda_max G)^alpha sqrt(sigma)), alpha = 2**squarings."""
     ratio = np.maximum(g_vals, 0.0) / g_vals[:, -1:]
-    same = squarings.min() == squarings.max()  # then every row is squared alike
-    for j in range(int(squarings.max())):
-        ratio = ratio * ratio if same else np.where((squarings > j)[:, None], ratio * ratio, ratio)
+    for _ in range(squarings):
+        ratio = ratio * ratio
     sigma = root @ ((g_vecs * ratio[:, None, :]) @ g_vecs.conj().swapaxes(1, 2)) @ root
     return sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]
 
@@ -168,94 +166,92 @@ def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
 
 
 def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
-    """Certified brackets on ||Theta o N||_dia for a stack of W = d R.
+    """Certified bracket on ||Theta o N||_dia for one W = d R: the fixed-point route.
 
     Maximises the concave f(sigma) from sigma = I/d. Each step first tries the Anderson
-    extrapolation of the last ``ANDERSON_DEPTH + 1`` iterates and their fixed-point
-    images T(sigma) = Tr_out|M| / ||M||_1; it stands if its own bracket is narrower than
-    the current iterate's. Otherwise the step falls back to a power step whose exponent
-    doubles while the iterate's bracket narrows; a power step that widens it is retaken
-    at exponent 1, the plain fixed point. The history is kept across such fallbacks. A
-    trial sigma counts only if its eigenvalues exceed eps / ``cfg.tol``: the upper end
-    carries a relative rounding error of up to about eps / lambda_min(sigma), which must
-    stay below the tolerance. An input stops once its log2 bracket is at most
-    ``cfg.tol`` wide, after ``cfg.max_iters`` steps, or when no trial counts. Returns,
-    per input, log2 of the best lower end and of the smallest upper end, the amplitude
-    matrix sqrt(sigma*) of the best lower-end iterate, and the counts of steps, bracket
-    evaluations (the start and rejected trials included) and accepted extrapolations.
-    The arrays hold only the active inputs, compacted whenever some stop; every operation
-    acts row by row, so a stacked input takes exactly the arithmetic of a lone one.
+    extrapolation of the last ``ANDERSON_DEPTH + 1`` pairs (sigma, T(sigma) = Tr_out|M| /
+    ||M||_1), kept if its bracket is narrower than the iterate's; else a power step, whose
+    exponent doubles while the bracket narrows and is retaken at 1 (the plain fixed point)
+    when it widens. A trial counts only if its eigenvalues exceed eps / ``cfg.tol``: the
+    upper end has a relative rounding error of up to eps / lambda_min(sigma). The solve
+    stops at a log2 bracket of at most ``cfg.tol``, after ``cfg.max_iters`` steps, or when
+    no trial counts. Returns log2 of the best lower and smallest upper end, sqrt(sigma) of
+    the best lower end, and the counts of steps, bracket evaluations and extrapolations.
     """
-    n, dim = w.shape[:2]
-    floor = _EPS / cfg.tol
-    w5 = w.reshape(n, d, dim // d, d, dim // d)
-    root = np.tile(np.eye(d, dtype=complex) / math.sqrt(d), (n, 1, 1))
+    dim, floor, slots = w.shape[0], _EPS / cfg.tol, ANDERSON_DEPTH + 1
+    w5 = w.reshape(1, d, dim // d, d, dim // d)
+    root = np.eye(d, dtype=complex)[None] / math.sqrt(d)
     lower, g_vals, g_vecs, image = _bracket(w5, root, root * d)
-    upper, best_lower, best_root = g_vals[:, -1].copy(), lower, root
-    evaluations, accelerated = np.ones(n, dtype=int), np.zeros(n, dtype=int)
-    idx, dead, done, t = np.arange(n), np.zeros(n, dtype=bool), [], 0
-    xs = gs = squarings = None  # allocated by the first step
-    while True:
-        # an input whose last step found no standing trial kept its ends; it stops here
-        stop = dead | ~(np.log2(upper) - np.log2(best_lower) > cfg.tol)
-        last = t == cfg.max_iters or stop.all()
-        if last or stop.any():
-            done.append([x[slice(None) if last else stop] for x in (
-                idx, best_lower, upper, best_root, t - dead, evaluations, accelerated)])
-            if last:
-                break
-            (w5, root, lower, g_vals, g_vecs, image, upper, best_lower, best_root, evaluations,
-             accelerated, idx, xs, gs, squarings) = (None if x is None else x[~stop] for x in (
-                w5, root, lower, g_vals, g_vecs, image, upper, best_lower, best_root,
-                evaluations, accelerated, idx, xs, gs, squarings))
+    upper, best_lower, best_root = g_vals[0, -1], lower[0], root[0]
+    # ring buffer of (sigma, T(sigma)): step t is in slot t % slots
+    xs = np.tile(np.eye(d, dtype=complex) / d, (1, slots, 1, 1))
+    gs = np.repeat(image[:, None], slots, axis=1)
+    evaluations, accelerated, squarings, t = 1, 0, 0, 0
+    while t < cfg.max_iters and np.log2(upper) - np.log2(best_lower) > cfg.tol:
+        width, won = g_vals[0, -1] - lower[0], False
         if t:
-            cand = _extrapolate(xs[:, : t + 1], gs[:, : t + 1], t % (ANDERSON_DEPTH + 1))
+            cand = _extrapolate(xs[:, : t + 1], gs[:, : t + 1], t % slots)
             valid, trial = _evaluate(w5, cand, floor)
-            won = valid & (trial[3][:, -1] - trial[2] < g_vals[:, -1] - lower)
+            won = bool(valid[0] and trial[3][0, -1] - trial[2][0] < width)
+            evaluations, accelerated = evaluations + 1, accelerated + won
+        if not won:
+            valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, squarings), floor)
+            narrowed = bool(valid[0] and trial[3][0, -1] - trial[2][0] < width)
+            if not narrowed and squarings:  # retaken at exponent 1
+                valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, 0), floor)
+                evaluations += 1
             evaluations += 1
-            accelerated += won
-        else:  # ring buffer of (sigma, T(sigma)): step t is in slot t % (ANDERSON_DEPTH + 1)
-            xs = np.tile(np.eye(d, dtype=complex) / d, (idx.size, ANDERSON_DEPTH + 1, 1, 1))
-            gs = np.repeat(image[:, None], ANDERSON_DEPTH + 1, axis=1)
-            squarings, won = np.zeros(idx.size, dtype=int), np.zeros(idx.size, dtype=bool)
-        dead, wins = ~won, np.count_nonzero(won)
-        if wins < won.size:
-            rows = ~won if wins else slice(None)  # the whole arrays if no input won
-            root_s, g_vals_s, g_vecs_s, sq = (x[rows] for x in (root, g_vals, g_vecs, squarings))
-            valid, power = _evaluate(w5[rows], _power(root_s, g_vals_s, g_vecs_s, sq), floor)
-            # a power step stands if it narrows the iterate's bracket, and at exponent 1 anyway
-            narrowed = valid & (power[3][:, -1] - power[2] < g_vals_s[:, -1] - lower[rows])
-            stands = narrowed | (valid & (sq == 0))
-            retry = ~stands & (sq > 0)
             # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
-            squarings[rows] = np.where(narrowed, np.minimum(sq + 1, 52), 0)
-            evaluations[rows] += 1 + retry
-            if retry.any():
-                plain = _power(root_s[retry], g_vals_s[retry], g_vecs_s[retry], 0 * sq[retry])
-                stands[retry], again = _evaluate(w5[rows][retry], plain, floor)
-                for arr, new in zip(power, again):
-                    arr[retry] = new
-            if wins:
-                for arr, new in zip(trial, power):
-                    arr[rows] = new
-            else:
-                trial = power
-            dead[rows] = ~stands
+            squarings = min(squarings + 1, 52) if narrowed else 0
+            # a power step stands if it narrows the iterate's bracket, and at exponent 1 anyway
+            if not (narrowed or valid[0]):  # no trial counts: the ends stay as they are
+                break
         sigma, root, lower, g_vals, g_vecs, image = trial
         t += 1
-        xs[:, t % (ANDERSON_DEPTH + 1)], gs[:, t % (ANDERSON_DEPTH + 1)] = sigma, image
-        better = ~dead & (lower > best_lower)
-        upper = np.where(dead, upper, np.fmin(upper, g_vals[:, -1]))
-        best_lower = np.where(better, lower, best_lower)
-        best_root = np.where(better[:, None, None], root, best_root)
-    if len(done) > 1:
-        order = np.empty(n, dtype=int)  # the inverse of the permutation idx, by a scatter
-        order[np.concatenate([part[0] for part in done])] = np.arange(n)
-        done = [tuple(np.concatenate(col)[order] for col in zip(*done))]
-    _, best_lower, upper, best_root, iters, evaluations, accelerated = done[0]
+        xs[:, t % slots], gs[:, t % slots] = sigma, image
+        if lower[0] > best_lower:
+            best_lower, best_root = lower[0], root[0]
+        upper = np.fmin(upper, g_vals[0, -1])
+    counts = {"iterations": t, "evaluations": evaluations, "accelerated_steps": accelerated}
     # the value lies in [lower, upper]; an upper end below the lower end is rounding
-    counts = {"iterations": iters, "evaluations": evaluations, "accelerated_steps": accelerated}
     return np.log2(best_lower), np.log2(np.fmax(upper, best_lower)), best_root, counts
+
+
+def _solve_covariant(w: np.ndarray, cfg: OptimizerConfig):
+    """Certified brackets for a stack of phase-covariant 4x4 W: the closed-form route.
+
+    f(sigma) is phase-invariant, so some diag(s, 1-s) is optimal (Holevo & Werner, PRA
+    63, 032312, 2001): f(s) = s w00 + (1-s) w33 + max(t, sqrt(t^2 - 4 s(1-s) det)), with
+    t = s w11 + (1-s) w22 and det = w11 w22 - |w12|^2. f'(s) = 0 squares to a quadratic;
+    s* is the best of its roots in [0, 1] and of 0, 1/2, 1, and 1/2 where s* is within
+    eps / ``cfg.tol`` of 0 or 1 (f is flat there). One stacked :func:`_bracket` takes
+    sigma = I/2 and sigma*: an I/2 bracket that closes to ``cfg.tol`` is returned as
+    :func:`_solve_hw` returns it after 0 steps, else the larger lower and smaller upper
+    end. Returns log2 of the lower and upper ends and sqrt(sigma) of the lower end.
+    """
+    n, floor = w.shape[0], _EPS / cfg.tol
+    w00, w11, w22, w33 = np.diagonal(w, axis1=1, axis2=2).real.T
+    det, slope = w11 * w22 - np.abs(w[:, 1, 2]) ** 2, w00 - w33
+    alpha, beta = (w11 - w22) ** 2 + 4.0 * det, 2.0 * w22 * (w11 - w22) - 4.0 * det
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where there is no real root
+        centre = -beta / (2.0 * alpha)
+        spread = np.abs(slope) * np.sqrt((w22**2 / alpha - centre**2) / (alpha - slope**2))
+        s = np.vstack([centre - spread, centre + spread, [[0.0], [0.5], [1.0]] * np.ones(n)])
+        s = np.where((s >= 0.0) & (s <= 1.0), s, 0.5)
+        t = s * w11 + (1.0 - s) * w22
+        f = s * w00 + (1.0 - s) * w33 + np.fmax(t, np.sqrt(t * t - 4.0 * s * (1.0 - s) * det))
+    s = s[np.argmax(f, axis=0), np.arange(n)]
+    amp = np.sqrt(np.where((s > floor) & (s < 1.0 - floor), [s, 1.0 - s], 0.5)).T[:, :, None]
+    half, star = np.tile(np.eye(2, dtype=complex) / math.sqrt(2.0), (n, 1, 1)), amp * np.eye(2)
+    roots = np.concatenate([half, star]), np.concatenate([half * 2.0, np.eye(2) / amp])
+    lower, g_vals = _bracket(np.concatenate([w, w]).reshape(2 * n, 2, 2, 2, 2), *roots)[:2]
+    (lo_half, lo_star), (up_half, up_star) = lower.reshape(2, n), g_vals[:, -1].reshape(2, n)
+    closed = ~(np.log2(up_half) - np.log2(lo_half) > cfg.tol)
+    use_star = ~closed & (lo_star > lo_half)
+    lower = np.where(use_star, lo_star, lo_half)
+    upper = np.where(closed, up_half, np.fmin(up_half, up_star))
+    root = np.where(use_star[:, None, None], star, half)
+    return np.log2(lower), np.log2(np.fmax(upper, lower)), root
 
 
 def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
@@ -263,34 +259,36 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
 
     A pure input with amplitude matrix Psi (reference x system) has output
     K W K^dag, K = Psi x I, W = d R (R the channel PDM), whose trace norm is
-    concave in sigma = Psi^dag Psi. ``value`` is a certified upper bound; the
-    diagnostics keep ``lower`` (attained by ``best_input``, amplitude matrix
-    sqrt(sigma*)) and ``gap`` = value - lower, with the counts of solver
-    steps (``iterations``), bracket evaluations and accepted Anderson steps.
-    The start sigma = I/d keeps ``value`` <= log2 lambda_max(Tr_out|W|).
-    Rounding below zero is clamped, and rounding below the causality bound
-    F(R) is raised to it: sigma = I/d attains ||R||_1, so HW >= F(R) exactly.
+    concave in sigma = Psi^dag Psi. A 4x4 W with entries only at w00, w11, w22,
+    w33 and w12 = w21* (to ``HERM_ATOL``) takes :func:`_solve_covariant`, any
+    other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a certified
+    upper bound, ``lower`` is attained by ``best_input``. Both routes evaluate
+    sigma = I/d, so ``value`` <= log2 lambda_max(Tr_out|W|); and sigma = I/d
+    attains ||R||_1, so rounding below the causality bound F(R) is raised to
+    it. Rounding below zero is clamped.
     """
-    dim = c.dim_in
-    r = pdm_mod.pdm_from_channel(c)
-    lower, upper, root, counts = _solve_hw(dim * r.matrix[None], dim, cfg)
-    value = max(pdm_mod.clamp_log2(float(upper[0])), pdm_mod.causality_F(r))
-    low = float(lower[0])
-    amp = root[0].reshape(-1)
+    dim, r = c.dim_in, pdm_mod.pdm_from_channel(c)
+    w, note = dim * r.matrix, "certified upper bound; best_input attains the lower end"
+    if w.shape == (4, 4) and np.abs(w[~_COVARIANT]).max() <= HERM_ATOL:
+        lower, upper, root = (x[0] for x in _solve_covariant(w[None], cfg))
+        counts = {"iterations": 0, "evaluations": 2, "accelerated_steps": 0}
+        note = "certified upper bound (phase-covariant); best_input attains the lower end"
+    else:
+        lower, upper, root, counts = _solve_hw(w, dim, cfg)
+    value = max(pdm_mod.clamp_log2(float(upper)), pdm_mod.causality_F(r))
+    low, amp = float(lower), root.reshape(-1)
     return BoundReport(
         channel_label=c.label,
         method="holevo_werner",
         value=value,
         diagnostics={
             "restarts": 1,
-            "iterations": int(counts["iterations"][0]),
-            "evaluations": int(counts["evaluations"][0]),
-            "accelerated_steps": int(counts["accelerated_steps"][0]),
+            **counts,
             "converged_restarts": int(value - low <= cfg.tol),
             "tolerance": cfg.tol,
             "lower": low,
             "gap": value - low,
-            "note": "certified upper bound; best_input attains the lower end",
+            "note": note,
         },
         best_input=np.outer(amp, amp.conj()),
     )
@@ -336,13 +334,13 @@ def sweep_shifted_depol(
 ) -> list[SweepRow]:
     """Evaluate every bound over a (p, gamma) grid, rows in row-major order.
 
-    The Holevo-Werner values of all grid points are solved as one stack, each
-    with exactly the arithmetic :func:`hw_bound` uses on it alone. ``workers``
-    is accepted for compatibility and has no effect.
+    Every shifted depolarizing W is phase-covariant, so the Holevo-Werner values
+    come from one stacked :func:`_solve_covariant`, as :func:`hw_bound` gets
+    them one by one. ``workers`` is accepted for compatibility and has no effect.
     """
     points = [(float(p), float(g)) for p in p_grid for g in gamma_grid]
     pdms = [pdm_mod.pdm_from_channel(shifted_depolarizing(p, g)) for p, g in points]
-    hw = _solve_hw(np.array([2.0 * r.matrix for r in pdms]).reshape(-1, 4, 4), 2, cfg)[1]
+    hw = _solve_covariant(np.array([2.0 * r.matrix for r in pdms]), cfg)[1]
     rows = []
     for (p, g), r, value in zip(points, pdms, map(pdm_mod.clamp_log2, hw.tolist())):
         caus = pdm_mod.causality_F(r)

@@ -216,8 +216,8 @@ def named_channel(name: str, **params) -> QuantumChannel:
         name = name.lower()
         if name == "identity":
             qubits = int(params.pop("qubits", 1))
-            if qubits < 1:
-                raise ValueError("identity channel needs qubits >= 1")
+            if not 1 <= qubits <= 3:  # before np.eye allocates: sized for 3+3 qubits
+                raise ValueError(f"identity channel needs 1 to 3 qubits, got {qubits}")
             _reject_extra(name, params)
             return from_kraus(
                 [np.eye(2**qubits, dtype=complex)], qubits, qubits,

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 # Tolerances: every numerical threshold of the package, in one table.
-# HERM_ATOL: max-entry distance at which two matrices count as equal: a matrix and
-#   its conjugate transpose (then symmetrized), or the sides of the swap identity.
+# HERM_ATOL: max-entry distance at which two matrices count as equal: a matrix and its
+#   adjoint (then symmetrized), the sides of the swap identity, W and its phase-covariant part.
 HERM_ATOL = 1e-10
 # CPTP_ATOL: the trace defect and most negative eigenvalue of a density or Choi
 #   matrix, the TP residual max|d_in Tr_out J - I| of a channel, and the margin

@@ -262,18 +262,18 @@ def suite_bounds(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> Sui
         worst = max(worst, case_worst)
         if case_worst > tol:
             failures += 1
-    # the certified HW bracket: its lower end, attained by an input, is at
-    # least the causality bound, and the bracket closes to tolerance
+    # the certified HW bracket, on three closed-form channels and one fixed-point solve (7 steps):
+    # its lower end, attained by an input, is at least causality; the bracket closes to tolerance
     cfg = bounds_mod.OptimizerConfig(tol=tol)
-    for p, gamma in [(0.05, 0.0), (0.15, 1.0), (0.25, 0.5)]:
-        chan = shifted_depolarizing(p, gamma)
+    hw_channels = [shifted_depolarizing(p, g) for p, g in [(0.05, 0.0), (0.15, 1.0), (0.25, 0.5)]]
+    for chan in hw_channels + [random_channel(1, 1, env_qubits=2, seed=0)]:
         caus = bounds_mod.causality_bound(chan).value
         hw = bounds_mod.hw_bound(chan, cfg).diagnostics
         margin = max(caus - hw["lower"], hw["gap"])
         worst = max(worst, margin)
         if margin > tol:
             failures += 1
-    return SuiteResult("bounds", cases + 3, failures, worst)
+    return SuiteResult("bounds", cases + len(hw_channels) + 1, failures, worst)
 
 
 SUITES = {

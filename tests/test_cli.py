@@ -181,6 +181,16 @@ class TestChannelInfo:
         assert info["kraus_rank"] == 1
         assert np.allclose(sorted(info["choi_spectrum"]), [0, 0, 0, 1], atol=1e-9)
 
+    def test_identity_too_many_qubits_exit2(self, capsys, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("np.eye called for an identity channel that is too large")
+
+        monkeypatch.setattr(np, "eye", no_alloc)
+        code, out, err = run(capsys, ["channel-info", "--channel", "identity", "--qubits", "25"])
+        assert code == 2
+        assert out == ""
+        assert "1 to 3 qubits" in err
+
     def test_fully_depolarizing_spectrum(self, capsys):
         code, out, _ = run(
             capsys,
