@@ -120,29 +120,31 @@ def _bracket(w5: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
 
 
 def _evaluate(w5, sigma, floor):
-    """Iterates (sigma, sqrt(sigma), lower, G eigenpairs, T(sigma)) at a stack of sigma.
+    """Iterates (sigma, sqrt(sigma), lower, G eigenpairs, T(sigma)) at one sigma.
 
-    Also returns which sigma have every eigenvalue above ``floor``. The others
-    are evaluated with their eigenvalues raised to ``floor``, so that no
-    sigma^(-1/2) is formed from a singular sigma; callers discard them.
+    W comes as a stack of one for :func:`_bracket`. Also returns whether every
+    eigenvalue of sigma is above ``floor``. If not, sigma is evaluated with its
+    eigenvalues raised to ``floor``, so that no sigma^(-1/2) is formed from a
+    singular sigma; callers discard it.
     """
     vals, vecs = np.linalg.eigh(sigma)
-    vh, sqrt_vals = vecs.conj().swapaxes(1, 2), np.sqrt(np.fmax(vals, floor))[:, None, :]
+    vh, sqrt_vals = vecs.conj().T, np.sqrt(np.fmax(vals, floor))
     root = (vecs * sqrt_vals) @ vh
-    return vals[:, 0] > floor, (sigma, root) + _bracket(w5, root, (vecs / sqrt_vals) @ vh)
+    lower, g_vals, g_vecs, image = _bracket(w5, root[None], ((vecs / sqrt_vals) @ vh)[None])
+    return vals[0] > floor, (sigma, root, lower[0], g_vals[0], g_vecs[0], image[0])
 
 
 def _power(root, g_vals, g_vecs, squarings: int):
     """normalise(sqrt(sigma) (G / lambda_max G)^alpha sqrt(sigma)), alpha = 2**squarings."""
-    ratio = np.maximum(g_vals, 0.0) / g_vals[:, -1:]
+    ratio = np.maximum(g_vals, 0.0) / g_vals[-1]
     for _ in range(squarings):
         ratio = ratio * ratio
-    sigma = root @ ((g_vecs * ratio[:, None, :]) @ g_vecs.conj().swapaxes(1, 2)) @ root
-    return sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]
+    sigma = root @ ((g_vecs * ratio) @ g_vecs.conj().T) @ root
+    return sigma / sigma.trace().real
 
 
 def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
-    """Anderson mix of iterates xs and their images gs = T(xs), shape (n, k, d, d).
+    """Anderson mix of iterates xs and their images gs = T(xs), shape (k, d, d).
 
     Minimises the residual F = T(x) - x over affine combinations of the k
     stored pairs (Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011) in the
@@ -150,19 +152,19 @@ def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
     images, trace-normalised. Differences are taken from the pair at index
     ``latest``. A Levenberg-Marquardt ridge keeps the Gram system nonsingular.
     """
-    n, k = xs.shape[:2]
+    k = xs.shape[0]
     others = _OTHERS[k, latest]
-    f = (gs - xs).reshape(n, k, -1).view(float)
-    df = f[:, latest, None] - f[:, others]
-    gram = df @ df.swapaxes(1, 2)
-    diag = gram.reshape(n, -1)[:, ::k]  # the diagonal, as a writeable view
+    f = (gs - xs).reshape(k, -1).view(float)
+    df = f[latest] - f[others]
+    gram = df @ df.T
+    diag = gram.reshape(-1)[::k]  # the diagonal, as a writeable view
     diag += 1e-12 * diag + _TINY
-    coef = np.linalg.solve(gram, df @ f[:, latest, :, None]).swapaxes(1, 2)
-    dg = (gs[:, latest, None] - gs[:, others]).reshape(n, k - 1, -1)
-    cand = gs[:, latest] - (coef @ dg).reshape(gs.shape[:1] + gs.shape[2:])
-    trace = cand.trace(axis1=1, axis2=2).real
+    coef = np.linalg.solve(gram, df @ f[latest, :, None]).T
+    dg = (gs[latest] - gs[others]).reshape(k - 1, -1)
+    cand = gs[latest] - (coef @ dg).reshape(gs.shape[1:])
+    trace = cand.trace().real
     # a non-positive trace cannot be normalised; such a candidate fails the eigenvalue test
-    return cand / np.where(trace > 0.0, trace, 1.0)[:, None, None]
+    return cand / (trace if trace > 0.0 else 1.0)
 
 
 def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
@@ -180,23 +182,22 @@ def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
     """
     dim, floor, slots = w.shape[0], _EPS / cfg.tol, ANDERSON_DEPTH + 1
     w5 = w.reshape(1, d, dim // d, d, dim // d)
-    root = np.eye(d, dtype=complex)[None] / math.sqrt(d)
-    lower, g_vals, g_vecs, image = _bracket(w5, root, root * d)
-    upper, best_lower, best_root = g_vals[0, -1], lower[0], root[0]
+    root = np.eye(d, dtype=complex) / math.sqrt(d)
+    lower, g_vals, g_vecs, image = (x[0] for x in _bracket(w5, root[None], root[None] * d))
+    upper, best_lower, best_root = g_vals[-1], lower, root
     # ring buffer of (sigma, T(sigma)): step t is in slot t % slots
-    xs = np.tile(np.eye(d, dtype=complex) / d, (1, slots, 1, 1))
-    gs = np.repeat(image[:, None], slots, axis=1)
+    xs = np.tile(np.eye(d, dtype=complex) / d, (slots, 1, 1))
+    gs = np.repeat(image[None], slots, axis=0)
     evaluations, accelerated, squarings, t = 1, 0, 0, 0
     while t < cfg.max_iters and np.log2(upper) - np.log2(best_lower) > cfg.tol:
-        width, won = g_vals[0, -1] - lower[0], False
+        width, won = g_vals[-1] - lower, False
         if t:
-            cand = _extrapolate(xs[:, : t + 1], gs[:, : t + 1], t % slots)
-            valid, trial = _evaluate(w5, cand, floor)
-            won = bool(valid[0] and trial[3][0, -1] - trial[2][0] < width)
+            valid, trial = _evaluate(w5, _extrapolate(xs[: t + 1], gs[: t + 1], t % slots), floor)
+            won = bool(valid and trial[3][-1] - trial[2] < width)
             evaluations, accelerated = evaluations + 1, accelerated + won
         if not won:
             valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, squarings), floor)
-            narrowed = bool(valid[0] and trial[3][0, -1] - trial[2][0] < width)
+            narrowed = bool(valid and trial[3][-1] - trial[2] < width)
             if not narrowed and squarings:  # retaken at exponent 1
                 valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, 0), floor)
                 evaluations += 1
@@ -204,14 +205,14 @@ def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
             # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
             squarings = min(squarings + 1, 52) if narrowed else 0
             # a power step stands if it narrows the iterate's bracket, and at exponent 1 anyway
-            if not (narrowed or valid[0]):  # no trial counts: the ends stay as they are
+            if not (narrowed or valid):  # no trial counts: the ends stay as they are
                 break
         sigma, root, lower, g_vals, g_vecs, image = trial
         t += 1
-        xs[:, t % slots], gs[:, t % slots] = sigma, image
-        if lower[0] > best_lower:
-            best_lower, best_root = lower[0], root[0]
-        upper = np.fmin(upper, g_vals[0, -1])
+        xs[t % slots], gs[t % slots] = sigma, image
+        if lower > best_lower:
+            best_lower, best_root = lower, root
+        upper = np.fmin(upper, g_vals[-1])
     counts = {"iterations": t, "evaluations": evaluations, "accelerated_steps": accelerated}
     # the value lies in [lower, upper]; an upper end below the lower end is rounding
     return np.log2(best_lower), np.log2(np.fmax(upper, best_lower)), best_root, counts
@@ -339,6 +340,8 @@ def sweep_shifted_depol(
     them one by one. ``workers`` is accepted for compatibility and has no effect.
     """
     points = [(float(p), float(g)) for p in p_grid for g in gamma_grid]
+    if not points:  # an empty grid: there is no W to stack
+        return []
     pdms = [pdm_mod.pdm_from_channel(shifted_depolarizing(p, g)) for p, g in points]
     hw = _solve_covariant(np.array([2.0 * r.matrix for r in pdms]), cfg)[1]
     rows = []

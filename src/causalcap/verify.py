@@ -3,7 +3,10 @@ randomized suites for the structural identities the bounds rely on.
 
 The suites mirror the property checks in the test suite but are callable
 from the command line with a chosen case count and seed; failures are
-counted and reported, not raised.
+counted and reported, not raised. Every suite runs its cases through one
+loop with one rule: ``cases`` must be at least 1, and a case fails when its
+worst margin exceeds ``CPTP_ATOL`` (``HERM_ATOL`` for the swap intertwining
+residual).
 """
 
 from __future__ import annotations
@@ -105,6 +108,31 @@ def _random_single_qubit_channel(rng: np.random.Generator) -> QuantumChannel:
     return random_channel(1, 1, env_qubits=2, seed=int(rng.integers(2**31)))
 
 
+def _cases(name, seed, first, cases, margins, tol=CPTP_ATOL, fixed=()) -> SuiteResult:
+    """Run one suite: ``cases`` random cases, then the ``fixed`` margin lists.
+
+    Random case i passes the generator of case ``first + i`` to ``margins``, which
+    returns that case's margins. A case fails when its largest margin exceeds
+    ``tol``; the suite's worst margin is the largest over its cases.
+    """
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
+    drawn = [margins(_case_rng(seed, first + i)) for i in range(cases)]
+    worst = [max(case) for case in drawn + list(fixed)]
+    return SuiteResult(name, len(worst), sum(1 for m in worst if m > tol), max(worst))
+
+
+def _lemma2_margins(rng: np.random.Generator) -> list:
+    k = int(rng.integers(1, 3))
+    m = int(rng.integers(k, 3))
+    enc = from_kraus([random_isometry(2**m, 2**k, rng)], k, m)
+    mid = random_channel(m, m, env_qubits=1, seed=int(rng.integers(2**31)))
+    dec = random_channel(m, k, env_qubits=m - k + 1, seed=int(rng.integers(2**31)))
+    f_mid = pdm_mod.causality_F(pdm_mod.pdm_from_channel(mid))
+    f_all = pdm_mod.causality_F(pdm_mod.pdm_from_channel(compose(dec, compose(mid, enc))))
+    return [f_all - f_mid]
+
+
 def lemma2_suite(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
     """Causality never increases under isometric encoding plus decoding.
 
@@ -112,114 +140,65 @@ def lemma2_suite(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> Sui
     encoding from k to m qubits and a random decoding back to k qubits,
     and checks the causality measure of the composite against that of N.
     """
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
-    failures = 0
-    worst = -np.inf
-    for i in range(cases):
-        rng = _case_rng(seed, i)
-        k = int(rng.integers(1, 3))
-        m = int(rng.integers(k, 3))
-        enc = from_kraus(
-            [random_isometry(2**m, 2**k, rng)], k, m, label=f"enc{i}"
-        )
-        mid = random_channel(m, m, env_qubits=1, seed=int(rng.integers(2**31)))
-        dec = random_channel(m, k, env_qubits=m - k + 1, seed=int(rng.integers(2**31)))
-        f_mid = pdm_mod.causality_F(pdm_mod.pdm_from_channel(mid))
-        f_all = pdm_mod.causality_F(
-            pdm_mod.pdm_from_channel(compose(dec, compose(mid, enc)))
-        )
-        margin = f_all - f_mid
-        worst = max(worst, margin)
-        if margin > tol:
-            failures += 1
-    return SuiteResult("lemma2", cases, failures, worst)
+    return _cases("lemma2", seed, 0, cases, _lemma2_margins, tol)
 
 
-def suite_pdm(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
+def _pdm_margins(rng: np.random.Generator) -> list:
+    chan = _random_single_qubit_channel(rng)
+    r = pdm_mod.pdm_from_channel(chan)
+    f_r = pdm_mod.causality_F(r)
+    # nonnegativity, and exactly zero on separable product PDMs
+    sep = np.kron(random_density(2, rng), random_density(2, rng))
+    f_sep = pdm_mod.causality_F(pdm_mod.PseudoDensityMatrix(sep, 1, 1))
+    margins = [-f_r, abs(f_sep)]
+    # invariance under local change of basis
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    rotated = pdm_mod.PseudoDensityMatrix(u @ r.matrix @ u.conj().T, 1, 1)
+    margins.append(abs(pdm_mod.causality_F(rotated) - f_r))
+    # convex mixtures never exceed the worst component
+    other = pdm_mod.pdm_from_channel(_random_single_qubit_channel(rng))
+    w = float(rng.uniform(0.0, 1.0))
+    mix = pdm_mod.PseudoDensityMatrix(w * r.matrix + (1.0 - w) * other.matrix, 1, 1)
+    margins.append(pdm_mod.causality_F(mix) - max(f_r, pdm_mod.causality_F(other)))
+    # additivity over tensor products
+    prod = pdm_mod.PseudoDensityMatrix(np.kron(r.matrix, other.matrix), 2, 2)
+    margins.append(abs(pdm_mod.causality_F(prod) - f_r - pdm_mod.causality_F(other)))
+    # causality of the PDM equals log-negativity of the Choi state
+    margins.append(abs(f_r - pdm_mod.log_negativity(chan.choi, (2, 2))))
+    return margins
+
+
+def suite_pdm(seed: int = 0, cases: int = 100) -> SuiteResult:
     """Causality-measure properties plus the Choi log-negativity identity."""
-    failures = 0
-    worst = -np.inf
-    notes = []
-    for i in range(cases):
-        rng = _case_rng(seed, i)
-        chan = _random_single_qubit_channel(rng)
-        r = pdm_mod.pdm_from_channel(chan)
-        f_r = pdm_mod.causality_F(r)
-        margins = []
-        # nonnegativity, and exactly zero on separable product PDMs
-        sep = np.kron(random_density(2, rng), random_density(2, rng))
-        f_sep = pdm_mod.causality_F(pdm_mod.PseudoDensityMatrix(sep, 1, 1))
-        margins.append(-f_r)
-        margins.append(abs(f_sep))
-        # invariance under local change of basis
-        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-        rotated = pdm_mod.PseudoDensityMatrix(u @ r.matrix @ u.conj().T, 1, 1)
-        margins.append(abs(pdm_mod.causality_F(rotated) - f_r))
-        # convex mixtures never exceed the worst component
-        other = pdm_mod.pdm_from_channel(_random_single_qubit_channel(rng))
-        w = float(rng.uniform(0.0, 1.0))
-        mix = pdm_mod.PseudoDensityMatrix(
-            w * r.matrix + (1.0 - w) * other.matrix, 1, 1
-        )
-        margins.append(
-            pdm_mod.causality_F(mix) - max(f_r, pdm_mod.causality_F(other))
-        )
-        # additivity over tensor products
-        prod = pdm_mod.PseudoDensityMatrix(np.kron(r.matrix, other.matrix), 2, 2)
-        margins.append(
-            abs(pdm_mod.causality_F(prod) - f_r - pdm_mod.causality_F(other))
-        )
-        # causality of the PDM equals log-negativity of the Choi state
-        margins.append(abs(f_r - pdm_mod.log_negativity(chan.choi, (2, 2))))
-        case_worst = max(margins)
-        worst = max(worst, case_worst)
-        if case_worst > tol:
-            failures += 1
-    return SuiteResult("pdm", cases, failures, worst, notes)
+    return _cases("pdm", seed, 0, cases, _pdm_margins)
 
 
-def suite_lemmas(seed: int = 0, cases: int = 50, tol: float = CPTP_ATOL) -> SuiteResult:
+def _intertwining_margins(rng: np.random.Generator) -> list:
+    k = int(rng.integers(1, 3))
+    m = int(rng.integers(k, 3))
+    return [pdm_mod.lemma1_check(random_isometry(2**m, 2**k, rng), k, m)]
+
+
+def suite_lemmas(seed: int = 0, cases: int = 50) -> SuiteResult:
     """Swap intertwining residuals plus the encoding/decoding monotonicity."""
-    worst_residual = 0.0
-    failures = 0
-    for i in range(cases):
-        rng = _case_rng(seed, 10_000 + i)
-        k = int(rng.integers(1, 3))
-        m = int(rng.integers(k, 3))
-        iso = random_isometry(2**m, 2**k, rng)
-        residual = pdm_mod.lemma1_check(iso, k, m)
-        worst_residual = max(worst_residual, residual)
-        if residual > HERM_ATOL:
-            failures += 1
-    mono = lemma2_suite(seed=seed, cases=cases, tol=tol)
-    return SuiteResult(
-        "lemmas",
-        cases + mono.cases,
-        failures + mono.failures,
-        max(worst_residual, mono.worst_margin),
-        notes=[f"worst intertwining residual {worst_residual:.3e}"],
-    )
+    swap = _cases("lemmas", seed, 10_000, cases, _intertwining_margins, HERM_ATOL)
+    mono = lemma2_suite(seed=seed, cases=cases)
+    residual = max(swap.worst_margin, 0.0)
+    cases, failures = swap.cases + mono.cases, swap.failures + mono.failures
+    note = f"worst intertwining residual {residual:.3e}"
+    return SuiteResult("lemmas", cases, failures, max(residual, mono.worst_margin), [note])
 
 
-def suite_fidelity(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
+def _fidelity_margins(rng: np.random.Generator) -> list:
+    rho, sigma = random_density(2, rng), random_density(2, rng)
+    rec, chan = fvg_check(rho, sigma), _random_single_qubit_channel(rng)
+    routes = entanglement_fidelity(rho, chan) - _entanglement_fidelity_purified(rho, chan)
+    return [-rec.lower_gap, -rec.upper_gap, abs(routes)]
+
+
+def suite_fidelity(seed: int = 0, cases: int = 100) -> SuiteResult:
     """Fidelity inequality gaps and the two entanglement-fidelity routes."""
-    failures = 0
-    worst = -np.inf
-    for i in range(cases):
-        rng = _case_rng(seed, 20_000 + i)
-        rho = random_density(2, rng)
-        sigma = random_density(2, rng)
-        rec = fvg_check(rho, sigma)
-        margins = [-rec.lower_gap, -rec.upper_gap]
-        chan = _random_single_qubit_channel(rng)
-        fe = entanglement_fidelity(rho, chan)
-        margins.append(abs(fe - _entanglement_fidelity_purified(rho, chan)))
-        case_worst = max(margins)
-        worst = max(worst, case_worst)
-        if case_worst > tol:
-            failures += 1
-    return SuiteResult("fidelity", cases, failures, worst)
+    return _cases("fidelity", seed, 20_000, cases, _fidelity_margins)
 
 
 def _entanglement_fidelity_purified(rho: np.ndarray, c: QuantumChannel) -> float:
@@ -241,39 +220,32 @@ def _entanglement_fidelity_purified(rho: np.ndarray, c: QuantumChannel) -> float
     return float(np.real(phi.conj() @ evolved @ phi))
 
 
-def suite_bounds(seed: int = 0, cases: int = 100, tol: float = CPTP_ATOL) -> SuiteResult:
+def _surrogate_margins(rng: np.random.Generator) -> list:
+    chan = _random_single_qubit_channel(rng)
+    rep = bounds_mod.maxrains_surrogate(chan)
+    conj_caus = bounds_mod.causality_bound(conjugate(chan)).value
+    return [abs(rep.value - conj_caus), rep.diagnostics["log2_inf_norm"] - rep.value]
+
+
+def _hw_margins(chan: QuantumChannel) -> list:
+    caus = bounds_mod.causality_bound(chan).value
+    hw = bounds_mod.hw_bound(chan, bounds_mod.OptimizerConfig(tol=CPTP_ATOL)).diagnostics
+    return [caus - hw["lower"], hw["gap"]]
+
+
+def suite_bounds(seed: int = 0, cases: int = 100) -> SuiteResult:
     """Max-Rains surrogate identity, norm ordering, and the HW bracket.
 
     The surrogate must equal the causality bound of the conjugate channel,
-    computed here through an independent channel construction.
+    computed here through an independent channel construction. Four fixed cases
+    follow the random ones: the certified HW bracket on three closed-form channels
+    and one fixed-point solve (7 steps), whose lower end, attained by an input, is
+    at least causality and which closes to tolerance.
     """
-    failures = 0
-    worst = -np.inf
-    for i in range(cases):
-        rng = _case_rng(seed, 30_000 + i)
-        chan = _random_single_qubit_channel(rng)
-        rep = bounds_mod.maxrains_surrogate(chan)
-        conj_caus = bounds_mod.causality_bound(conjugate(chan)).value
-        margins = [
-            abs(rep.value - conj_caus),
-            rep.diagnostics["log2_inf_norm"] - rep.value,
-        ]
-        case_worst = max(margins)
-        worst = max(worst, case_worst)
-        if case_worst > tol:
-            failures += 1
-    # the certified HW bracket, on three closed-form channels and one fixed-point solve (7 steps):
-    # its lower end, attained by an input, is at least causality; the bracket closes to tolerance
-    cfg = bounds_mod.OptimizerConfig(tol=tol)
     hw_channels = [shifted_depolarizing(p, g) for p, g in [(0.05, 0.0), (0.15, 1.0), (0.25, 0.5)]]
-    for chan in hw_channels + [random_channel(1, 1, env_qubits=2, seed=0)]:
-        caus = bounds_mod.causality_bound(chan).value
-        hw = bounds_mod.hw_bound(chan, cfg).diagnostics
-        margin = max(caus - hw["lower"], hw["gap"])
-        worst = max(worst, margin)
-        if margin > tol:
-            failures += 1
-    return SuiteResult("bounds", cases + len(hw_channels) + 1, failures, worst)
+    hw_channels.append(random_channel(1, 1, env_qubits=2, seed=0))
+    hw = map(_hw_margins, hw_channels)  # evaluated after the random cases
+    return _cases("bounds", seed, 30_000, cases, _surrogate_margins, fixed=hw)
 
 
 SUITES = {

@@ -372,6 +372,10 @@ class TestSweep:
         no_op = dataclasses.replace(cfg, restarts=5, seed=12)
         assert serial == parallel == sweep_shifted_depol([0.1, 0.2], [0.0, 1.0], no_op)
 
+    @pytest.mark.parametrize("p_grid, gamma_grid", [([], [0.1]), ([0.1], [])])
+    def test_empty_grid_has_no_rows(self, p_grid, gamma_grid):
+        assert sweep_shifted_depol(p_grid, gamma_grid) == []
+
     def test_batched_rows_match_single_channel_solves(self):
         rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 11), np.linspace(0.0, 1.0, 6))
         for row in rows:

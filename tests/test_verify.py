@@ -4,6 +4,7 @@ import pytest
 from causalcap.channels import from_kraus, named_channel, shifted_depolarizing
 from causalcap.linalg import I2, PAULI_Z, random_density
 from causalcap.verify import (
+    SUITES,
     FidelityCheckRecord,
     entanglement_fidelity,
     fidelity,
@@ -134,3 +135,14 @@ class TestSuites:
     def test_run_suites_order(self):
         results = run_suites(["pdm", "fidelity"], seed=0, cases=5)
         assert [r.name for r in results] == ["pdm", "fidelity"]
+
+    @pytest.mark.parametrize("suite", [*SUITES.values(), lemma2_suite], ids=lambda f: f.__name__)
+    def test_zero_cases_rejected(self, suite):
+        # a suite that runs no case has checked nothing, so it may not pass
+        with pytest.raises(ValueError, match="cases must be at least 1"):
+            suite(seed=0, cases=0)
+
+    def test_case_counts(self):
+        # lemmas adds the monotonicity cases, bounds its four fixed HW cases
+        results = run_suites(list(SUITES), seed=0, cases=3)
+        assert [r.cases for r in results] == [3, 6, 3, 7]
