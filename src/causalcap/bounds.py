@@ -20,32 +20,25 @@ import numpy as np
 
 from . import pdm as pdm_mod
 from .channels import QuantumChannel, shifted_depolarizing
-from .linalg import HERM_ATOL, trace_norm  # noqa: F401  (trace_norm stays importable here)
+from .linalg import CPTP_ATOL, HERM_ATOL, trace_norm  # noqa: F401  (stays importable here)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the Holevo-Werner solver.
+    """Accepted by the Holevo-Werner entry points for compatibility; no effect.
 
-    ``max_iters`` caps the solver's steps and ``tol`` is the target width of
-    the certified bracket in log2 units; trial input marginals need
-    eigenvalues above eps / ``tol``. ``restarts`` and ``seed`` are
-    validated but have no effect: the solver is deterministic and, because
-    the problem is concave, needs no restarts.
+    ``restarts`` must be at least 1, and neither it nor ``seed`` changes a
+    result: the solver is deterministic and, because the problem is concave,
+    needs no restarts. Its bracket tolerance is ``CPTP_ATOL`` and its step cap
+    ``MAX_ITERS``; neither is a setting.
     """
 
     restarts: int = 32
-    max_iters: int = 2000
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -94,7 +87,11 @@ def analytic_shifted_depol(p: float, gamma: float) -> float:
 
 # Anderson mixing depth: the earlier (sigma, T(sigma)) pairs an extrapolated step mixes in
 ANDERSON_DEPTH = 5
+# the most steps a fixed-point solve takes
+MAX_ITERS = 2000
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+# the least eigenvalue a trial input marginal may have (see _solve_hw)
+_FLOOR = _EPS / CPTP_ATOL
 _OTHERS = {(k, j): np.delete(np.arange(k), j) for k in range(ANDERSON_DEPTH + 2) for j in range(k)}
 # the entries a phase-covariant 4x4 W may have: w00, w11, w22, w33, w12 and w21
 _COVARIANT = np.isin(np.arange(16), (0, 5, 6, 9, 10, 15)).reshape(4, 4)
@@ -119,19 +116,19 @@ def _bracket(w5: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
     return lower, g_vals, g_vecs, marginal / lower[:, None, None]
 
 
-def _evaluate(w5, sigma, floor):
+def _evaluate(w5, sigma):
     """Iterates (sigma, sqrt(sigma), lower, G eigenpairs, T(sigma)) at one sigma.
 
     W comes as a stack of one for :func:`_bracket`. Also returns whether every
-    eigenvalue of sigma is above ``floor``. If not, sigma is evaluated with its
-    eigenvalues raised to ``floor``, so that no sigma^(-1/2) is formed from a
+    eigenvalue of sigma is above ``_FLOOR``. If not, sigma is evaluated with its
+    eigenvalues raised to ``_FLOOR``, so that no sigma^(-1/2) is formed from a
     singular sigma; callers discard it.
     """
     vals, vecs = np.linalg.eigh(sigma)
-    vh, sqrt_vals = vecs.conj().T, np.sqrt(np.fmax(vals, floor))
+    vh, sqrt_vals = vecs.conj().T, np.sqrt(np.fmax(vals, _FLOOR))
     root = (vecs * sqrt_vals) @ vh
     lower, g_vals, g_vecs, image = _bracket(w5, root[None], ((vecs / sqrt_vals) @ vh)[None])
-    return vals[0] > floor, (sigma, root, lower[0], g_vals[0], g_vecs[0], image[0])
+    return vals[0] > _FLOOR, (sigma, root, lower[0], g_vals[0], g_vecs[0], image[0])
 
 
 def _power(root, g_vals, g_vecs, squarings: int):
@@ -167,20 +164,20 @@ def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
     return cand / (trace if trace > 0.0 else 1.0)
 
 
-def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
+def _solve_hw(w: np.ndarray, d: int):
     """Certified bracket on ||Theta o N||_dia for one W = d R: the fixed-point route.
 
     Maximises the concave f(sigma) from sigma = I/d. Each step first tries the Anderson
     extrapolation of the last ``ANDERSON_DEPTH + 1`` pairs (sigma, T(sigma) = Tr_out|M| /
     ||M||_1), kept if its bracket is narrower than the iterate's; else a power step, whose
     exponent doubles while the bracket narrows and is retaken at 1 (the plain fixed point)
-    when it widens. A trial counts only if its eigenvalues exceed eps / ``cfg.tol``: the
+    when it widens. A trial counts only if its eigenvalues exceed eps / ``CPTP_ATOL``: the
     upper end has a relative rounding error of up to eps / lambda_min(sigma). The solve
-    stops at a log2 bracket of at most ``cfg.tol``, after ``cfg.max_iters`` steps, or when
+    stops at a log2 bracket of at most ``CPTP_ATOL``, after ``MAX_ITERS`` steps, or when
     no trial counts. Returns log2 of the best lower and smallest upper end, sqrt(sigma) of
     the best lower end, and the counts of steps, bracket evaluations and extrapolations.
     """
-    dim, floor, slots = w.shape[0], _EPS / cfg.tol, ANDERSON_DEPTH + 1
+    dim, slots = w.shape[0], ANDERSON_DEPTH + 1
     w5 = w.reshape(1, d, dim // d, d, dim // d)
     root = np.eye(d, dtype=complex) / math.sqrt(d)
     lower, g_vals, g_vecs, image = (x[0] for x in _bracket(w5, root[None], root[None] * d))
@@ -189,17 +186,17 @@ def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
     xs = np.tile(np.eye(d, dtype=complex) / d, (slots, 1, 1))
     gs = np.repeat(image[None], slots, axis=0)
     evaluations, accelerated, squarings, t = 1, 0, 0, 0
-    while t < cfg.max_iters and np.log2(upper) - np.log2(best_lower) > cfg.tol:
+    while t < MAX_ITERS and np.log2(upper) - np.log2(best_lower) > CPTP_ATOL:
         width, won = g_vals[-1] - lower, False
         if t:
-            valid, trial = _evaluate(w5, _extrapolate(xs[: t + 1], gs[: t + 1], t % slots), floor)
+            valid, trial = _evaluate(w5, _extrapolate(xs[: t + 1], gs[: t + 1], t % slots))
             won = bool(valid and trial[3][-1] - trial[2] < width)
             evaluations, accelerated = evaluations + 1, accelerated + won
         if not won:
-            valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, squarings), floor)
+            valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, squarings))
             narrowed = bool(valid and trial[3][-1] - trial[2] < width)
             if not narrowed and squarings:  # retaken at exponent 1
-                valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, 0), floor)
+                valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, 0))
                 evaluations += 1
             evaluations += 1
             # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
@@ -218,19 +215,19 @@ def _solve_hw(w: np.ndarray, d: int, cfg: OptimizerConfig):
     return np.log2(best_lower), np.log2(np.fmax(upper, best_lower)), best_root, counts
 
 
-def _solve_covariant(w: np.ndarray, cfg: OptimizerConfig):
+def _solve_covariant(w: np.ndarray):
     """Certified brackets for a stack of phase-covariant 4x4 W: the closed-form route.
 
     f(sigma) is phase-invariant, so some diag(s, 1-s) is optimal (Holevo & Werner, PRA
     63, 032312, 2001): f(s) = s w00 + (1-s) w33 + max(t, sqrt(t^2 - 4 s(1-s) det)), with
     t = s w11 + (1-s) w22 and det = w11 w22 - |w12|^2. f'(s) = 0 squares to a quadratic;
     s* is the best of its roots in [0, 1] and of 0, 1/2, 1, and 1/2 where s* is within
-    eps / ``cfg.tol`` of 0 or 1 (f is flat there). One stacked :func:`_bracket` takes
-    sigma = I/2 and sigma*: an I/2 bracket that closes to ``cfg.tol`` is returned as
+    eps / ``CPTP_ATOL`` of 0 or 1 (f is flat there). One stacked :func:`_bracket` takes
+    sigma = I/2 and sigma*: an I/2 bracket that closes to ``CPTP_ATOL`` is returned as
     :func:`_solve_hw` returns it after 0 steps, else the larger lower and smaller upper
     end. Returns log2 of the lower and upper ends and sqrt(sigma) of the lower end.
     """
-    n, floor = w.shape[0], _EPS / cfg.tol
+    n = w.shape[0]
     w00, w11, w22, w33 = np.diagonal(w, axis1=1, axis2=2).real.T
     det, slope = w11 * w22 - np.abs(w[:, 1, 2]) ** 2, w00 - w33
     alpha, beta = (w11 - w22) ** 2 + 4.0 * det, 2.0 * w22 * (w11 - w22) - 4.0 * det
@@ -242,12 +239,12 @@ def _solve_covariant(w: np.ndarray, cfg: OptimizerConfig):
         t = s * w11 + (1.0 - s) * w22
         f = s * w00 + (1.0 - s) * w33 + np.fmax(t, np.sqrt(t * t - 4.0 * s * (1.0 - s) * det))
     s = s[np.argmax(f, axis=0), np.arange(n)]
-    amp = np.sqrt(np.where((s > floor) & (s < 1.0 - floor), [s, 1.0 - s], 0.5)).T[:, :, None]
+    amp = np.sqrt(np.where((s > _FLOOR) & (s < 1.0 - _FLOOR), [s, 1.0 - s], 0.5)).T[:, :, None]
     half, star = np.tile(np.eye(2, dtype=complex) / math.sqrt(2.0), (n, 1, 1)), amp * np.eye(2)
     roots = np.concatenate([half, star]), np.concatenate([half * 2.0, np.eye(2) / amp])
     lower, g_vals = _bracket(np.concatenate([w, w]).reshape(2 * n, 2, 2, 2, 2), *roots)[:2]
     (lo_half, lo_star), (up_half, up_star) = lower.reshape(2, n), g_vals[:, -1].reshape(2, n)
-    closed = ~(np.log2(up_half) - np.log2(lo_half) > cfg.tol)
+    closed = ~(np.log2(up_half) - np.log2(lo_half) > CPTP_ATOL)
     use_star = ~closed & (lo_star > lo_half)
     lower = np.where(use_star, lo_star, lo_half)
     upper = np.where(closed, up_half, np.fmin(up_half, up_star))
@@ -266,16 +263,16 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
     upper bound, ``lower`` is attained by ``best_input``. Both routes evaluate
     sigma = I/d, so ``value`` <= log2 lambda_max(Tr_out|W|); and sigma = I/d
     attains ||R||_1, so rounding below the causality bound F(R) is raised to
-    it. Rounding below zero is clamped.
+    it. Rounding below zero is clamped. ``cfg`` has no effect (:class:`OptimizerConfig`).
     """
     dim, r = c.dim_in, pdm_mod.pdm_from_channel(c)
     w, note = dim * r.matrix, "certified upper bound; best_input attains the lower end"
     if w.shape == (4, 4) and np.abs(w[~_COVARIANT]).max() <= HERM_ATOL:
-        lower, upper, root = (x[0] for x in _solve_covariant(w[None], cfg))
+        lower, upper, root = (x[0] for x in _solve_covariant(w[None]))
         counts = {"iterations": 0, "evaluations": 2, "accelerated_steps": 0}
         note = "certified upper bound (phase-covariant); best_input attains the lower end"
     else:
-        lower, upper, root, counts = _solve_hw(w, dim, cfg)
+        lower, upper, root, counts = _solve_hw(w, dim)
     value = max(pdm_mod.clamp_log2(float(upper)), pdm_mod.causality_F(r))
     low, amp = float(lower), root.reshape(-1)
     return BoundReport(
@@ -285,8 +282,8 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
         diagnostics={
             "restarts": 1,
             **counts,
-            "converged_restarts": int(value - low <= cfg.tol),
-            "tolerance": cfg.tol,
+            "converged_restarts": int(value - low <= CPTP_ATOL),
+            "tolerance": CPTP_ATOL,
             "lower": low,
             "gap": value - low,
             "note": note,
@@ -313,12 +310,10 @@ def maxrains_surrogate(c: QuantumChannel) -> BoundReport:
     )
 
 
-def compare_bounds(
-    c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()
-) -> dict[str, BoundReport]:
+def compare_bounds(c: QuantumChannel) -> dict[str, BoundReport]:
     """All applicable bounds for one channel, keyed by method."""
     caus = causality_bound(c)
-    hw = hw_bound(c, cfg)
+    hw = hw_bound(c)
     hw.diagnostics["hw_minus_causality"] = hw.value - caus.value
     return {
         "causality": caus,
@@ -337,13 +332,13 @@ def sweep_shifted_depol(
 
     Every shifted depolarizing W is phase-covariant, so the Holevo-Werner values
     come from one stacked :func:`_solve_covariant`, as :func:`hw_bound` gets
-    them one by one. ``workers`` is accepted for compatibility and has no effect.
+    them one by one. ``cfg`` and ``workers`` have no effect; they stay for compatibility.
     """
     points = [(float(p), float(g)) for p in p_grid for g in gamma_grid]
     if not points:  # an empty grid: there is no W to stack
         return []
     pdms = [pdm_mod.pdm_from_channel(shifted_depolarizing(p, g)) for p, g in points]
-    hw = _solve_covariant(np.array([2.0 * r.matrix for r in pdms]), cfg)[1]
+    hw = _solve_covariant(np.array([2.0 * r.matrix for r in pdms]))[1]
     rows = []
     for (p, g), r, value in zip(points, pdms, map(pdm_mod.clamp_log2, hw.tolist())):
         caus = pdm_mod.causality_F(r)

@@ -71,7 +71,6 @@ def _report_json(rep: bounds_mod.BoundReport) -> str:
 
 
 def cmd_bound(args) -> int:
-    cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)
     chan = _resolve_channel(args)
     reports = []
     if args.method in ("causality", "all"):
@@ -93,7 +92,7 @@ def cmd_bound(args) -> int:
                 "(and optionally --gamma)"
             )
     if args.method in ("hw", "all"):
-        reports.append(bounds_mod.hw_bound(chan, cfg))
+        reports.append(bounds_mod.hw_bound(chan))
     if args.method in ("maxrains", "all"):
         reports.append(bounds_mod.maxrains_surrogate(chan))
     for rep in reports:
@@ -110,6 +109,8 @@ def write_sweep_csv(rows, path) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.p_steps < 1 or args.gamma_steps < 1:
+        raise ValueError("--p-steps and --gamma-steps must be at least 1")
     p_grid = np.linspace(args.p_min, args.p_max, args.p_steps)
     gamma_grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)
@@ -177,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="all",
         choices=["causality", "hw", "analytic", "maxrains", "all"],
     )
-    # the Holevo-Werner solver is deterministic and needs no restarts
-    p_bound.add_argument("--seed", type=int, default=0, help="accepted; no effect")
-    p_bound.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
     p_bound.set_defaults(func=cmd_bound)
 
     p_sweep = sub.add_parser("sweep", help="bound sweep over a (p, gamma) grid")
@@ -190,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma-max", type=float, default=1.0)
     p_sweep.add_argument("--gamma-steps", type=int, default=21)
     p_sweep.add_argument("--out", required=True)
+    # the Holevo-Werner solver is deterministic and needs no restarts
     p_sweep.add_argument("--seed", type=int, default=0, help="accepted; no effect")
     p_sweep.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -210,12 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep" and (args.p_steps < 1 or args.gamma_steps < 1):
-        parser.error("grid steps must be at least 1")
-    if args.command == "verify" and args.cases < 1:
-        parser.error("--cases must be at least 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -16,9 +16,9 @@ import numpy as np
 # HERM_ATOL: max-entry distance at which two matrices count as equal: a matrix and its
 #   adjoint (then symmetrized), the sides of the swap identity, W and its phase-covariant part.
 HERM_ATOL = 1e-10
-# CPTP_ATOL: the trace defect and most negative eigenvalue of a density or Choi
-#   matrix, the TP residual max|d_in Tr_out J - I| of a channel, and the margin
-#   on the identities the verification suites check.
+# CPTP_ATOL: the trace defect and most negative eigenvalue of a density or Choi matrix,
+#   a channel's TP residual max|d_in Tr_out J - I|, the margin of the verify suites, and
+#   the log2 width that closes a Holevo-Werner bracket (eigenvalue floor eps / CPTP_ATOL).
 CPTP_ATOL = 1e-9
 # KRAUS_TRUNCATION: Choi eigenvalues at or below it yield no Kraus operator.
 KRAUS_TRUNCATION = 1e-10

@@ -65,7 +65,7 @@ class TestBound:
         code, out, _ = run(
             capsys,
             ["bound", "--channel", "shifted-depolarizing", "--p", "0.1",
-             "--gamma", "0", "--method", "all", "--seed", "7"] + FAST,
+             "--gamma", "0", "--method", "all"],
         )
         assert code == 0
         lines = [json.loads(line) for line in out.strip().splitlines()]
@@ -168,9 +168,14 @@ class TestVerify:
         assert code == 0
 
     def test_zero_cases_exit2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "all", "--cases", "0"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, ["verify", "--suite", "all", "--cases", "0"])
+        assert_clean_failure(code, out, err, 2)
+        assert "cases" in err
+
+    def test_negative_seed_exit2(self, capsys):
+        code, out, err = run(capsys, ["verify", "--suite", "pdm", "--seed", "-1"])
+        assert_clean_failure(code, out, err, 2)
+        assert "seed" in err
 
 
 class TestChannelInfo:
@@ -308,16 +313,28 @@ class TestExitCodes:
         path = write_doc(tmp_path, doc)
         assert_clean_failure(*run(capsys, ["bound", "--channel", str(path)]), 3)
 
-    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    @pytest.mark.parametrize("command", ["sweep"])
     def test_zero_restarts_exit2(self, capsys, tmp_path, command):
-        argv = {
-            "bound": ["bound", "--channel", "identity"],
-            "sweep": ["sweep", "--p-steps", "1", "--gamma-steps", "1",
-                      "--out", str(tmp_path / "x.csv")],
-        }[command]
+        # sweep is the one command left with the no-op --restarts
+        argv = [command, "--p-steps", "1", "--gamma-steps", "1", "--out", str(tmp_path / "x.csv")]
         code, out, err = run(capsys, argv + ["--restarts", "0"])
         assert_clean_failure(code, out, err, 2)
         assert "restarts" in err
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--seed"])
+    def test_bound_has_no_restarts_or_seed_flag(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--channel", "identity", flag, "4"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--p-steps", "--gamma-steps"])
+    def test_empty_grid_exit2(self, capsys, tmp_path, flag):
+        argv = ["sweep", flag, "0", "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, argv)
+        assert_clean_failure(code, out, err, 2)
+        assert flag in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_only_main_maps_exceptions_to_exit_codes():
@@ -420,21 +437,18 @@ def fuzz_dir(tmp_path_factory):
     | st.sets(st.sampled_from(sorted(FLAG_VALUES)), min_size=1, max_size=3).flatmap(
         lambda keys: st.fixed_dictionaries({k: FLAG_VALUES[k] for k in sorted(keys)})
     ),
-    restarts=st.none() | st.sampled_from([0, 1]),
 )
-def test_exit_code_contract(fuzz_dir, command, source, flags, restarts):
+def test_exit_code_contract(fuzz_dir, command, source, flags):
     if isinstance(source, bytes):
         path = fuzz_dir / "chan.json"
         path.write_bytes(source)
         source = str(path)
     argv = [*command, "--channel", source] + [f"--{k}={v!r}" for k, v in flags.items()]
-    if restarts is not None and command[0] == "bound":
-        argv.append(f"--restarts={restarts}")
     code, out, err = call(argv)
     assert code in (0, 2, 3), (argv, err)
     if code == 0:
         assert out and all(json.loads(line) for line in out.splitlines())
     else:
         assert out == "" and err.startswith("error:"), (argv, out, err)
-    if source.endswith(".json") and (flags or "--restarts=0" in argv):
+    if source.endswith(".json") and flags:
         assert code == 2, (argv, err)

@@ -115,17 +115,46 @@ class TestRequireState:
             require_state(bad.astype(complex))
 
 
+def numeric_literal(node) -> bool:
+    """A number written out (1e-9, -1e-9, 10**-9), not an expression naming a constant."""
+    parts = list(ast.walk(node))
+    allowed = (ast.Constant, ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator)
+    return all(isinstance(n, allowed) for n in parts) and any(
+        isinstance(n, ast.Constant) and type(n.value) in (int, float) for n in parts
+    )
+
+
 def test_tolerances_are_defined_only_in_linalg():
+    """Tolerance constants are assigned at module level in linalg alone, and outside
+    linalg no name ``tol`` or ending in a tolerance suffix is given a numeric literal,
+    whether it is a variable, a class field or a parameter default."""
     suffixes = ("_ATOL", "_TRUNCATION", "_CLAMP")
-    defined = {}
+    defined, literals = {}, []
     for path in sorted(Path(causalcap.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            pairs = []
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
-                    if name.id.endswith(suffixes):
-                        defined.setdefault(path.stem, []).append(name.id)
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                constants = [name for name in names if name.endswith(suffixes)]
+                if constants and node in tree.body:
+                    defined.setdefault(path.stem, []).extend(constants)
+                pairs = [(name, node.value) for name in names if node.value is not None]
+            elif isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                pairs = [(a.arg, d) for a, d in zip(positional[::-1], node.defaults[::-1])]
+                pairs += [(a.arg, d) for a, d in zip(node.kwonlyargs, node.kw_defaults) if d]
+            literals += [
+                f"{path.stem}:{value.lineno} {name}"
+                for name, value in pairs
+                if path.stem != "linalg"
+                and (name == "tol" or name.endswith(suffixes))
+                and numeric_literal(value)
+            ]
     assert set(defined) == {"linalg"}, defined
+    assert sorted(defined["linalg"]) == ["CPTP_ATOL", "HERM_ATOL", "KRAUS_TRUNCATION", "NEG_CLAMP"]
+    assert not literals, literals
 
 
 def test_every_public_src_definition_is_used():

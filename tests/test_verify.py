@@ -142,6 +142,11 @@ class TestSuites:
         with pytest.raises(ValueError, match="cases must be at least 1"):
             suite(seed=0, cases=0)
 
+    @pytest.mark.parametrize("suite", [*SUITES.values(), lemma2_suite], ids=lambda f: f.__name__)
+    def test_negative_seed_rejected(self, suite):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            suite(seed=-1, cases=1)
+
     def test_case_counts(self):
         # lemmas adds the monotonicity cases, bounds its four fixed HW cases
         results = run_suites(list(SUITES), seed=0, cases=3)
