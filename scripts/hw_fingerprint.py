@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print two SHA-256 digests over the Holevo-Werner results.
+"""Print three SHA-256 digests: two over the Holevo-Werner results, one over the PDMs.
 
 The first ("named") covers the rows of the default 26x21 shifted depolarizing
 sweep and ``hw_bound`` on the named 1-qubit channels: amplitude damping at 41
@@ -11,6 +11,10 @@ env_qubits=e, seed=s)`` for q in {1, 2}, e in {1, 2, 3} and s < 50, plus three
 channel the digest takes the ``hw_bound`` value, every diagnostic and the
 bytes of ``best_input``. Floats enter the digests exactly (as ``float.hex``),
 so two checkouts that print the same digest produced bit-identical results.
+The third ("causality") covers the channels of the default 26x21 sweep grid
+and ``random_channel(q, q, seed=s)`` for q in {1, 2, 3} and s < 8: for each it
+takes the bytes of the Choi matrix and of the PDM, the causality bound, and
+the ``maxrains_surrogate`` value with its ``log2_inf_norm``.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/hw_fingerprint.py
@@ -22,8 +26,9 @@ import time
 
 import numpy as np
 
-from causalcap.bounds import hw_bound, sweep_shifted_depol
-from causalcap.channels import named_channel, random_channel
+from causalcap.bounds import causality_bound, hw_bound, maxrains_surrogate, sweep_shifted_depol
+from causalcap.channels import named_channel, random_channel, shifted_depolarizing
+from causalcap.pdm import pdm_from_channel
 
 # 2 -> 2 qubit channels with 3 environment qubits: a singular optimal input
 # marginal (the first and last) and an ill-conditioned one (the middle)
@@ -82,6 +87,24 @@ def random_fingerprint() -> tuple[str, int]:
     return digest.hexdigest(), len(chans)
 
 
+def causality_fingerprint() -> tuple[str, int]:
+    """(hex digest, channels) over the PDMs of the grid and of small random channels."""
+    digest = hashlib.sha256()
+    chans = [
+        shifted_depolarizing(float(p), float(g))
+        for p in np.linspace(0.0, 0.25, 26)
+        for g in np.linspace(0.0, 1.0, 21)
+    ] + [random_channel(q, q, seed=s) for q in (1, 2, 3) for s in range(8)]
+    for c in chans:
+        digest.update(b"chan" + c.label.encode() + c.choi.tobytes())
+        digest.update(pdm_from_channel(c).matrix.tobytes())
+        digest.update(b"causality=" + _field(causality_bound(c).value))
+        rains = maxrains_surrogate(c)
+        digest.update(b"maxrains=" + _field(rains.value))
+        digest.update(b"log2_inf_norm=" + _field(rains.diagnostics["log2_inf_norm"]))
+    return digest.hexdigest(), len(chans)
+
+
 def main() -> None:
     t0 = time.perf_counter()
     hexdigest, rows, chans = named_fingerprint()
@@ -90,6 +113,10 @@ def main() -> None:
     t0 = time.perf_counter()
     hexdigest, chans = random_fingerprint()
     print(f"random: {chans} channels in {time.perf_counter() - t0:.1f} s")
+    print(hexdigest)
+    t0 = time.perf_counter()
+    hexdigest, chans = causality_fingerprint()
+    print(f"causality: {chans} channels in {time.perf_counter() - t0:.1f} s")
     print(hexdigest)
 
 

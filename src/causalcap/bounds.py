@@ -7,7 +7,9 @@ bracket on a concave problem over the input marginal (in closed form where
 W = d R has the phase-covariant pattern of every named channel, else by a
 fixed-point solve), and a max-Rains surrogate from the partially transposed
 Choi matrix. The PDM R from :func:`pdm.pdm_from_channel` is the one operator
-all of them read. All values are in qubits per channel use.
+all of them read. It is built once per channel and held weakly, and its trace
+norm is computed once, so every bound read from one channel shares both. All
+values are in qubits per channel use.
 """
 
 from __future__ import annotations

@@ -206,7 +206,11 @@ def _shifted_depolarizing(p: float, gamma: float, label: str) -> QuantumChannel:
         raise ValueError(f"gamma={gamma!r} outside [0, 1]")
     phi = I2.reshape(-1) / np.sqrt(2.0)
     shift = (I2 + gamma * PAULI_Z) / 2.0
-    j = (1.0 - 4.0 * p) * np.outer(phi, phi) + 4.0 * p * np.kron(I2 / 2.0, shift)
+    j = (1.0 - 4.0 * p) * np.outer(phi, phi)
+    # I/2 x shift is block diagonal with shift / 2 in both blocks
+    block = 4.0 * p * (shift / 2.0)
+    j[:2, :2] += block
+    j[2:, 2:] += block
     return kraus_from_choi(j, 1, 1, label)
 
 

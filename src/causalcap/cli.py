@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 invalid
 channel file, 4 unwritable output path. Commands raise and :func:`main` alone
 maps the exception to a code: ``ChannelFormatError`` (every way a channel file
 can fail to load) to 3, ``OSError`` (only writing ``--out`` raises one) to 4,
-and any other ``ValueError`` (bad or conflicting arguments) to 2.
+and any other ``ValueError`` (bad or conflicting arguments, including every
+argument argparse rejects) to 2.
 """
 
 from __future__ import annotations
@@ -165,8 +166,15 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strength", type=float, help="dephasing strength")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` for a rejected argument instead of exiting (subparsers too)."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalcap",
         description="Capacity upper bounds for qubit channels",
     )
@@ -209,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         if isinstance(exc, ChannelFormatError):  # a ValueError, so tested first

@@ -4,12 +4,18 @@ A pseudo-density matrix (PDM) is Hermitian with unit trace but, unlike a
 density matrix, may carry negative eigenvalues; those witness temporal
 correlations between the two ends of a process. The causality measure is
 the base-2 logarithm of its trace norm.
+
+A channel's PDM R is built once, kept in a table that holds the channel
+weakly (an entry dies with its channel), and computes its trace norm once;
+every bound read from one channel shares both.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +32,13 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoDensityMatrix:
-    """Hermitian unit-trace operator over (earlier time x later time)."""
+    """Hermitian unit-trace operator over (earlier time x later time).
+
+    ``matrix`` is read-only. PDMs compare and hash by identity, as channels do;
+    compare ``matrix`` for value equality.
+    """
 
     matrix: np.ndarray
     l_in: int
@@ -46,6 +56,11 @@ class PseudoDensityMatrix:
             raise ValueError(f"pseudo-density matrix trace {tr!r} is not 1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def trace_norm(self) -> float:
+        """||R||_1, computed on first use and kept."""
+        return trace_norm(self.matrix)
 
 
 def swap_matrix(l: int) -> np.ndarray:
@@ -78,19 +93,27 @@ def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
     return PseudoDensityMatrix(k @ r + r @ k, l_in=1, l_out=1)
 
 
+# channel -> its PDM; an entry dies with its channel
+_PDMS = weakref.WeakKeyDictionary()
+
+
 def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
     """PDM of a channel probed with a maximally mixed earlier-time register.
 
     R = (I x N)(SWAP / d) is the Choi matrix transposed on its reference
     factor, since SWAP / d = T_A(|Phi+><Phi+|) and T_A commutes with I x N.
+    It is built on the first call for a channel; later calls return the same R.
     """
-    if c.qubits_in != c.qubits_out:
-        raise ValueError(
-            f"{c.label}: PDM construction needs equal input/output qubit counts "
-            f"(got {c.qubits_in}->{c.qubits_out})"
-        )
-    r = partial_transpose(c.choi, (c.dim_in, c.dim_out), 0)
-    return PseudoDensityMatrix(r, l_in=c.qubits_in, l_out=c.qubits_out)
+    r = _PDMS.get(c)
+    if r is None:
+        if c.qubits_in != c.qubits_out:
+            raise ValueError(
+                f"{c.label}: PDM construction needs equal input/output qubit counts "
+                f"(got {c.qubits_in}->{c.qubits_out})"
+            )
+        t_a = partial_transpose(c.choi, (c.dim_in, c.dim_out), 0)
+        r = _PDMS[c] = PseudoDensityMatrix(t_a, l_in=c.qubits_in, l_out=c.qubits_out)
+    return r
 
 
 def clamp_log2(value: float) -> float:
@@ -104,12 +127,12 @@ def clamp_log2(value: float) -> float:
 
 def causality_F(r: PseudoDensityMatrix) -> float:
     """log2 of the PDM trace norm; zero for positive semi-definite PDMs."""
-    return clamp_log2(math.log2(trace_norm(r.matrix)))
+    return clamp_log2(math.log2(r.trace_norm))
 
 
 def f_tr(r: PseudoDensityMatrix) -> float:
     """Trace-norm causality monotone, trace norm minus one."""
-    return trace_norm(r.matrix) - 1.0
+    return r.trace_norm - 1.0
 
 
 def log_negativity(state: np.ndarray, dims) -> float:

@@ -332,6 +332,15 @@ class TestShiftedDepolarizing:
                 c = shifted_depolarizing(p, gamma)
                 assert np.array_equal(from_kraus(c.kraus).choi, c.choi)
 
+    def test_choi_is_bit_identical_to_the_kron_formula_on_grid(self):
+        phi = I2.reshape(-1) / np.sqrt(2.0)
+        for p in np.linspace(0.0, 0.25, 26):
+            for gamma in np.linspace(0.0, 1.0, 21):
+                shift = (I2 + gamma * PAULI_Z) / 2.0
+                j = (1.0 - 4.0 * p) * np.outer(phi, phi) + 4.0 * p * np.kron(I2 / 2.0, shift)
+                ref = kraus_from_choi(j, 1, 1).choi
+                assert np.array_equal(shifted_depolarizing(p, gamma).choi, ref), (p, gamma)
+
     @pytest.mark.parametrize("p,gamma", [(-0.1, 0.0), (0.3, 0.0), (0.1, 1.5)])
     def test_range_checks(self, p, gamma):
         with pytest.raises(ValueError):

@@ -323,10 +323,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--restarts", "--seed"])
     def test_bound_has_no_restarts_or_seed_flag(self, capsys, flag):
+        code, out, err = run(capsys, ["bound", "--channel", "identity", flag, "4"])
+        assert_clean_failure(code, out, err, 2)
+        assert f"unrecognized arguments: {flag} 4" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--cases", "x"], "invalid int value: 'x'"),
+            (["verify", "--suite", "nope"], "invalid choice: 'nope'"),
+            (["bound", "--channel", "identity", "--method", "nope"], "invalid choice: 'nope'"),
+            (["bound"], "required: --channel"),
+            ([], "required: command"),
+        ],
+    )
+    def test_argparse_rejections_exit2_with_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert_clean_failure(code, out, err, 2)
+        assert message in err and err.count("\n") == 1 and "usage" not in err
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bound", "--channel", "identity", flag, "4"])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--cases" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--p-steps", "--gamma-steps"])
     def test_empty_grid_exit2(self, capsys, tmp_path, flag):

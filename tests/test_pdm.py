@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from causalcap import bounds, pdm
 from causalcap.channels import (
     from_kraus,
     named_channel,
@@ -134,6 +137,52 @@ class TestPdmFromChannel:
         c = random_channel(1, 2, env_qubits=1, seed=0)
         with pytest.raises(ValueError, match="equal input/output"):
             pdm_from_channel(c)
+
+
+class TestOnePdmPerChannel:
+    def test_same_channel_gives_the_same_pdm(self):
+        c = random_channel(2, 2, env_qubits=1, seed=3)
+        assert pdm_from_channel(c) is pdm_from_channel(c)
+        other = random_channel(2, 2, env_qubits=1, seed=3)
+        assert pdm_from_channel(other) is not pdm_from_channel(c)
+        assert np.array_equal(pdm_from_channel(other).matrix, pdm_from_channel(c).matrix)
+
+    def test_pdms_compare_and_hash_by_identity(self):
+        c = random_channel(1, 1, env_qubits=1, seed=4)
+        r = pdm_from_channel(c)
+        s = PseudoDensityMatrix(r.matrix, l_in=1, l_out=1)
+        assert r == r and r != s
+        assert hash(r) == hash(r) and len({r, s}) == 2
+
+    def test_the_memo_keeps_no_channel_alive(self):
+        c = random_channel(1, 1, env_qubits=1, seed=5)
+        r = pdm_from_channel(c)
+        ref = weakref.ref(c)
+        del c
+        gc.collect()
+        assert ref() is None
+        assert r.trace_norm >= 1.0  # the PDM outlives its channel
+
+    def test_compare_bounds_builds_r_and_its_norm_once(self, monkeypatch):
+        calls = {"partial_transpose": 0, "trace_norm": 0}
+
+        def counted(name):
+            inner = getattr(pdm, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pdm, name, counted(name))
+        for c in (shifted_depolarizing(0.1, 0.4), random_channel(2, 2, env_qubits=2, seed=6)):
+            calls.update(dict.fromkeys(calls, 0))
+            reports = bounds.compare_bounds(c)
+            assert calls == {"partial_transpose": 1, "trace_norm": 1}
+            r = pdm_from_channel(c)
+            assert reports["causality"].value == causality_F(r) == math.log2(r.trace_norm)
 
 
 class TestCausalityMeasure:
