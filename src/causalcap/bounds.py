@@ -4,12 +4,14 @@ Four routes are implemented: the optimization-free causality bound (trace
 norm of the channel PDM), the closed-form expression for shifted
 depolarizing channels, the Holevo-Werner comparison bound as a certified
 bracket on a concave problem over the input marginal (in closed form where
-W = d R has the phase-covariant pattern of every named channel, else by a
-fixed-point solve), and a max-Rains surrogate from the partially transposed
-Choi matrix. The PDM R from :func:`pdm.pdm_from_channel` is the one operator
-all of them read. It is built once per channel and held weakly, and its trace
-norm is computed once, so every bound read from one channel shares both. All
-values are in qubits per channel use.
+W = d R has the phase-covariant pattern of every named channel: the optimal
+marginal picked per W in plain floats, then one batched bracket certifying a
+whole stack of W; else by a fixed-point solve), and a max-Rains surrogate
+from the partially transposed Choi matrix. The PDM R from
+:func:`pdm.pdm_from_channel` is the one operator all of them read. It is built
+once per channel and held weakly, and its trace norm is computed once, so
+every bound read from one channel shares both. All values are in qubits per
+channel use.
 """
 
 from __future__ import annotations
@@ -217,41 +219,78 @@ def _solve_hw(w: np.ndarray, d: int):
     return np.log2(best_lower), np.log2(np.fmax(upper, best_lower)), best_root, counts
 
 
+def _sigma_star(w00: float, w11: float, w22: float, w33: float, a12: float) -> float:
+    """s* for one phase-covariant W, from its diagonal and a12 = |w12|, in plain floats.
+
+    f(s) = s w00 + (1-s) w33 + max(t, sqrt(t^2 - 4 s(1-s) det)), with t = s w11 + (1-s) w22
+    and det = w11 w22 - a12^2. f'(s) = 0 squares to a quadratic with roots centre -+
+    spread. Each candidate in (root, root, 0, 1/2, 1) that is not real or not in [0, 1]
+    is replaced by 1/2, and the first that maximises f wins.
+    """
+    det, slope, gap = w11 * w22 - a12 * a12, w00 - w33, w11 - w22
+    alpha, beta = gap * gap + 4.0 * det, 2.0 * w22 * gap - 4.0 * det
+    pair, den = (0.5, 0.5), alpha - slope * slope
+    if alpha != 0.0 and den != 0.0:  # else the quadratic has no finite roots
+        centre = -beta / (2.0 * alpha)
+        ratio = (w22 * w22 / alpha - centre * centre) / den
+        if ratio >= 0.0:  # else the roots are not real
+            spread = abs(slope) * math.sqrt(ratio)
+            pair = (centre - spread, centre + spread)
+    best, best_f = 0.5, -math.inf
+    for s in (*pair, 0.0, 0.5, 1.0):
+        s = s if 0.0 <= s <= 1.0 else 0.5
+        t = s * w11 + (1.0 - s) * w22
+        disc = t * t - 4.0 * s * (1.0 - s) * det
+        f = s * w00 + (1.0 - s) * w33 + (max(t, math.sqrt(disc)) if disc >= 0.0 else t)
+        if f > best_f:
+            best, best_f = s, f
+    return best
+
+
+def _diagonal_stack(pairs) -> np.ndarray:
+    """Complex 2x2 matrices diag(a, b), one per pair (a, b)."""
+    out = np.zeros((len(pairs), 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = np.array(pairs).T
+    return out
+
+
 def _solve_covariant(w: np.ndarray):
     """Certified brackets for a stack of phase-covariant 4x4 W: the closed-form route.
 
     f(sigma) is phase-invariant, so some diag(s, 1-s) is optimal (Holevo & Werner, PRA
-    63, 032312, 2001): f(s) = s w00 + (1-s) w33 + max(t, sqrt(t^2 - 4 s(1-s) det)), with
-    t = s w11 + (1-s) w22 and det = w11 w22 - |w12|^2. f'(s) = 0 squares to a quadratic;
-    s* is the best of its roots in [0, 1] and of 0, 1/2, 1, and 1/2 where s* is within
-    eps / ``CPTP_ATOL`` of 0 or 1 (f is flat there). One stacked :func:`_bracket` takes
-    sigma = I/2 and sigma*: an I/2 bracket that closes to ``CPTP_ATOL`` is returned as
-    :func:`_solve_hw` returns it after 0 steps, else the larger lower and smaller upper
-    end. Returns log2 of the lower and upper ends and sqrt(sigma) of the lower end.
+    63, 032312, 2001). :func:`_sigma_star` picks s* per W in plain floats: the best of the
+    roots of the squared f'(s) = 0 in [0, 1] and of 0, 1/2, 1; sigma* = I/2 where s* is
+    within eps / ``CPTP_ATOL`` of 0 or 1 (f is flat there). One stacked :func:`_bracket`
+    certifies sigma = I/2 and sigma* for every W: an I/2 bracket that closes to
+    ``CPTP_ATOL`` is returned as :func:`_solve_hw` returns it after 0 steps, else the
+    larger lower and smaller upper end. Returns lists of log2 of the lower and upper ends
+    and the stack of sqrt(sigma) of the lower ends.
     """
-    n = w.shape[0]
-    w00, w11, w22, w33 = np.diagonal(w, axis1=1, axis2=2).real.T
-    det, slope = w11 * w22 - np.abs(w[:, 1, 2]) ** 2, w00 - w33
-    alpha, beta = (w11 - w22) ** 2 + 4.0 * det, 2.0 * w22 * (w11 - w22) - 4.0 * det
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where there is no real root
-        centre = -beta / (2.0 * alpha)
-        spread = np.abs(slope) * np.sqrt((w22**2 / alpha - centre**2) / (alpha - slope**2))
-        s = np.vstack([centre - spread, centre + spread, [[0.0], [0.5], [1.0]] * np.ones(n)])
-        s = np.where((s >= 0.0) & (s <= 1.0), s, 0.5)
-        t = s * w11 + (1.0 - s) * w22
-        f = s * w00 + (1.0 - s) * w33 + np.fmax(t, np.sqrt(t * t - 4.0 * s * (1.0 - s) * det))
-    s = s[np.argmax(f, axis=0), np.arange(n)]
-    amp = np.sqrt(np.where((s > _FLOOR) & (s < 1.0 - _FLOOR), [s, 1.0 - s], 0.5)).T[:, :, None]
-    half, star = np.tile(np.eye(2, dtype=complex) / math.sqrt(2.0), (n, 1, 1)), amp * np.eye(2)
-    roots = np.concatenate([half, star]), np.concatenate([half * 2.0, np.eye(2) / amp])
+    n, edge, half = w.shape[0], float(_FLOOR), 1.0 / math.sqrt(2.0)
+    diagonals = np.diagonal(w, axis1=1, axis2=2).real.tolist()
+    stars = []  # the diagonal of sqrt(sigma*) per W
+    for (w00, w11, w22, w33), a12 in zip(diagonals, np.abs(w[:, 1, 2]).tolist()):
+        s = _sigma_star(w00, w11, w22, w33, a12)
+        inside = edge < s < 1.0 - edge
+        stars.append((math.sqrt(s), math.sqrt(1.0 - s)) if inside else (math.sqrt(0.5),) * 2)
+    # sqrt(sigma) and its inverse for sigma = I/2 (rows < n) and sigma* (rows >= n)
+    roots = (
+        _diagonal_stack([(half, half)] * n + stars),
+        _diagonal_stack([(half * 2.0, half * 2.0)] * n + [(1.0 / a, 1.0 / b) for a, b in stars]),
+    )
     lower, g_vals = _bracket(np.concatenate([w, w]).reshape(2 * n, 2, 2, 2, 2), *roots)[:2]
-    (lo_half, lo_star), (up_half, up_star) = lower.reshape(2, n), g_vals[:, -1].reshape(2, n)
-    closed = ~(np.log2(up_half) - np.log2(lo_half) > CPTP_ATOL)
-    use_star = ~closed & (lo_star > lo_half)
-    lower = np.where(use_star, lo_star, lo_half)
-    upper = np.where(closed, up_half, np.fmin(up_half, up_star))
-    root = np.where(use_star[:, None, None], star, half)
-    return np.log2(lower), np.log2(np.fmax(upper, lower)), root
+    ends = np.stack([lower, g_vals[:, -1]])
+    (lo, up), (log_lo, log_up) = ends.tolist(), np.log2(ends).tolist()
+    lows, ups, picks = [], [], []
+    for i in range(n):
+        lo_i = up_i = i  # the rows of the ends; row i + n holds sigma*
+        if log_up[i] - log_lo[i] > CPTP_ATOL:  # the I/2 bracket is open
+            lo_i = i + n if lo[i + n] > lo[i] else i
+            up_i = i + n if up[i + n] < up[i] else i
+        lows.append(log_lo[lo_i])
+        ups.append(log_up[up_i] if up[up_i] >= lo[lo_i] else log_lo[lo_i])
+        picks.append(lo_i)
+    return lows, ups, roots[0][picks]
 
 
 def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
@@ -342,7 +381,7 @@ def sweep_shifted_depol(
     pdms = [pdm_mod.pdm_from_channel(shifted_depolarizing(p, g)) for p, g in points]
     hw = _solve_covariant(np.array([2.0 * r.matrix for r in pdms]))[1]
     rows = []
-    for (p, g), r, value in zip(points, pdms, map(pdm_mod.clamp_log2, hw.tolist())):
+    for (p, g), r, value in zip(points, pdms, map(pdm_mod.clamp_log2, hw)):
         caus = pdm_mod.causality_F(r)
         value = max(value, caus)  # as in hw_bound
         rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))

@@ -40,9 +40,12 @@ EXIT_USAGE = 2
 EXIT_BAD_CHANNEL = 3
 EXIT_BAD_OUTPUT = 4
 
+# the most (p, gamma) points one sweep may have: about 0.4 GB at about 4 KB per point
+MAX_SWEEP_POINTS = 100_000
+
 
 def _fmt(x: float) -> str:
-    """12 significant digits, enough to round-trip doubles for diffing."""
+    """12 significant digits: stable text for diffing; round-tripping a double needs 17."""
     return format(float(x), ".12g")
 
 
@@ -112,6 +115,11 @@ def write_sweep_csv(rows, path) -> None:
 def cmd_sweep(args) -> int:
     if args.p_steps < 1 or args.gamma_steps < 1:
         raise ValueError("--p-steps and --gamma-steps must be at least 1")
+    if args.p_steps * args.gamma_steps > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"--p-steps x --gamma-steps = {args.p_steps * args.gamma_steps} points; "
+            f"at most {MAX_SWEEP_POINTS} are allowed"
+        )
     p_grid = np.linspace(args.p_min, args.p_max, args.p_steps)
     gamma_grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)

@@ -11,6 +11,8 @@ from causalcap.bounds import (
     MAX_ITERS,
     OptimizerConfig,
     SweepRow,
+    _sigma_star,
+    _solve_covariant,
     _solve_hw,
     analytic_shifted_depol,
     causality_bound,
@@ -248,13 +250,43 @@ class TestHwBracketProperties:
         assert rep.value <= hw_ceiling(chan) + 1e-12
 
 
+def reference_sigma_star(w: np.ndarray) -> np.ndarray:
+    """s* per W in a stack of phase-covariant 4x4 W, by vectorised NaN masking.
+
+    The closed-form route's earlier selection, kept as a reference for :func:`_sigma_star`.
+    """
+    n = w.shape[0]
+    w00, w11, w22, w33 = np.diagonal(w, axis1=1, axis2=2).real.T
+    det, slope = w11 * w22 - np.abs(w[:, 1, 2]) ** 2, w00 - w33
+    alpha, beta = (w11 - w22) ** 2 + 4.0 * det, 2.0 * w22 * (w11 - w22) - 4.0 * det
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where there is no real root
+        centre = -beta / (2.0 * alpha)
+        spread = np.abs(slope) * np.sqrt((w22**2 / alpha - centre**2) / (alpha - slope**2))
+        s = np.vstack([centre - spread, centre + spread, [[0.0], [0.5], [1.0]] * np.ones(n)])
+        s = np.where((s >= 0.0) & (s <= 1.0), s, 0.5)
+        t = s * w11 + (1.0 - s) * w22
+        f = s * w00 + (1.0 - s) * w33 + np.fmax(t, np.sqrt(t * t - 4.0 * s * (1.0 - s) * det))
+    return s[np.argmax(f, axis=0), np.arange(n)]
+
+
+def covariant_w(w00, w11, w22, w33, w12) -> np.ndarray:
+    """The 4x4 W with diagonal (w00, w11, w22, w33), w12 and w21 = w12*."""
+    w = np.diag([w00, w11, w22, w33]).astype(complex)
+    w[1, 2], w[2, 1] = w12, np.conj(w12)
+    return w
+
+
+def default_grid_channels():
+    return [
+        shifted_depolarizing(p, g)
+        for p in np.linspace(0.0, 0.25, 26)
+        for g in np.linspace(0.0, 1.0, 21)
+    ]
+
+
 class TestPhaseCovariantRoute:
     def test_closed_form_inside_fixed_point_bracket(self):
-        chans = [
-            shifted_depolarizing(p, g)
-            for p in np.linspace(0.0, 0.25, 26)
-            for g in np.linspace(0.0, 1.0, 21)
-        ]
+        chans = default_grid_channels()
         chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
         for chan in chans:
             rep = hw_bound(chan)
@@ -263,6 +295,43 @@ class TestPhaseCovariantRoute:
             assert rep.diagnostics["gap"] <= CPTP_ATOL, chan.label
             assert rep.diagnostics["iterations"] == 0, chan.label
             assert "phase-covariant" in rep.diagnostics["note"]
+
+    def test_scalar_sigma_star_matches_vectorised_reference(self):
+        chans = default_grid_channels()
+        chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
+        chans += [named_channel("dephasing", strength=s) for s in np.linspace(0.0, 1.0, 11)]
+        chans += [named_channel("depolarizing", p=p) for p in np.linspace(0.0, 0.25, 11)]
+        ws = [2.0 * pdm_from_channel(c).matrix for c in chans]
+        rng = np.random.default_rng(15)
+        for scale in (1e-3, 1.0, 10.0):
+            for _ in range(200):
+                d, z = scale * rng.random(4), rng.normal() + 1j * rng.normal()
+                ws.append(covariant_w(*d, z * rng.random() * math.sqrt(d[1] * d[2] + 0.1)))
+        ws += [
+            2.0 * pdm_from_channel(shifted_depolarizing(0.1, 0.0)).matrix,  # gamma = 0: double root
+            covariant_w(0.3, 1.0, 1.0, 0.7, 1.0),  # alpha == 0
+            covariant_w(1.0, 1.0, 0.0, 0.0, 0.0),  # alpha == slope^2
+            covariant_w(0.0, 0.0, 1.0, 0.0, 0.25),  # negative radicand: roots not real
+            covariant_w(0.0, 0.25, 1.0, 0.0, 0.5),  # both roots outside [0, 1]
+            covariant_w(1.0, 0.0, 0.0, 0.0, 0.0),  # s* = 1
+            covariant_w(0.0, 0.0, 0.0, 1.0, 0.0),  # s* = 0
+        ]
+        w = np.array(ws)
+        scalar = [
+            _sigma_star(*diag, a12)
+            for diag, a12 in zip(np.diagonal(w, axis1=1, axis2=2).real.tolist(),
+                                 np.abs(w[:, 1, 2]).tolist())
+        ]
+        reference = reference_sigma_star(w).tolist()
+        assert [x.hex() for x in scalar] == [x.hex() for x in reference]
+        assert {0.0, 1.0} <= set(scalar) and 0.5 in scalar
+
+    def test_stacked_solve_matches_lone_solves(self):
+        w = np.array([2.0 * pdm_from_channel(c).matrix for c in default_grid_channels()])
+        stacked = _solve_covariant(w)
+        lone = [_solve_covariant(x[None]) for x in w]
+        for k in range(3):
+            assert np.array_equal(stacked[k], [x[k][0] for x in lone])
 
 
 def binary_entropy(x):
@@ -432,7 +501,7 @@ class TestSweep:
         assert sweep_shifted_depol(p_grid, gamma_grid) == []
 
     def test_batched_rows_match_single_channel_solves(self):
-        rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 11), np.linspace(0.0, 1.0, 6))
+        rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
         for row in rows:
             single = hw_bound(shifted_depolarizing(row.p, row.gamma)).value
             assert row.hw == single

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalcap
+from causalcap import bounds as bounds_mod
 from causalcap.bounds import causality_bound
 from causalcap.channels import (
     channel_to_dict,
@@ -20,7 +21,7 @@ from causalcap.channels import (
     save_channel,
     shifted_depolarizing,
 )
-from causalcap.cli import main
+from causalcap.cli import MAX_SWEEP_POINTS, main
 from causalcap.linalg import random_complex
 
 FAST = ["--restarts", "4"]
@@ -355,6 +356,25 @@ class TestExitCodes:
         assert_clean_failure(code, out, err, 2)
         assert flag in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_grid_exit2_before_allocating(self, capsys, tmp_path, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("a grid was built for a sweep that is too large")
+
+        monkeypatch.setattr(np, "linspace", no_alloc)
+        argv = ["sweep", "--p-steps", "100000", "--gamma-steps", "100000",
+                "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, argv)
+        assert_clean_failure(code, out, err, 2)
+        assert str(MAX_SWEEP_POINTS) in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("gamma_steps, code", [(100, 0), (101, 2)])
+    def test_grid_size_limit_is_inclusive(self, capsys, tmp_path, monkeypatch, gamma_steps, code):
+        monkeypatch.setattr(bounds_mod, "sweep_shifted_depol", lambda *args: [])
+        argv = ["sweep", "--p-steps", str(MAX_SWEEP_POINTS // 100),
+                "--gamma-steps", str(gamma_steps), "--out", str(tmp_path / "x.csv")]
+        assert run(capsys, argv)[0] == code
 
 
 def test_only_main_maps_exceptions_to_exit_codes():
