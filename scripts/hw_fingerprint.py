@@ -15,20 +15,44 @@ The third ("causality") covers the channels of the default 26x21 sweep grid
 and ``random_channel(q, q, seed=s)`` for q in {1, 2, 3} and s < 8: for each it
 takes the bytes of the Choi matrix and of the PDM, the causality bound, and
 the ``maxrains_surrogate`` value with its ``log2_inf_norm``.
-Run from the repository root:
+The CLI digests are SHA-256 digests of command output: the CSV of the default
+``sweep``, and the stdout of ``verify --suite all --cases 100 --seed 0`` and of
+``bound --method all`` on three named channels. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/hw_fingerprint.py
+
+prints every digest. With ``--check`` it compares them with those recorded in
+``scripts/fingerprint.json`` and exits 1, naming each digest that moved, if any
+differs. Digests depend on the LAPACK build, so the file also records the
+numpy version and BLAS it was written with, and ``--check`` says when the build
+differs.
 """
 
+import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from causalcap.bounds import causality_bound, hw_bound, maxrains_surrogate, sweep_shifted_depol
 from causalcap.channels import named_channel, random_channel, shifted_depolarizing
+from causalcap.cli import main as cli_main
 from causalcap.pdm import pdm_from_channel
+
+EXPECTED = Path(__file__).with_name("fingerprint.json")
+VERIFY_ARGV = ["verify", "--suite", "all", "--cases", "100", "--seed", "0"]
+BOUND_CHANNELS = {
+    "shifted-depolarizing": ["--p", "0.15", "--gamma", "1"],
+    "amplitude-damping": ["--eta", "0.3"],
+    "dephasing": ["--strength", "0.4"],
+}
 
 # 2 -> 2 qubit channels with 3 environment qubits: a singular optimal input
 # marginal (the first and last) and an ill-conditioned one (the middle)
@@ -105,20 +129,83 @@ def causality_fingerprint() -> tuple[str, int]:
     return digest.hexdigest(), len(chans)
 
 
-def main() -> None:
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(argv)
+    return out.getvalue()
+
+
+def cli_digests() -> dict[str, str]:
+    """SHA-256 of the default sweep CSV and of verify and bound stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "sweep.csv"
+        _stdout(["sweep", "--out", str(csv)])
+        digests = {"sweep-csv": hashlib.sha256(csv.read_bytes() if csv.exists() else b"")}
+    digests["verify"] = hashlib.sha256(_stdout(VERIFY_ARGV).encode())
+    for name, params in BOUND_CHANNELS.items():
+        argv = ["bound", "--channel", name, *params, "--method", "all"]
+        digests[f"bound {name}"] = hashlib.sha256(_stdout(argv).encode())
+    return {key: digest.hexdigest() for key, digest in digests.items()}
+
+
+def build() -> dict[str, str]:
+    """The numpy version and BLAS that the digests were computed with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def fingerprints() -> dict[str, str]:
+    """Every digest by name, printing each with its size and time."""
+    digests = {}
     t0 = time.perf_counter()
-    hexdigest, rows, chans = named_fingerprint()
+    digests["named"], rows, chans = named_fingerprint()
     print(f"named: {rows} sweep rows, {chans} channels in {time.perf_counter() - t0:.1f} s")
-    print(hexdigest)
+    print(digests["named"])
     t0 = time.perf_counter()
-    hexdigest, chans = random_fingerprint()
+    digests["random"], chans = random_fingerprint()
     print(f"random: {chans} channels in {time.perf_counter() - t0:.1f} s")
-    print(hexdigest)
+    print(digests["random"])
     t0 = time.perf_counter()
-    hexdigest, chans = causality_fingerprint()
+    digests["causality"], chans = causality_fingerprint()
     print(f"causality: {chans} channels in {time.perf_counter() - t0:.1f} s")
-    print(hexdigest)
+    print(digests["causality"])
+    t0 = time.perf_counter()
+    cli = cli_digests()
+    print(f"cli: {len(cli)} command outputs in {time.perf_counter() - t0:.1f} s")
+    for key, hexdigest in cli.items():
+        print(f"{key}: {hexdigest}")
+    return digests | cli
+
+
+def check(digests: dict[str, str]) -> list[str]:
+    """The names of the digests that differ from ``fingerprint.json``, printing each."""
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    if expected["build"] != build():
+        print(f"note: digests recorded with {expected['build']}, running with {build()}")
+    moved = []
+    for key, want in expected["digests"].items():
+        got = digests.get(key)
+        if got != want:
+            moved.append(key)
+            print(f"moved: {key}: expected {want}, got {got}")
+    return moved
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Print the result digests.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"compare with {EXPECTED.name}; exit 1 naming each digest that moved",
+    )
+    args = parser.parse_args()
+    digests = fingerprints()
+    if not args.check:
+        return 0
+    moved = check(digests)
+    print(f"check: {len(moved)} of {len(digests)} digests moved" if moved else "check: ok")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -500,6 +500,18 @@ class TestSweep:
     def test_empty_grid_has_no_rows(self, p_grid, gamma_grid):
         assert sweep_shifted_depol(p_grid, gamma_grid) == []
 
+    @pytest.mark.parametrize(
+        "p_grid, gamma_grid, message",
+        [
+            (np.linspace(0.0, 0.3, 26), np.linspace(0.0, 1.0, 21), "p=0.252 outside"),
+            (np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.5, 21), "gamma=1.05 outside"),
+            (np.linspace(np.nan, 0.25, 26), np.linspace(0.0, 1.0, 21), "p=nan outside"),
+        ],
+    )
+    def test_grid_outside_the_family_raises(self, p_grid, gamma_grid, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_shifted_depol(p_grid, gamma_grid)
+
     def test_batched_rows_match_single_channel_solves(self):
         rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
         for row in rows:

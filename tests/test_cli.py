@@ -376,6 +376,29 @@ class TestExitCodes:
                 "--gamma-steps", str(gamma_steps), "--out", str(tmp_path / "x.csv")]
         assert run(capsys, argv)[0] == code
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p-max", "0.3"], "p=0.252 outside [0, 1/4]"),
+            (["--gamma-max", "1.5"], "gamma=1.05 outside [0, 1]"),
+            (["--p-min", "nan"], "p=nan outside [0, 1/4]"),
+        ],
+    )
+    def test_grid_outside_the_family_exit2(self, capsys, tmp_path, flags, message):
+        argv = ["sweep", *flags, "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, argv)
+        assert_clean_failure(code, out, err, 2)
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("method", ["causality", "hw", "maxrains", "all"])
+    def test_unequal_qubit_counts_exit2(self, capsys, tmp_path, method):
+        path = tmp_path / "two_to_one.json"
+        save_channel(random_channel(2, 1, env_qubits=2, seed=0), path)
+        code, out, err = run(capsys, ["bound", "--channel", str(path), "--method", method])
+        assert_clean_failure(code, out, err, 2)
+        assert err.count("\n") == 1 and "(got 2->1)" in err
+
 
 def test_only_main_maps_exceptions_to_exit_codes():
     """cli.py has one try statement, in main, and only main names the error codes."""
