@@ -7,11 +7,10 @@ bracket on a concave problem over the input marginal (in closed form where
 W = d R has the phase-covariant pattern of every named channel: the optimal
 marginal picked per W in plain floats, then one batched bracket certifying a
 whole stack of W; else by a fixed-point solve), and a max-Rains surrogate
-from the partially transposed Choi matrix. The PDM R from
-:func:`pdm.pdm_from_channel` is the one operator all of them read. It is built
-once per channel and held weakly, and its trace norm is computed once, so
-every bound read from one channel shares both. All values are in qubits per
-channel use.
+from the partially transposed Choi matrix. All read one operator, the PDM R:
+:func:`pdm.pdm_from_channel` builds it and its trace norm once per channel and
+holds them weakly, for every bound to share; the sweep builds no channels and
+reads its family's closed-form R. All values are in qubits per channel use.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import pdm as pdm_mod
-from .channels import QuantumChannel, shifted_depolarizing
-from .linalg import CPTP_ATOL, HERM_ATOL, trace_norm  # noqa: F401  (stays importable here)
+from .channels import QuantumChannel, check_shifted_depolarizing, shifted_depolarizing_choi
+from .linalg import CPTP_ATOL, HERM_ATOL, partial_transpose, trace_norm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,7 @@ def causality_bound(c: QuantumChannel) -> BoundReport:
 
 def analytic_shifted_depol(p: float, gamma: float) -> float:
     """Closed-form causality bound for the shifted depolarizing channel."""
-    if not 0.0 <= p <= 0.25:
-        raise ValueError(f"p={p!r} outside [0, 1/4]")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma!r} outside [0, 1]")
+    check_shifted_depolarizing(p, gamma)
     root = math.sqrt(max(1.0 - 8.0 * p + 16.0 * p * p + 4.0 * gamma * gamma * p * p, 0.0))
     return math.log2(1.0 - p + 0.5 * root + 0.5 * abs(2.0 * p - root))
 
@@ -371,18 +367,19 @@ def sweep_shifted_depol(
 ) -> list[SweepRow]:
     """Evaluate every bound over a (p, gamma) grid, rows in row-major order.
 
-    Every shifted depolarizing W is phase-covariant, so the Holevo-Werner values
-    come from one stacked :func:`_solve_covariant`, as :func:`hw_bound` gets
-    them one by one. ``cfg`` and ``workers`` have no effect; they stay for compatibility.
+    Builds no channels: R = T_A(J) of :func:`channels.shifted_depolarizing_choi` gives the
+    causality column (one batched eigensolve) and HW (one stacked :func:`_solve_covariant`,
+    with :func:`hw_bound`'s clamp and floor), which may differ in the last bits from the
+    channel-built bounds. ``cfg`` and ``workers`` have no effect.
     """
-    points = [(float(p), float(g)) for p in p_grid for g in gamma_grid]
-    if not points:  # an empty grid: there is no W to stack
+    points = np.array([(p, g) for p in p_grid for g in gamma_grid], dtype=float).reshape(-1, 2)
+    if not points.size:  # an empty grid: there is no W to stack
         return []
-    pdms = [pdm_mod.pdm_from_channel(shifted_depolarizing(p, g)) for p, g in points]
-    hw = _solve_covariant(np.array([2.0 * r.matrix for r in pdms]))[1]
+    r = np.array([partial_transpose(j, (2, 2), 0) for j in shifted_depolarizing_choi(*points.T)])
+    norms = np.abs(np.linalg.eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
     rows = []
-    for (p, g), r, value in zip(points, pdms, map(pdm_mod.clamp_log2, hw)):
-        caus = pdm_mod.causality_F(r)
-        value = max(value, caus)  # as in hw_bound
+    for (p, g), norm, hw in zip(points.tolist(), norms, _solve_covariant(2.0 * r)[1]):
+        caus = pdm_mod.clamp_log2(math.log2(norm))
+        value = max(pdm_mod.clamp_log2(hw), caus)  # as in hw_bound
         rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))
     return rows

@@ -189,29 +189,31 @@ def conjugate(c: QuantumChannel) -> QuantumChannel:
     )
 
 
+def check_shifted_depolarizing(p, gamma) -> None:
+    """Reject the first point (p, gamma), in order, outside [0, 1/4] x [0, 1] (NaN included)."""
+    for p_i, gamma_i in zip(np.ravel(p).tolist(), np.ravel(gamma).tolist(), strict=True):
+        if not 0.0 <= p_i <= 0.25:
+            raise ValueError(f"p={p_i!r} outside [0, 1/4]")
+        if not 0.0 <= gamma_i <= 1.0:
+            raise ValueError(f"gamma={gamma_i!r} outside [0, 1]")
+
+
+def shifted_depolarizing_choi(p, gamma) -> np.ndarray:
+    """Real Choi matrix (1-4p)|Phi+><Phi+| + 4p (I/2 x (I + gamma Z)/2), points checked first:
+    one 4x4 for floats p and gamma, a stack (n, 4, 4) for arrays of n points."""
+    check_shifted_depolarizing(p, gamma)
+    phi, p4 = 1.0 / np.sqrt(2.0), 4.0 * p  # phi * phi rounds as np.outer(phi, phi) does
+    a, up, down = (1.0 - p4) * (phi * phi), p4 * ((1.0 + gamma) / 4.0), p4 * ((1.0 - gamma) / 4.0)
+    j = np.zeros(np.shape(p) + (4, 4))
+    j[..., 0, 0], j[..., 1, 1], j[..., 2, 2], j[..., 3, 3] = a + up, down, up, a + down
+    j[..., 0, 3] = j[..., 3, 0] = a
+    return j
+
+
 def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
-    """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2.
-
-    Built from its closed-form Choi matrix
-    (1-4p)|Phi+><Phi+| + 4p (I/2 x (I + gamma Z)/2), with Kraus operators
-    from :func:`kraus_from_choi`.
-    """
-    return _shifted_depolarizing(p, gamma, f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
-
-
-def _shifted_depolarizing(p: float, gamma: float, label: str) -> QuantumChannel:
-    if not 0.0 <= p <= 0.25:
-        raise ValueError(f"p={p!r} outside [0, 1/4]")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma!r} outside [0, 1]")
-    phi = I2.reshape(-1) / np.sqrt(2.0)
-    shift = (I2 + gamma * PAULI_Z) / 2.0
-    j = (1.0 - 4.0 * p) * np.outer(phi, phi)
-    # I/2 x shift is block diagonal with shift / 2 in both blocks
-    block = 4.0 * p * (shift / 2.0)
-    j[:2, :2] += block
-    j[2:, 2:] += block
-    return kraus_from_choi(j, 1, 1, label)
+    """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2, from its Choi matrix."""
+    label = f"shifted-depolarizing(p={p:g},gamma={gamma:g})"
+    return kraus_from_choi(shifted_depolarizing_choi(p, gamma), 1, 1, label)
 
 
 def named_channel(name: str, **params) -> QuantumChannel:
@@ -230,7 +232,8 @@ def named_channel(name: str, **params) -> QuantumChannel:
         if name == "depolarizing":
             p = float(params.pop("p"))
             _reject_extra(name, params)
-            return _shifted_depolarizing(p, 0.0, f"depolarizing(p={p:g})")
+            label = f"depolarizing(p={p:g})"
+            return kraus_from_choi(shifted_depolarizing_choi(p, 0.0), 1, 1, label)
         if name == "shifted-depolarizing":
             p = float(params.pop("p"))
             gamma = float(params.pop("gamma"))

@@ -22,15 +22,17 @@ from causalcap.bounds import (
     sweep_shifted_depol,
 )
 from causalcap.channels import (
+    QuantumChannel,
     conjugate,
     from_kraus,
     named_channel,
     random_channel,
     shifted_depolarizing,
+    shifted_depolarizing_choi,
     tensor,
 )
-from causalcap.linalg import CPTP_ATOL, I2, random_complex
-from causalcap.pdm import pdm_from_channel
+from causalcap.linalg import CPTP_ATOL, I2, partial_transpose, random_complex, trace_norm
+from causalcap.pdm import PseudoDensityMatrix, clamp_log2, pdm_from_channel
 
 FAST_CFG = OptimizerConfig(restarts=8, seed=7)
 
@@ -515,8 +517,27 @@ class TestSweep:
     def test_batched_rows_match_single_channel_solves(self):
         rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
         for row in rows:
-            single = hw_bound(shifted_depolarizing(row.p, row.gamma)).value
-            assert row.hw == single
+            r = partial_transpose(shifted_depolarizing_choi(row.p, row.gamma), (2, 2), 0)
+            caus = clamp_log2(math.log2(trace_norm(r)))
+            single = max(clamp_log2(_solve_covariant(2.0 * r[None])[1][0]), caus)
+            assert (row.causality, row.hw) == (caus, single)
+
+    def test_rows_match_channel_built_bounds(self):
+        rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
+        for row in rows:
+            chan = shifted_depolarizing(row.p, row.gamma)
+            r = partial_transpose(shifted_depolarizing_choi(row.p, row.gamma), (2, 2), 0)
+            assert np.max(np.abs(r - pdm_from_channel(chan).matrix)) <= 1e-14
+            assert abs(row.causality - causality_bound(chan).value) <= 1e-14
+            assert abs(row.hw - hw_bound(chan).value) <= 1e-14
+
+    def test_builds_no_channel_and_no_pdm(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"the sweep built a {type(self).__name__}")
+
+        monkeypatch.setattr(QuantumChannel, "__post_init__", refuse)
+        monkeypatch.setattr(PseudoDensityMatrix, "__post_init__", refuse)
+        assert len(sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))) == 546
 
     def test_sweeprow_is_plain_data(self):
         row = SweepRow(0.1, 0.0, 0.5, 0.5, 0.5, 0.0)
