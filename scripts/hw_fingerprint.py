@@ -141,12 +141,12 @@ def cli_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "sweep.csv"
         _stdout(["sweep", "--out", str(csv)])
-        digests = {"sweep-csv": hashlib.sha256(csv.read_bytes() if csv.exists() else b"")}
-    digests["verify"] = hashlib.sha256(_stdout(VERIFY_ARGV).encode())
+        outputs = {"sweep-csv": csv.read_bytes() if csv.exists() else b""}
+    outputs["verify"] = _stdout(VERIFY_ARGV).encode()
     for name, params in BOUND_CHANNELS.items():
         argv = ["bound", "--channel", name, *params, "--method", "all"]
-        digests[f"bound {name}"] = hashlib.sha256(_stdout(argv).encode())
-    return {key: digest.hexdigest() for key, digest in digests.items()}
+        outputs[f"bound {name}"] = _stdout(argv).encode()
+    return {key: hashlib.sha256(out).hexdigest() for key, out in outputs.items()}
 
 
 def build() -> dict[str, str]:
@@ -180,9 +180,9 @@ def fingerprints() -> dict[str, str]:
 
 def check(digests: dict[str, str]) -> list[str]:
     """The names of the digests that differ from ``fingerprint.json``, printing each."""
-    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
-    if expected["build"] != build():
-        print(f"note: digests recorded with {expected['build']}, running with {build()}")
+    expected, running = json.loads(EXPECTED.read_text(encoding="utf-8")), build()
+    if expected["build"] != running:
+        print(f"note: digests recorded with {expected['build']}, running with {running}")
     moved = []
     for key, want in expected["digests"].items():
         got = digests.get(key)
