@@ -25,7 +25,9 @@ prints every digest. With ``--check`` it compares them with those recorded in
 ``scripts/fingerprint.json`` and exits 1, naming each digest that moved, if any
 differs. Digests depend on the LAPACK build, so the file also records the
 numpy version and BLAS it was written with, and ``--check`` says when the build
-differs.
+differs. With ``--update`` it rewrites the recorded digests and prints
+``name: old → new`` for each that moved; it refuses, exiting 1 before computing
+anything, when the build differs from the recorded one.
 """
 
 import argparse
@@ -178,9 +180,14 @@ def fingerprints() -> dict[str, str]:
     return digests | cli
 
 
+def recorded() -> dict:
+    """The contents of ``fingerprint.json``: the build and the digests."""
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
 def check(digests: dict[str, str]) -> list[str]:
     """The names of the digests that differ from ``fingerprint.json``, printing each."""
-    expected, running = json.loads(EXPECTED.read_text(encoding="utf-8")), build()
+    expected, running = recorded(), build()
     if expected["build"] != running:
         print(f"note: digests recorded with {expected['build']}, running with {running}")
     moved = []
@@ -192,14 +199,36 @@ def check(digests: dict[str, str]) -> list[str]:
     return moved
 
 
+def update(digests: dict[str, str]) -> None:
+    """Write ``digests`` into ``fingerprint.json``, printing each that moved as old → new."""
+    expected = recorded()
+    for key, new in digests.items():
+        old = expected["digests"].get(key)
+        if old != new:
+            print(f"{key}: {old} → {new}")
+    expected["digests"] = digests
+    EXPECTED.write_text(json.dumps(expected, indent=2) + "\n", encoding="utf-8")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Print the result digests.")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check", action="store_true",
         help=f"compare with {EXPECTED.name}; exit 1 naming each digest that moved",
     )
+    mode.add_argument(
+        "--update", action="store_true",
+        help=f"rewrite the digests in {EXPECTED.name}; refused unless the build matches",
+    )
     args = parser.parse_args()
+    if args.update and (expected := recorded()["build"]) != (running := build()):
+        print(f"refused: digests recorded with {expected}, running with {running}")
+        return 1
     digests = fingerprints()
+    if args.update:
+        update(digests)
+        return 0
     if not args.check:
         return 0
     moved = check(digests)

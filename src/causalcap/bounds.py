@@ -1,16 +1,14 @@
 """Capacity upper bounds for qubit channels.
 
-Four routes are implemented: the optimization-free causality bound (trace
-norm of the channel PDM), the closed-form expression for shifted
-depolarizing channels, the Holevo-Werner comparison bound as a certified
-bracket on a concave problem over the input marginal (in closed form where
-W = d R has the phase-covariant pattern of every named channel: the optimal
-marginal picked per W in plain floats, then one batched bracket certifying a
-whole stack of W; else by a fixed-point solve), and a max-Rains surrogate
-from the partially transposed Choi matrix. All read one operator, the PDM R:
-:func:`pdm.pdm_from_channel` builds it and its trace norm once per channel and
-holds them weakly, for every bound to share; the sweep builds no channels and
-reads its family's closed-form R. All values are in qubits per channel use.
+Four routes are implemented: the optimization-free causality bound (trace norm of the
+channel PDM), the closed-form expression for shifted depolarizing channels, the
+Holevo-Werner comparison bound as a certified bracket on a concave problem over the input
+marginal (in closed form, in plain floats with no eigensolve, where W = d R has the
+phase-covariant pattern of every named channel; else by a fixed-point solve), and a
+max-Rains surrogate from the partially transposed Choi matrix. All read one operator, the
+PDM R: :func:`pdm.pdm_from_channel` builds it and its trace norm once per channel and holds
+them weakly, for every bound to share; the sweep builds no channels and reads its family's
+closed-form R. All values are in qubits per channel use.
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # the least eigenvalue a trial input marginal may have (see _solve_hw)
 _FLOOR = _EPS / CPTP_ATOL
 _OTHERS = {(k, j): np.delete(np.arange(k), j) for k in range(ANDERSON_DEPTH + 2) for j in range(k)}
-# the entries a phase-covariant 4x4 W may have: w00, w11, w22, w33, w12 and w21
-_COVARIANT = np.isin(np.arange(16), (0, 5, 6, 9, 10, 15)).reshape(4, 4)
+# the flat indices off the phase-covariant 4x4 pattern: all but w00, w11, w12, w21, w22, w33
+_OFF_PATTERN = (1, 2, 3, 4, 7, 8, 11, 12, 13, 14)
 
 
 def _bracket(w5: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
@@ -243,50 +241,49 @@ def _sigma_star(w00: float, w11: float, w22: float, w33: float, a12: float) -> f
     return best
 
 
-def _diagonal_stack(pairs) -> np.ndarray:
-    """Complex 2x2 matrices diag(a, b), one per pair (a, b)."""
-    out = np.zeros((len(pairs), 2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 1, 1] = np.array(pairs).T
-    return out
+def _covariant_ends(w00, w11, w22, w33, a12, s):
+    """The ends (||M||_1, lambda_max(G)) of one phase-covariant W at sigma = diag(s, 1-s).
+
+    M = m00 (+) B (+) m33, B = [[b11, r w12], [r w21, b22]] = [[s w11, .], [., (1-s) w22]],
+    r^2 = s(1-s), with eigenvalues t/2 -+ rad. Its projectors give |B| = +-B where both share
+    the sign of t (B semidefinite or degenerate), else diag|B| = (b11^2 + q, b22^2 + q) /
+    (2 rad). Tr_out|M| = diag(|m00| + |B|11, |B|22 + |m33|), so G is diagonal too.
+    """
+    b11, b22, r2 = s * w11, (1.0 - s) * w22, s * (1.0 - s)
+    t, rad = b11 + b22, math.hypot(0.5 * (b11 - b22), math.sqrt(r2) * a12)
+    if abs(t) >= 2.0 * rad:
+        norm_b, abs11, abs22 = abs(t), abs(b11), abs(b22)
+    else:  # det B < 0, so a12^2 > w11 w22 and q > 0: the diagonal has no cancellation
+        q, norm_b = r2 * (2.0 * a12 * a12 - w11 * w22), 2.0 * rad
+        abs11, abs22 = (b11 * b11 + q) / norm_b, (b22 * b22 + q) / norm_b
+    m00, m33 = abs(s * w00), abs((1.0 - s) * w33)
+    return m00 + m33 + norm_b, max((m00 + abs11) / s, (abs22 + m33) / (1.0 - s))
 
 
 def _solve_covariant(w: np.ndarray):
-    """Certified brackets for a stack of phase-covariant 4x4 W: the closed-form route.
+    """Certified bracket for one phase-covariant 4x4 W in plain floats: the closed-form route.
 
-    f(sigma) is phase-invariant, so some diag(s, 1-s) is optimal (Holevo & Werner, PRA
-    63, 032312, 2001). :func:`_sigma_star` picks s* per W in plain floats: the best of the
-    roots of the squared f'(s) = 0 in [0, 1] and of 0, 1/2, 1; sigma* = I/2 where s* is
-    within eps / ``CPTP_ATOL`` of 0 or 1 (f is flat there). One stacked :func:`_bracket`
-    certifies sigma = I/2 and sigma* for every W: an I/2 bracket that closes to
-    ``CPTP_ATOL`` is returned as :func:`_solve_hw` returns it after 0 steps, else the
-    larger lower and smaller upper end. Returns lists of log2 of the lower and upper ends
-    and the stack of sqrt(sigma) of the lower ends.
+    Some diag(s, 1-s) is optimal (Holevo & Werner, PRA 63, 032312, 2001); :func:`_sigma_star`
+    picks s*. An I/2 bracket that closes to ``CPTP_ATOL`` is returned as :func:`_solve_hw`
+    returns it after 0 steps; else sigma* is bracketed too, unless s* is within eps /
+    ``CPTP_ATOL`` of 0 or 1 (f is flat there). The entries E off the pattern move each end
+    by delta = sum |e_ij|: ||(sqrt(sigma) x I) E (sqrt(sigma) x I)||_1 <= delta, and E has a
+    zero diagonal, so +-E <= delta I / 2. Returns log2 of the lower and upper end, the s of
+    the lower end and the number of sigma bracketed.
     """
-    n, edge, half = w.shape[0], float(_FLOOR), 1.0 / math.sqrt(2.0)
-    diagonals = np.diagonal(w, axis1=1, axis2=2).real.tolist()
-    stars = []  # the diagonal of sqrt(sigma*) per W
-    for (w00, w11, w22, w33), a12 in zip(diagonals, np.abs(w[:, 1, 2]).tolist()):
-        s = _sigma_star(w00, w11, w22, w33, a12)
-        inside = edge < s < 1.0 - edge
-        stars.append((math.sqrt(s), math.sqrt(1.0 - s)) if inside else (math.sqrt(0.5),) * 2)
-    # sqrt(sigma) and its inverse for sigma = I/2 (rows < n) and sigma* (rows >= n)
-    roots = (
-        _diagonal_stack([(half, half)] * n + stars),
-        _diagonal_stack([(half * 2.0, half * 2.0)] * n + [(1.0 / a, 1.0 / b) for a, b in stars]),
-    )
-    lower, g_vals = _bracket(np.concatenate([w, w]).reshape(2 * n, 2, 2, 2, 2), *roots)[:2]
-    ends = np.stack([lower, g_vals[:, -1]])
-    (lo, up), (log_lo, log_up) = ends.tolist(), np.log2(ends).tolist()
-    lows, ups, picks = [], [], []
-    for i in range(n):
-        lo_i = up_i = i  # the rows of the ends; row i + n holds sigma*
-        if log_up[i] - log_lo[i] > CPTP_ATOL:  # the I/2 bracket is open
-            lo_i = i + n if lo[i + n] > lo[i] else i
-            up_i = i + n if up[i + n] < up[i] else i
-        lows.append(log_lo[lo_i])
-        ups.append(log_up[up_i] if up[up_i] >= lo[lo_i] else log_lo[lo_i])
-        picks.append(lo_i)
-    return lows, ups, roots[0][picks]
+    flat = w.ravel().tolist()
+    w00, w11, w22, w33 = (flat[k].real for k in (0, 5, 10, 15))
+    a12, delta = abs(flat[6]), sum(abs(flat[k]) for k in _OFF_PATTERN)
+    lower, upper = _covariant_ends(w00, w11, w22, w33, a12, 0.5)
+    lower, upper, s_lower, evaluations = lower - delta, upper + delta, 0.5, 1
+    s = _sigma_star(w00, w11, w22, w33, a12)
+    if math.log2(upper) - math.log2(lower) > CPTP_ATOL and _FLOOR < s < 1.0 - _FLOOR:
+        lower_s, upper_s = _covariant_ends(w00, w11, w22, w33, a12, s)
+        if lower_s - delta > lower:
+            lower, s_lower = lower_s - delta, s
+        upper, evaluations = min(upper, upper_s + delta), 2
+    # the value lies in [lower, upper]; an upper end below the lower end is rounding
+    return math.log2(lower), math.log2(max(upper, lower)), s_lower, evaluations
 
 
 def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
@@ -296,17 +293,19 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
     K W K^dag, K = Psi x I, W = d R (R the channel PDM), whose trace norm is
     concave in sigma = Psi^dag Psi. A 4x4 W with entries only at w00, w11, w22,
     w33 and w12 = w21* (to ``HERM_ATOL``) takes :func:`_solve_covariant`, any
-    other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a certified
-    upper bound, ``lower`` is attained by ``best_input``. Both routes evaluate
-    sigma = I/d, so ``value`` <= log2 lambda_max(Tr_out|W|); and sigma = I/d
-    attains ||R||_1, so rounding below the causality bound F(R) is raised to
-    it. Rounding below zero is clamped. ``cfg`` has no effect (:class:`OptimizerConfig`).
+    other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a certified upper
+    bound; ``best_input`` attains ``lower``, or on the closed form at least ``lower``. Both
+    routes evaluate sigma = I/d, so ``value`` <= log2 lambda_max(Tr_out|W|), on the closed
+    form plus delta (about 3e-15 at most); and sigma = I/d attains ||R||_1, so rounding
+    below the causality bound F(R) is raised to it. Rounding below zero is clamped. ``cfg``
+    has no effect (:class:`OptimizerConfig`).
     """
     dim, r = c.dim_in, pdm_mod.pdm_from_channel(c)
     w, note = dim * r.matrix, "certified upper bound; best_input attains the lower end"
-    if w.shape == (4, 4) and np.abs(w[~_COVARIANT]).max() <= HERM_ATOL:
-        lower, upper, root = (x[0] for x in _solve_covariant(w[None]))
-        counts = {"iterations": 0, "evaluations": 2, "accelerated_steps": 0}
+    if w.shape == (4, 4) and np.abs(w.take(_OFF_PATTERN)).max() <= HERM_ATOL:
+        lower, upper, s, evaluations = _solve_covariant(w)
+        root = np.diag([math.sqrt(s), math.sqrt(1.0 - s)]).astype(complex)
+        counts = {"iterations": 0, "evaluations": evaluations, "accelerated_steps": 0}
         note = "certified upper bound (phase-covariant); best_input attains the lower end"
     else:
         lower, upper, root, counts = _solve_hw(w, dim)
@@ -368,18 +367,18 @@ def sweep_shifted_depol(
     """Evaluate every bound over a (p, gamma) grid, rows in row-major order.
 
     Builds no channels: R = T_A(J) of :func:`channels.shifted_depolarizing_choi` gives the
-    causality column (one batched eigensolve) and HW (one stacked :func:`_solve_covariant`,
-    with :func:`hw_bound`'s clamp and floor), which may differ in the last bits from the
+    causality column (one batched eigensolve) and HW (:func:`_solve_covariant` per row, with
+    :func:`hw_bound`'s clamp and floor), which may differ in the last bits from the
     channel-built bounds. ``cfg`` and ``workers`` have no effect.
     """
     points = np.array([(p, g) for p in p_grid for g in gamma_grid], dtype=float).reshape(-1, 2)
-    if not points.size:  # an empty grid: there is no W to stack
+    if not points.size:  # an empty grid: there is no R to stack
         return []
     r = np.array([partial_transpose(j, (2, 2), 0) for j in shifted_depolarizing_choi(*points.T)])
     norms = np.abs(np.linalg.eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
     rows = []
-    for (p, g), norm, hw in zip(points.tolist(), norms, _solve_covariant(2.0 * r)[1]):
+    for (p, g), norm, w in zip(points.tolist(), norms, 2.0 * r):
         caus = pdm_mod.clamp_log2(math.log2(norm))
-        value = max(pdm_mod.clamp_log2(hw), caus)  # as in hw_bound
+        value = max(pdm_mod.clamp_log2(_solve_covariant(w)[1]), caus)  # as in hw_bound
         rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))
     return rows

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -82,14 +83,8 @@ def cmd_bound(args) -> int:
     if args.method in ("analytic", "all"):
         if args.p is not None:
             value = bounds_mod.analytic_shifted_depol(args.p, args.gamma or 0.0)
-            reports.append(
-                bounds_mod.BoundReport(
-                    channel_label=chan.label,
-                    method="analytic_shifted_depol",
-                    value=value,
-                    diagnostics={"p": args.p, "gamma": args.gamma or 0.0},
-                )
-            )
+            diag = {"p": args.p, "gamma": args.gamma or 0.0}
+            reports.append(bounds_mod.BoundReport(chan.label, "analytic_shifted_depol", value, diag))
         elif args.method == "analytic":
             raise ValueError(
                 "--method analytic needs a (shifted-)depolarizing channel with --p "
@@ -120,6 +115,11 @@ def cmd_sweep(args) -> int:
             f"--p-steps x --gamma-steps = {args.p_steps * args.gamma_steps} points; "
             f"at most {MAX_SWEEP_POINTS} are allowed"
         )
+    for name in ("p", "gamma"):  # np.linspace warns on these; a NaN end meets the range check
+        lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+        for flag, value in (("min", lo), ("max", hi), (f"max - --{name}-min", hi - lo)):
+            if math.isinf(value):
+                raise ValueError(f"--{name}-{flag} = {value:g} is not finite")
     p_grid = np.linspace(args.p_min, args.p_max, args.p_steps)
     gamma_grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)

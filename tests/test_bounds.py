@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalcap import bounds
+from causalcap import pdm as pdm_mod
 from causalcap.bounds import (
     MAX_ITERS,
     OptimizerConfig,
     SweepRow,
+    _bracket,
+    _covariant_ends,
     _sigma_star,
     _solve_covariant,
     _solve_hw,
@@ -92,6 +95,18 @@ class TestAnalytic:
     def test_range_check(self):
         with pytest.raises(ValueError):
             analytic_shifted_depol(0.3, 0.0)
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Patch np.linalg.eigh and eigvalsh to record (name, shape) per call; return the record."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, a.shape))
+            return _solve(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 class TestHwBound:
@@ -226,6 +241,27 @@ class TestHwBound:
         # the start solves M and G; every later evaluation also solves its sigma
         assert len(calls) == 3 * diag["evaluations"] - 1
 
+    @pytest.mark.parametrize(
+        "chan",
+        [
+            named_channel("amplitude-damping", eta=0.3),
+            named_channel("dephasing", strength=0.4),
+            shifted_depolarizing(0.15, 1.0),
+        ],
+    )
+    def test_closed_form_makes_no_eigensolve(self, chan, monkeypatch):
+        causality_bound(chan)  # builds the PDM and its trace norm
+        calls = count_eigensolves(monkeypatch)
+        rep = hw_bound(chan)
+        assert "phase-covariant" in rep.diagnostics["note"]
+        assert calls == []
+
+    def test_sweep_makes_one_eigensolve(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
+        assert len(rows) == 546
+        assert calls == [("eigvalsh", (546, 4, 4))]  # the causality column
+
 
 class TestHwBracketProperties:
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -252,6 +288,34 @@ class TestHwBracketProperties:
         assert rep.value <= hw_ceiling(chan) + 1e-12
 
 
+def assert_additive_brackets(chan):
+    """HW(N x N) = 2 HW(N): the certified brackets of N and of N x N must overlap."""
+    one, two = hw_bound(chan), hw_bound(tensor(chan, chan))
+    assert 2.0 * one.diagnostics["lower"] <= two.value + CPTP_ATOL
+    assert two.diagnostics["lower"] <= 2.0 * one.value + CPTP_ATOL
+
+
+class TestHwAdditivity:
+    # the diamond norm is multiplicative under tensor products, so log2 ||Theta o N||_dia is
+    # additive; a covariant N takes the closed form and N x N the 16x16 fixed-point solve
+    @pytest.mark.parametrize(
+        "chan",
+        [
+            named_channel("amplitude-damping", eta=0.3),
+            named_channel("dephasing", strength=0.4),
+            shifted_depolarizing(0.15, 1.0),
+            shifted_depolarizing(0.1, 0.5),
+        ],
+    )
+    def test_named_channels(self, chan):
+        assert_additive_brackets(chan)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(env_qubits=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_random_channels(self, env_qubits, seed):
+        assert_additive_brackets(random_channel(1, 1, env_qubits=env_qubits, seed=seed))
+
+
 def reference_sigma_star(w: np.ndarray) -> np.ndarray:
     """s* per W in a stack of phase-covariant 4x4 W, by vectorised NaN masking.
 
@@ -276,6 +340,33 @@ def covariant_w(w00, w11, w22, w33, w12) -> np.ndarray:
     w = np.diag([w00, w11, w22, w33]).astype(complex)
     w[1, 2], w[2, 1] = w12, np.conj(w12)
     return w
+
+
+def seeded_covariant_ws() -> list:
+    """The 600 seeded random phase-covariant W of the s* test, some with an indefinite block."""
+    ws, rng = [], np.random.default_rng(15)
+    for scale in (1e-3, 1.0, 10.0):
+        for _ in range(200):
+            d, z = scale * rng.random(4), rng.normal() + 1j * rng.normal()
+            ws.append(covariant_w(*d, z * rng.random() * math.sqrt(d[1] * d[2] + 0.1)))
+    return ws
+
+
+def bracket_ends(ws, ss) -> np.ndarray:
+    """(||M||_1, lambda_max(G)) per W at sigma = diag(s, 1-s), from :func:`_bracket`."""
+    ws, ss = np.array(ws), np.array(ss, dtype=float)
+    root, inv_root = np.zeros((2, len(ss), 2, 2), dtype=complex)
+    root[:, 0, 0], root[:, 1, 1] = np.sqrt(ss), np.sqrt(1.0 - ss)
+    inv_root[:, 0, 0], inv_root[:, 1, 1] = 1.0 / root[:, 0, 0], 1.0 / root[:, 1, 1]
+    lower, g_vals = _bracket(ws.reshape(-1, 2, 2, 2, 2), root, inv_root)[:2]
+    return np.stack([lower, g_vals[:, -1]], axis=1)
+
+
+def closed_form_ends(ws, ss) -> np.ndarray:
+    return np.array([
+        _covariant_ends(*np.diagonal(w).real.tolist(), abs(complex(w[1, 2])), s)
+        for w, s in zip(ws, ss)
+    ])
 
 
 def default_grid_channels():
@@ -328,12 +419,53 @@ class TestPhaseCovariantRoute:
         assert [x.hex() for x in scalar] == [x.hex() for x in reference]
         assert {0.0, 1.0} <= set(scalar) and 0.5 in scalar
 
-    def test_stacked_solve_matches_lone_solves(self):
-        w = np.array([2.0 * pdm_from_channel(c).matrix for c in default_grid_channels()])
-        stacked = _solve_covariant(w)
-        lone = [_solve_covariant(x[None]) for x in w]
-        for k in range(3):
-            assert np.array_equal(stacked[k], [x[k][0] for x in lone])
+    def test_closed_form_ends_match_bracket(self):
+        chans = default_grid_channels()
+        chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
+        chans += [named_channel("dephasing", strength=s) for s in np.linspace(0.0, 1.0, 11)]
+        chans += [named_channel("depolarizing", p=p) for p in np.linspace(0.0, 0.25, 11)]
+        ws = [2.0 * pdm_from_channel(c).matrix for c in chans] + seeded_covariant_ws()
+        ws += list(2.0 * np.array([  # the sweep's closed-form W
+            partial_transpose(shifted_depolarizing_choi(p, g), (2, 2), 0)
+            for p in np.linspace(0.0, 0.25, 26) for g in np.linspace(0.0, 1.0, 21)
+        ]))
+        stars = [_sigma_star(*np.diagonal(w).real.tolist(), abs(complex(w[1, 2]))) for w in ws]
+        cases = [(w, 0.5) for w in ws]
+        cases += [(w, s) for w, s in zip(ws, stars) if bounds._FLOOR < s < 1.0 - bounds._FLOOR]
+        assert len(cases) > 3000  # 1755 W at I/2, most of them at an interior s* too
+        # degenerate blocks, w12 = 0 and s w11 = (1 - s) w22 exactly
+        cases += [(covariant_w(0.4, 0.7, 0.3, 0.6, 0.0), 0.3)]
+        cases += [(covariant_w(1.0, 0.5, 0.5, 0.0, 0.0), 0.5)]
+        assert 0.3 * 0.7 == (1.0 - 0.3) * 0.3
+        ws, ss = zip(*cases)
+        ours, ref = closed_form_ends(ws, ss), bracket_ends(ws, ss)
+        assert np.all(np.abs(ours - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("s", [2.0 * bounds._FLOOR, 1.0 - 2.0 * bounds._FLOOR])
+    def test_closed_form_ends_match_bracket_near_the_floor(self, s):
+        ws = [2.0 * pdm_from_channel(c).matrix for c in default_grid_channels()]
+        ws += seeded_covariant_ws()
+        ours, ref = closed_form_ends(ws, [s] * len(ws)), bracket_ends(ws, [s] * len(ws))
+        assert np.all(np.abs(ours[:, 0] - ref[:, 0]) <= 1e-14 * ref[:, 0])
+        # the eigensolve's upper end carries a relative rounding error of up to
+        # eps / lambda_min(sigma) (see _solve_hw), far above 1e-14 here
+        slack = 1e-14 + 2.0 * np.finfo(float).eps / min(s, 1.0 - s)
+        assert np.all(np.abs(ours[:, 1] - ref[:, 1]) <= slack * ref[:, 1])
+
+    def test_off_pattern_entries_widen_the_bracket(self, monkeypatch):
+        # the covariant part has a 2-dimensional kernel (w00 = w33 = 0) that the off-pattern
+        # entries w03 = w30 couple, so they raise f(sigma) at first order
+        w = covariant_w(0.0, 0.5, 1.5, 0.0, 2.0)
+        w[0, 3] = w[3, 0] = 1e-10
+        r = PseudoDensityMatrix(w / 2.0, l_in=1, l_out=1)
+        monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
+        rep = hw_bound(from_kraus([I2], label="stand-in"))
+        assert "phase-covariant" in rep.diagnostics["note"]
+        s = _sigma_star(0.0, 0.5, 1.5, 0.0, 2.0)
+        assert 0.4 < s < 0.45  # f(s*) exceeds f(1/2) by 1%, so the causality floor is below
+        for f in bracket_ends([w, w], [0.5, s])[:, 0]:
+            assert rep.value >= math.log2(f)
+        assert rep.diagnostics["lower"] <= math.log2(bracket_ends([w], [s])[0, 0])
 
 
 def binary_entropy(x):
@@ -519,7 +651,7 @@ class TestSweep:
         for row in rows:
             r = partial_transpose(shifted_depolarizing_choi(row.p, row.gamma), (2, 2), 0)
             caus = clamp_log2(math.log2(trace_norm(r)))
-            single = max(clamp_log2(_solve_covariant(2.0 * r[None])[1][0]), caus)
+            single = max(clamp_log2(_solve_covariant(2.0 * r)[1]), caus)
             assert (row.causality, row.hw) == (caus, single)
 
     def test_rows_match_channel_built_bounds(self):

@@ -391,6 +391,24 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p-min=-inf"], "--p-min = -inf is not finite"),
+            (["--p-max", "inf"], "--p-max = inf is not finite"),
+            (["--gamma-min=-inf"], "--gamma-min = -inf is not finite"),
+            (["--gamma-max", "inf"], "--gamma-max = inf is not finite"),
+            (["--gamma-min=-1e308", "--gamma-max", "1e308"],
+             "--gamma-max - --gamma-min = inf is not finite"),
+        ],
+    )
+    def test_infinite_grid_end_exit2(self, capsys, tmp_path, flags, message):
+        argv = ["sweep", *flags, "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, argv)
+        assert_clean_failure(code, out, err, 2)
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("method", ["causality", "hw", "maxrains", "all"])
     def test_unequal_qubit_counts_exit2(self, capsys, tmp_path, method):
         path = tmp_path / "two_to_one.json"

@@ -34,3 +34,28 @@ def test_digests_match_the_recorded_fingerprint():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith("check: ok")
+
+
+def test_update_rewrites_the_digests_and_names_each_that_moved(tmp_path, monkeypatch, capsys):
+    module = _script_module()
+    path = tmp_path / "fingerprint.json"
+    path.write_text(json.dumps({"build": module.build(), "digests": {"a": "1", "b": "2"}}))
+    monkeypatch.setattr(module, "EXPECTED", path)
+    module.update({"a": "1", "b": "3", "c": "4"})
+    assert capsys.readouterr().out == "b: 2 → 3\nc: None → 4\n"
+    assert json.loads(path.read_text()) == {
+        "build": module.build(), "digests": {"a": "1", "b": "3", "c": "4"},
+    }
+
+
+def test_update_is_refused_for_another_build(tmp_path, monkeypatch, capsys):
+    module = _script_module()
+    path = tmp_path / "fingerprint.json"
+    text = json.dumps({"build": {"numpy": "0.0", "blas": "none"}, "digests": {"a": "1"}})
+    path.write_text(text)
+    monkeypatch.setattr(module, "EXPECTED", path)
+    monkeypatch.setattr(module, "fingerprints", lambda: pytest.fail("digests were computed"))
+    monkeypatch.setattr(sys, "argv", ["hw_fingerprint.py", "--update"])
+    assert module.main() == 1
+    assert capsys.readouterr().out.startswith("refused: digests recorded with")
+    assert path.read_text() == text
