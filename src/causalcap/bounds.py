@@ -90,43 +90,40 @@ MAX_ITERS = 2000
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # the least eigenvalue a trial input marginal may have (see _solve_hw)
 _FLOOR = _EPS / CPTP_ATOL
-_OTHERS = {(k, j): np.delete(np.arange(k), j) for k in range(ANDERSON_DEPTH + 2) for j in range(k)}
 # the flat indices off the phase-covariant 4x4 pattern: all but w00, w11, w12, w21, w22, w33
 _OFF_PATTERN = (1, 2, 3, 4, 7, 8, 11, 12, 13, 14)
 
 
-def _bracket(w5: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
-    """Lower ends f(sigma) = ||M||_1, eigenpairs of G and images T(sigma) for a stack.
+def _bracket(w4: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
+    """Lower end f(sigma) = ||M||_1, eigenpairs of G and image T(sigma) for one W.
 
-    W comes reshaped to (n, d, d_out, d, d_out). M = (sqrt(sigma) x I) W (sqrt(sigma) x I),
+    W comes reshaped to (d, d_out, d, d_out). M = (sqrt(sigma) x I) W (sqrt(sigma) x I),
     G = sigma^(-1/2) Tr_out|M| sigma^(-1/2). Y = (sigma^(-1/2) x I)|M|(sigma^(-1/2) x I)
-    satisfies Y >= +-W, so lambda_max(G) = ||Tr_out Y||_inf is an upper end.
-    T(sigma) = Tr_out|M| / ||M||_1 is the plain fixed-point image.
+    satisfies Y >= +-W, so lambda_max(G) = ||Tr_out Y||_inf is an upper end; its relative
+    rounding error is up to eps / lambda_min(sigma), as sigma^(-1/2) scales the eps ||M||
+    error of the eigensolve. T(sigma) = Tr_out|M| / ||M||_1 is the plain fixed-point image.
     """
-    n, d, d_out = w5.shape[:3]
-    m = np.einsum("nab,nbicj,ncd->naidj", root, w5, root).reshape(n, d * d_out, -1)
+    d, d_out = w4.shape[:2]
+    m = np.einsum("ab,bicj,cd->aidj", root, w4, root).reshape(d * d_out, -1)
     mu, u = np.linalg.eigh(m)
-    u4 = u.reshape(n, d, d_out, -1)
-    abs_mu = np.abs(mu)
-    marginal = np.einsum("naik,nk,nbik->nab", u4, abs_mu, u4.conj())
-    lower = abs_mu.sum(axis=1)
+    abs_mu, u3 = np.abs(mu), u.reshape(d, d_out, -1)
+    marginal = np.einsum("aik,k,bik->ab", u3, abs_mu, u3.conj())
+    lower = abs_mu.sum()
     g_vals, g_vecs = np.linalg.eigh(inv_root @ marginal @ inv_root)
-    return lower, g_vals, g_vecs, marginal / lower[:, None, None]
+    return lower, g_vals, g_vecs, marginal / lower
 
 
-def _evaluate(w5, sigma):
+def _evaluate(w4, sigma):
     """Iterates (sigma, sqrt(sigma), lower, G eigenpairs, T(sigma)) at one sigma.
 
-    W comes as a stack of one for :func:`_bracket`. Also returns whether every
-    eigenvalue of sigma is above ``_FLOOR``. If not, sigma is evaluated with its
-    eigenvalues raised to ``_FLOOR``, so that no sigma^(-1/2) is formed from a
-    singular sigma; callers discard it.
+    Also returns whether every eigenvalue of sigma is above ``_FLOOR``. If not,
+    sigma is evaluated with its eigenvalues raised to ``_FLOOR``, so that no
+    sigma^(-1/2) is formed from a singular sigma; callers discard it.
     """
     vals, vecs = np.linalg.eigh(sigma)
     vh, sqrt_vals = vecs.conj().T, np.sqrt(np.fmax(vals, _FLOOR))
     root = (vecs * sqrt_vals) @ vh
-    lower, g_vals, g_vecs, image = _bracket(w5, root[None], ((vecs / sqrt_vals) @ vh)[None])
-    return vals[0] > _FLOOR, (sigma, root, lower[0], g_vals[0], g_vecs[0], image[0])
+    return vals[0] > _FLOOR, (sigma, root, *_bracket(w4, root, (vecs / sqrt_vals) @ vh))
 
 
 def _power(root, g_vals, g_vecs, squarings: int):
@@ -148,7 +145,7 @@ def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
     ``latest``. A Levenberg-Marquardt ridge keeps the Gram system nonsingular.
     """
     k = xs.shape[0]
-    others = _OTHERS[k, latest]
+    others = [j for j in range(k) if j != latest]
     f = (gs - xs).reshape(k, -1).view(float)
     df = f[latest] - f[others]
     gram = df @ df.T
@@ -169,32 +166,32 @@ def _solve_hw(w: np.ndarray, d: int):
     extrapolation of the last ``ANDERSON_DEPTH + 1`` pairs (sigma, T(sigma) = Tr_out|M| /
     ||M||_1), kept if its bracket is narrower than the iterate's; else a power step, whose
     exponent doubles while the bracket narrows and is retaken at 1 (the plain fixed point)
-    when it widens. A trial counts only if its eigenvalues exceed eps / ``CPTP_ATOL``: the
-    upper end has a relative rounding error of up to eps / lambda_min(sigma). The solve
-    stops at a log2 bracket of at most ``CPTP_ATOL``, after ``MAX_ITERS`` steps, or when
-    no trial counts. Returns log2 of the best lower and smallest upper end, sqrt(sigma) of
-    the best lower end, and the counts of steps, bracket evaluations and extrapolations.
+    when it widens. A trial counts only if its eigenvalues exceed eps / ``CPTP_ATOL``, for
+    the rounding of :func:`_bracket`'s upper end. The solve stops at a log2 bracket of at
+    most ``CPTP_ATOL``, after ``MAX_ITERS`` steps, or when no trial counts. Returns log2 of
+    the best lower and smallest upper end, sqrt(sigma) of the best lower end, and the
+    counts of steps, bracket evaluations and extrapolations.
     """
     dim, slots = w.shape[0], ANDERSON_DEPTH + 1
-    w5 = w.reshape(1, d, dim // d, d, dim // d)
+    w4 = w.reshape(d, dim // d, d, dim // d)
     root = np.eye(d, dtype=complex) / math.sqrt(d)
-    lower, g_vals, g_vecs, image = (x[0] for x in _bracket(w5, root[None], root[None] * d))
+    lower, g_vals, g_vecs, image = _bracket(w4, root, root * d)
     upper, best_lower, best_root = g_vals[-1], lower, root
     # ring buffer of (sigma, T(sigma)): step t is in slot t % slots
     xs = np.tile(np.eye(d, dtype=complex) / d, (slots, 1, 1))
-    gs = np.repeat(image[None], slots, axis=0)
+    gs = np.tile(image, (slots, 1, 1))
     evaluations, accelerated, squarings, t = 1, 0, 0, 0
     while t < MAX_ITERS and np.log2(upper) - np.log2(best_lower) > CPTP_ATOL:
         width, won = g_vals[-1] - lower, False
         if t:
-            valid, trial = _evaluate(w5, _extrapolate(xs[: t + 1], gs[: t + 1], t % slots))
+            valid, trial = _evaluate(w4, _extrapolate(xs[: t + 1], gs[: t + 1], t % slots))
             won = bool(valid and trial[3][-1] - trial[2] < width)
             evaluations, accelerated = evaluations + 1, accelerated + won
         if not won:
-            valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, squarings))
+            valid, trial = _evaluate(w4, _power(root, g_vals, g_vecs, squarings))
             narrowed = bool(valid and trial[3][-1] - trial[2] < width)
             if not narrowed and squarings:  # retaken at exponent 1
-                valid, trial = _evaluate(w5, _power(root, g_vals, g_vecs, 0))
+                valid, trial = _evaluate(w4, _power(root, g_vals, g_vecs, 0))
                 evaluations += 1
             evaluations += 1
             # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
@@ -289,16 +286,15 @@ def _solve_covariant(w: np.ndarray):
 def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
     """Holevo-Werner comparison bound log2 ||Theta o N||_dia (Theta the transpose).
 
-    A pure input with amplitude matrix Psi (reference x system) has output
-    K W K^dag, K = Psi x I, W = d R (R the channel PDM), whose trace norm is
-    concave in sigma = Psi^dag Psi. A 4x4 W with entries only at w00, w11, w22,
-    w33 and w12 = w21* (to ``HERM_ATOL``) takes :func:`_solve_covariant`, any
-    other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a certified upper
-    bound; ``best_input`` attains ``lower``, or on the closed form at least ``lower``. Both
-    routes evaluate sigma = I/d, so ``value`` <= log2 lambda_max(Tr_out|W|), on the closed
-    form plus delta (about 3e-15 at most); and sigma = I/d attains ||R||_1, so rounding
-    below the causality bound F(R) is raised to it. Rounding below zero is clamped. ``cfg``
-    has no effect (:class:`OptimizerConfig`).
+    A pure input with amplitude matrix Psi (reference x system) has output K W K^dag,
+    K = Psi x I, W = d R (R the channel PDM), whose trace norm is concave in sigma =
+    Psi^dag Psi. A 4x4 W with entries only at w00, w11, w22, w33 and w12 = w21* (to
+    ``HERM_ATOL``) takes :func:`_solve_covariant`, any other W :func:`_solve_hw`; ``note``
+    names the route. ``value`` is a certified upper bound; ``best_input`` attains ``lower``,
+    or on the closed form at least ``lower``. Both routes evaluate sigma = I/d, so ``value``
+    <= log2 lambda_max(Tr_out|W|), on the closed form plus delta (about 3e-15 at most); and
+    sigma = I/d attains ||R||_1, so rounding below the causality bound F(R) >= 0, below zero
+    included, is raised to F(R). ``cfg`` has no effect (:class:`OptimizerConfig`).
     """
     dim, r = c.dim_in, pdm_mod.pdm_from_channel(c)
     w, note = dim * r.matrix, "certified upper bound; best_input attains the lower end"
@@ -309,7 +305,7 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
         note = "certified upper bound (phase-covariant); best_input attains the lower end"
     else:
         lower, upper, root, counts = _solve_hw(w, dim)
-    value = max(pdm_mod.clamp_log2(float(upper)), pdm_mod.causality_F(r))
+    value = max(float(upper), pdm_mod.causality_F(r))
     low, amp = float(lower), root.reshape(-1)
     return BoundReport(
         channel_label=c.label,
@@ -368,7 +364,7 @@ def sweep_shifted_depol(
 
     Builds no channels: R = T_A(J) of :func:`channels.shifted_depolarizing_choi` gives the
     causality column (one batched eigensolve) and HW (:func:`_solve_covariant` per row, with
-    :func:`hw_bound`'s clamp and floor), which may differ in the last bits from the
+    :func:`hw_bound`'s floor), which may differ in the last bits from the
     channel-built bounds. ``cfg`` and ``workers`` have no effect.
     """
     points = np.array([(p, g) for p in p_grid for g in gamma_grid], dtype=float).reshape(-1, 2)
@@ -379,6 +375,6 @@ def sweep_shifted_depol(
     rows = []
     for (p, g), norm, w in zip(points.tolist(), norms, 2.0 * r):
         caus = pdm_mod.clamp_log2(math.log2(norm))
-        value = max(pdm_mod.clamp_log2(_solve_covariant(w)[1]), caus)  # as in hw_bound
+        value = max(_solve_covariant(w)[1], caus)  # as in hw_bound
         rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))
     return rows

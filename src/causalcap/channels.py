@@ -216,8 +216,12 @@ def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     return kraus_from_choi(shifted_depolarizing_choi(p, gamma), 1, 1, label)
 
 
+CHANNEL_NAMES = ("identity", "depolarizing", "shifted-depolarizing", "dephasing",
+                 "amplitude-damping")
+
+
 def named_channel(name: str, **params) -> QuantumChannel:
-    """Construct one of the built-in channel families by name."""
+    """Construct one of the built-in channel families (``CHANNEL_NAMES``) by name."""
     try:
         name = name.lower()
         if name == "identity":
@@ -256,7 +260,7 @@ def named_channel(name: str, **params) -> QuantumChannel:
             a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
             a1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
             return from_kraus([a0, a1], 1, 1, label=f"amplitude-damping({eta:g})")
-        raise ValueError(f"unknown channel name {name!r}")
+        raise ValueError(f"unknown channel name {name!r} (known: {', '.join(CHANNEL_NAMES)})")
     except KeyError as exc:  # a params.pop without a default
         raise ValueError(f"channel {name!r} needs parameter {exc.args[0]!r}") from None
 

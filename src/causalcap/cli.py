@@ -28,6 +28,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import verify as verify_mod
 from .channels import (
+    CHANNEL_NAMES,
     ChannelFormatError,
     QuantumChannel,
     load_channel,
@@ -56,7 +57,8 @@ def _resolve_channel(args) -> QuantumChannel:
         k: v for k in ("qubits", "p", "gamma", "eta", "strength")
         if (v := getattr(args, k)) is not None
     }
-    if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
+    named = spec.lower() in CHANNEL_NAMES  # a name wins over a file; ./name reaches the file
+    if not named and (spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec)):
         if params:
             flags = ", ".join(f"--{k}" for k in params)
             raise ValueError(f"{flags} cannot be combined with the channel file {spec}")
@@ -164,8 +166,7 @@ def cmd_channel_info(args) -> int:
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--channel", required=True,
-        help="channel name (identity, depolarizing, shifted-depolarizing, "
-        "dephasing, amplitude-damping) or path to a channel JSON file",
+        help=f"channel name ({', '.join(CHANNEL_NAMES)}) or path to a channel JSON file",
     )
     parser.add_argument("--qubits", type=int, help="qubit count (identity)")
     parser.add_argument("--p", type=float, help="depolarizing probability weight")

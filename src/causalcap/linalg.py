@@ -18,12 +18,11 @@ import numpy as np
 HERM_ATOL = 1e-10
 # CPTP_ATOL: the trace defect and most negative eigenvalue of a density or Choi matrix,
 #   a channel's TP residual max|d_in Tr_out J - I|, the margin of the verify suites, and
-#   the log2 width that closes a Holevo-Werner bracket (eigenvalue floor eps / CPTP_ATOL).
+#   the log2 width that closes a Holevo-Werner bracket (eigenvalue floor eps / CPTP_ATOL);
+#   a log2 norm in (log2(1 - CPTP_ATOL), 0) reads 0 (pdm.clamp_log2).
 CPTP_ATOL = 1e-9
 # KRAUS_TRUNCATION: Choi eigenvalues at or below it yield no Kraus operator.
 KRAUS_TRUNCATION = 1e-10
-# NEG_CLAMP: a log2 norm in (-NEG_CLAMP, 0) is rounding of a norm >= 1 and reads 0.
-NEG_CLAMP = 1e-12
 
 I2 = np.eye(2, dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -23,7 +23,6 @@ from .channels import QuantumChannel
 from .linalg import (
     CPTP_ATOL,
     I2,
-    NEG_CLAMP,
     as_matrix,
     partial_transpose,
     require_hermitian,
@@ -117,12 +116,13 @@ def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
 
 
 def clamp_log2(value: float) -> float:
-    """A log2 norm with rounding below zero removed.
+    """A log2 norm with the shortfall below zero that an accepted input allows removed.
 
-    The norms the bounds take (PDM trace norm, diamond norm of Theta o N) are
-    at least 1, so a log2 value in (-NEG_CLAMP, 0) is floating noise.
+    The norms the bounds take (PDM trace norm, diamond norm of Theta o N) are at least
+    ||R||_1 >= |tr R| >= 1 - ``CPTP_ATOL``, the trace defect the validators accept, so a
+    log2 value in (log2(1 - CPTP_ATOL), 0) reads 0. Any other value is kept.
     """
-    return 0.0 if -NEG_CLAMP < value < 0.0 else value
+    return 0.0 if math.log2(1.0 - CPTP_ATOL) < value < 0.0 else value
 
 
 def causality_F(r: PseudoDensityMatrix) -> float:

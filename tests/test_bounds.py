@@ -34,7 +34,14 @@ from causalcap.channels import (
     shifted_depolarizing_choi,
     tensor,
 )
-from causalcap.linalg import CPTP_ATOL, I2, partial_transpose, random_complex, trace_norm
+from causalcap.linalg import (
+    CPTP_ATOL,
+    HERM_ATOL,
+    I2,
+    partial_transpose,
+    random_complex,
+    trace_norm,
+)
 from causalcap.pdm import PseudoDensityMatrix, clamp_log2, pdm_from_channel
 
 FAST_CFG = OptimizerConfig(restarts=8, seed=7)
@@ -354,12 +361,13 @@ def seeded_covariant_ws() -> list:
 
 def bracket_ends(ws, ss) -> np.ndarray:
     """(||M||_1, lambda_max(G)) per W at sigma = diag(s, 1-s), from :func:`_bracket`."""
-    ws, ss = np.array(ws), np.array(ss, dtype=float)
-    root, inv_root = np.zeros((2, len(ss), 2, 2), dtype=complex)
-    root[:, 0, 0], root[:, 1, 1] = np.sqrt(ss), np.sqrt(1.0 - ss)
-    inv_root[:, 0, 0], inv_root[:, 1, 1] = 1.0 / root[:, 0, 0], 1.0 / root[:, 1, 1]
-    lower, g_vals = _bracket(ws.reshape(-1, 2, 2, 2, 2), root, inv_root)[:2]
-    return np.stack([lower, g_vals[:, -1]], axis=1)
+    ends = []
+    for w, s in zip(ws, ss):
+        root = np.diag([math.sqrt(s), math.sqrt(1.0 - s)]).astype(complex)
+        inv_root = np.diag([1.0 / root[0, 0], 1.0 / root[1, 1]])
+        lower, g_vals = _bracket(np.reshape(w, (2, 2, 2, 2)), root, inv_root)[:2]
+        ends.append((lower, g_vals[-1]))
+    return np.array(ends)
 
 
 def closed_form_ends(ws, ss) -> np.ndarray:
@@ -466,6 +474,19 @@ class TestPhaseCovariantRoute:
         for f in bracket_ends([w, w], [0.5, s])[:, 0]:
             assert rep.value >= math.log2(f)
         assert rep.diagnostics["lower"] <= math.log2(bracket_ends([w], [s])[0, 0])
+
+    def test_off_pattern_entries_above_herm_atol_take_the_fixed_point(self, monkeypatch):
+        w = covariant_w(0.0, 0.5, 1.5, 0.0, 2.0)
+        w[0, 3] = w[3, 0] = 2.0 * HERM_ATOL
+        r = PseudoDensityMatrix(w / 2.0, l_in=1, l_out=1)
+        monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
+        rep = hw_bound(from_kraus([I2], label="stand-in"))
+        assert "phase-covariant" not in rep.diagnostics["note"]
+        assert rep.diagnostics["iterations"] > 0
+        assert rep.diagnostics["gap"] <= CPTP_ATOL
+        s = _sigma_star(0.0, 0.5, 1.5, 0.0, 2.0)
+        for f in bracket_ends([w, w], [0.5, s])[:, 0]:
+            assert rep.value >= math.log2(f)
 
 
 def binary_entropy(x):

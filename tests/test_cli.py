@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ import causalcap
 from causalcap import bounds as bounds_mod
 from causalcap.bounds import causality_bound
 from causalcap.channels import (
+    CHANNEL_NAMES,
     channel_to_dict,
+    from_kraus,
     kraus_from_choi,
     named_channel,
     random_channel,
@@ -91,6 +94,32 @@ class TestBound:
         code, out, _ = run(capsys, ["bound", "--channel", str(path), "--method", "causality"])
         assert code == 0
         assert np.isclose(json.loads(out.strip())["value"], np.log2(1.4))
+
+    def test_near_trace_preserving_file_reads_zero(self, capsys, tmp_path):
+        # a trace defect of 5e-10 is accepted (CPTP_ATOL), so every norm >= 1 - 5e-10
+        paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])]
+        kraus = [math.sqrt((1.0 - 5e-10) / 4.0) * np.asarray(a) for a in paulis]
+        path = tmp_path / "near_tp.json"
+        save_channel(from_kraus(kraus, label="near-tp"), path)
+        code, out, _ = run(capsys, ["bound", "--channel", str(path), "--method", "all"])
+        assert code == 0
+        by_method = {rep["method"]: rep["value"] for rep in map(json.loads, out.splitlines())}
+        assert by_method == {"causality": 0.0, "holevo_werner": 0.0, "maxrains_surrogate": 0.0}
+
+    def test_channel_name_wins_over_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in CHANNEL_NAMES:
+            save_channel(named_channel("amplitude-damping", eta=0.3), tmp_path / name)
+        argv = ["bound", "--method", "causality", "--channel"]
+        code, out, _ = run(capsys, [*argv, "dephasing", "--strength", "0.4"])
+        assert code == 0 and json.loads(out)["channel"] == "dephasing(0.4)"
+        code, out, _ = run(capsys, [*argv, "dephasing"])
+        assert code == 0 and json.loads(out)["channel"] == "dephasing(1)"
+        code, out, _ = run(capsys, [*argv, "./dephasing"])
+        assert code == 0 and json.loads(out)["channel"] == "amplitude-damping(0.3)"
+        code, out, err = run(capsys, [*argv, "nosuch"])
+        assert_clean_failure(code, out, err, 2)
+        assert "unknown channel name 'nosuch'" in err and "amplitude-damping" in err
 
     def test_invalid_file_exit3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -153,7 +153,7 @@ def test_tolerances_are_defined_only_in_linalg():
                 and numeric_literal(value)
             ]
     assert set(defined) == {"linalg"}, defined
-    assert sorted(defined["linalg"]) == ["CPTP_ATOL", "HERM_ATOL", "KRAUS_TRUNCATION", "NEG_CLAMP"]
+    assert sorted(defined["linalg"]) == ["CPTP_ATOL", "HERM_ATOL", "KRAUS_TRUNCATION"]
     assert not literals, literals
 
 

@@ -13,6 +13,7 @@ from causalcap.channels import (
     shifted_depolarizing,
 )
 from causalcap.linalg import (
+    CPTP_ATOL,
     I2,
     random_density,
     random_isometry,
@@ -21,6 +22,7 @@ from causalcap.linalg import (
 from causalcap.pdm import (
     PseudoDensityMatrix,
     causality_F,
+    clamp_log2,
     f_tr,
     lemma1_check,
     log_negativity,
@@ -227,6 +229,16 @@ class TestCausalityMeasure:
             w = rng.uniform()
             mix = PseudoDensityMatrix(w * r1.matrix + (1 - w) * r2.matrix, 1, 1)
             assert causality_F(mix) <= max(causality_F(r1), causality_F(r2)) + 1e-9
+
+    def test_clamp_reads_the_accepted_trace_defect_as_zero(self):
+        # an accepted PDM has ||R||_1 >= |tr R| >= 1 - CPTP_ATOL, so only that shortfall reads 0
+        least = math.log2(1.0 - CPTP_ATOL)
+        above = np.nextafter(least, 0.0)
+        below = np.nextafter(least, -1.0)
+        for value in (above, -7.2e-10, -1e-12, -5e-324):
+            assert clamp_log2(value) == 0.0
+        for value in (least, below, -2e-9, -1.0, 0.0, 5e-324, 1.5):
+            assert clamp_log2(value) == value
 
     def test_tensor_additivity(self):
         for seed in range(100):
