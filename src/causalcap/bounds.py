@@ -7,8 +7,8 @@ marginal (in closed form, in plain floats with no eigensolve, where W = d R has 
 phase-covariant pattern of every named channel; else by a fixed-point solve), and a
 max-Rains surrogate from the partially transposed Choi matrix. All read one operator, the
 PDM R: :func:`pdm.pdm_from_channel` builds it and its trace norm once per channel and holds
-them weakly, for every bound to share; the sweep builds no channels and reads its family's
-closed-form R. All values are in qubits per channel use.
+them weakly, for every bound to share; the sweep builds no channels but stacks its family's
+Kraus operators into R by a channel's arithmetic. All values are in qubits per channel use.
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from . import pdm as pdm_mod
-from .channels import QuantumChannel, check_shifted_depolarizing, shifted_depolarizing_choi
+from .channels import (
+    QuantumChannel,
+    check_shifted_depolarizing,
+    choi_from_kraus,
+    shifted_depolarizing_kraus,
+)
 from .linalg import CPTP_ATOL, HERM_ATOL, partial_transpose, trace_norm  # noqa: F401
 
 
@@ -362,15 +367,16 @@ def sweep_shifted_depol(
 ) -> list[SweepRow]:
     """Evaluate every bound over a (p, gamma) grid, rows in row-major order.
 
-    Builds no channels: R = T_A(J) of :func:`channels.shifted_depolarizing_choi` gives the
-    causality column (one batched eigensolve) and HW (:func:`_solve_covariant` per row, with
-    :func:`hw_bound`'s floor), which may differ in the last bits from the
-    channel-built bounds. ``cfg`` and ``workers`` have no effect.
+    Builds no channels: R = T_A(J), J from :func:`channels.choi_from_kraus` of the stacked
+    :func:`channels.shifted_depolarizing_kraus` as for a channel, gives the causality column
+    (one batched eigensolve) and HW (:func:`_solve_covariant` per row, with :func:`hw_bound`'s
+    floor), equal bit for bit to the channel-built bounds. ``cfg`` and ``workers`` have no effect.
     """
     points = np.array([(p, g) for p in p_grid for g in gamma_grid], dtype=float).reshape(-1, 2)
     if not points.size:  # an empty grid: there is no R to stack
         return []
-    r = np.array([partial_transpose(j, (2, 2), 0) for j in shifted_depolarizing_choi(*points.T)])
+    j = choi_from_kraus(shifted_depolarizing_kraus(*points.T))
+    r = np.array([partial_transpose(m, (2, 2), 0) for m in j])
     norms = np.abs(np.linalg.eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
     rows = []
     for (p, g), norm, w in zip(points.tolist(), norms, 2.0 * r):

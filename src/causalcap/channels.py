@@ -1,11 +1,11 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
-A channel stores a validated list of Kraus operators. Its Choi matrix J
-(normalized to trace 1, i.e. the channel acting on one half of a maximally
-entangled state) is always built from that stored list, whichever
-constructor made the channel, so the two cannot disagree and a saved channel
-reloads with a bit-identical J. Channels are immutable after construction
-and safe to share across threads.
+Every constructor passes a Kraus list to :func:`from_kraus`, which validates
+and stores it. The Choi matrix J (normalized to trace 1, i.e. the channel
+acting on one half of a maximally entangled state) is built from that stored
+list by :func:`choi_from_kraus`, the one conversion there is, so the two
+cannot disagree and a saved channel reloads with a bit-identical J. Channels
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,19 +16,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    CPTP_ATOL,
-    I2,
-    KRAUS_TRUNCATION,
-    PAULI_Z,
-    as_matrix,
-    random_complex,
-    require_hermitian,
-)
+from .linalg import CPTP_ATOL, I2, PAULI_Z, as_matrix, random_complex
+
+# the most qubits_in + qubits_out a channel file may declare: J at most 256x256
+MAX_FILE_QUBITS = 8
 
 
 class ChannelFormatError(ValueError):
     """A channel description (file or dict) violates the channel contract."""
+
+
+def choi_from_kraus(ops) -> np.ndarray:
+    """Trace-1 Choi matrix of Kraus operators, symmetrized: a stack (..., k, d_out, d_in)
+    gives J of shape (..., d_in d_out, d_in d_out), one per leading index."""
+    ops = np.asarray(ops)
+    *lead, k, rows, cols = ops.shape
+    # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
+    vecs = ops.swapaxes(-1, -2).reshape(*lead, k, rows * cols) / np.sqrt(cols)
+    j = vecs.swapaxes(-1, -2) @ vecs.conj()
+    return 0.5 * (j + j.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +52,7 @@ class QuantumChannel:
     choi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
-        vecs = np.array(self.kraus).swapaxes(1, 2).reshape(len(self.kraus), -1)
-        vecs = vecs / np.sqrt(self.dim_in)
-        j = vecs.T @ vecs.conj()
-        j = 0.5 * (j + j.conj().T)
+        j = choi_from_kraus(self.kraus)
         j.setflags(write=False)
         object.__setattr__(self, "choi", j)
 
@@ -119,46 +121,6 @@ def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def kraus_from_choi(
-    j: np.ndarray,
-    qubits_in: int,
-    qubits_out: int,
-    label: str = "channel",
-) -> QuantumChannel:
-    """Channel from a trace-1 Choi matrix, with Kraus operators from its eigenvectors.
-
-    The Choi matrix must be Hermitian, positive semi-definite up to
-    eigenvalue tolerance, and trace preserving to within :func:`tp_residual`
-    <= ``CPTP_ATOL``, which bounds its trace defect by ``CPTP_ATOL`` as well.
-    The Kraus operators A_k from eigenvalues above ``KRAUS_TRUNCATION`` are
-    rescaled to A_k S^(-1/2), S = sum_k A_k^dag A_k, so the dropped eigenvalues
-    leave the Kraus list exactly complete and every accepted channel passes
-    :func:`from_kraus` again. As for every channel, the Choi matrix is then
-    built from that Kraus list, not taken from the input: it differs from the
-    input by the dropped eigenvalues and the rescale, and a saved file
-    reproduces it bit for bit.
-    """
-    j = as_matrix(j)
-    dim_in, dim_out = 2**qubits_in, 2**qubits_out
-    if j.shape != (dim_in * dim_out, dim_in * dim_out):
-        raise ValueError(f"Choi shape {j.shape} does not match {qubits_in}->{qubits_out} qubits")
-    j = require_hermitian(j)
-    vals, vecs = np.linalg.eigh(j)
-    if vals[0] < -CPTP_ATOL:
-        raise ValueError(f"not completely positive (Choi eigenvalue {vals[0]:.3e})")
-    residual = tp_residual(j, dim_in)
-    if residual > CPTP_ATOL:
-        raise ValueError(f"not trace preserving (completeness residual {residual:.3e})")
-    keep = vals > KRAUS_TRUNCATION
-    # column-of-Choi eigenvector w[x*dim_out + y] -> Kraus entry A[y, x]
-    vecs = vecs[:, keep].T.reshape(-1, dim_in, dim_out).swapaxes(1, 2)
-    ops = np.sqrt(vals[keep] * dim_in)[:, None, None] * vecs
-    stacked = ops.reshape(-1, dim_in)  # the A_k one above another
-    s_vals, s_vecs = np.linalg.eigh(stacked.conj().T @ stacked)
-    ops = ops @ ((s_vecs / np.sqrt(s_vals)) @ s_vecs.conj().T)
-    return QuantumChannel(qubits_in, qubits_out, tuple(ops), label)
-
-
 def compose(d: QuantumChannel, c: QuantumChannel) -> QuantumChannel:
     """Composition d after c."""
     if c.qubits_out != d.qubits_in:
@@ -198,22 +160,23 @@ def check_shifted_depolarizing(p, gamma) -> None:
             raise ValueError(f"gamma={gamma_i!r} outside [0, 1]")
 
 
-def shifted_depolarizing_choi(p, gamma) -> np.ndarray:
-    """Real Choi matrix (1-4p)|Phi+><Phi+| + 4p (I/2 x (I + gamma Z)/2), points checked first:
-    one 4x4 for floats p and gamma, a stack (n, 4, 4) for arrays of n points."""
+def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
+    """Kraus operators sqrt(1-4p) I, sqrt(2p(1+gamma)) |0><x| and sqrt(2p(1-gamma)) |1><x|
+    (x = 0, 1) of rho -> (1-4p) rho + 4p (I + gamma Z)/2, points checked first: a complex
+    stack (5, 2, 2) for floats p and gamma, (n, 5, 2, 2) for arrays of n points."""
     check_shifted_depolarizing(p, gamma)
-    phi, p4 = 1.0 / np.sqrt(2.0), 4.0 * p  # phi * phi rounds as np.outer(phi, phi) does
-    a, up, down = (1.0 - p4) * (phi * phi), p4 * ((1.0 + gamma) / 4.0), p4 * ((1.0 - gamma) / 4.0)
-    j = np.zeros(np.shape(p) + (4, 4))
-    j[..., 0, 0], j[..., 1, 1], j[..., 2, 2], j[..., 3, 3] = a + up, down, up, a + down
-    j[..., 0, 3] = j[..., 3, 0] = a
-    return j
+    up, down = np.sqrt(2.0 * p * (1.0 + gamma)), np.sqrt(2.0 * p * (1.0 - gamma))
+    # complex, as from_kraus makes every list: a real stack takes another BLAS kernel for J
+    ops = np.zeros(np.shape(p) + (5, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(1.0 - 4.0 * p)
+    ops[..., 1, 0, 0], ops[..., 2, 0, 1], ops[..., 3, 1, 0], ops[..., 4, 1, 1] = up, up, down, down
+    return ops
 
 
 def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
-    """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2, from its Choi matrix."""
-    label = f"shifted-depolarizing(p={p:g},gamma={gamma:g})"
-    return kraus_from_choi(shifted_depolarizing_choi(p, gamma), 1, 1, label)
+    """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2, from its nonzero Kraus operators."""
+    ops = [a for a in shifted_depolarizing_kraus(p, gamma) if a.any()]
+    return from_kraus(ops, 1, 1, label=f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
 
 
 CHANNEL_NAMES = ("identity", "depolarizing", "shifted-depolarizing", "dephasing",
@@ -236,8 +199,8 @@ def named_channel(name: str, **params) -> QuantumChannel:
         if name == "depolarizing":
             p = float(params.pop("p"))
             _reject_extra(name, params)
-            label = f"depolarizing(p={p:g})"
-            return kraus_from_choi(shifted_depolarizing_choi(p, 0.0), 1, 1, label)
+            ops = [a for a in shifted_depolarizing_kraus(p, 0.0) if a.any()]
+            return from_kraus(ops, 1, 1, label=f"depolarizing(p={p:g})")
         if name == "shifted-depolarizing":
             p = float(params.pop("p"))
             gamma = float(params.pop("gamma"))
@@ -322,6 +285,11 @@ def channel_from_dict(data: dict) -> QuantumChannel:
     if not all(type(q) is int and q >= 1 for q in (qubits_in, qubits_out)):
         raise ChannelFormatError(
             f"qubit counts must be positive integers, got {qubits_in!r} and {qubits_out!r}"
+        )
+    if qubits_in + qubits_out > MAX_FILE_QUBITS:  # before an entry is read or J allocated
+        raise ChannelFormatError(
+            f"{qubits_in}->{qubits_out} qubits: a channel file may have at most "
+            f"{MAX_FILE_QUBITS} qubits in and out together"
         )
     try:
         ops = [

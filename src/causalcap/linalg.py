@@ -21,8 +21,6 @@ HERM_ATOL = 1e-10
 #   the log2 width that closes a Holevo-Werner bracket (eigenvalue floor eps / CPTP_ATOL);
 #   a log2 norm in (log2(1 - CPTP_ATOL), 0) reads 0 (pdm.clamp_log2).
 CPTP_ATOL = 1e-9
-# KRAUS_TRUNCATION: Choi eigenvalues at or below it yield no Kraus operator.
-KRAUS_TRUNCATION = 1e-10
 
 I2 = np.eye(2, dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -15,7 +15,6 @@ from causalcap.bounds import (
     _bracket,
     _covariant_ends,
     _sigma_star,
-    _solve_covariant,
     _solve_hw,
     analytic_shifted_depol,
     causality_bound,
@@ -31,18 +30,10 @@ from causalcap.channels import (
     named_channel,
     random_channel,
     shifted_depolarizing,
-    shifted_depolarizing_choi,
     tensor,
 )
-from causalcap.linalg import (
-    CPTP_ATOL,
-    HERM_ATOL,
-    I2,
-    partial_transpose,
-    random_complex,
-    trace_norm,
-)
-from causalcap.pdm import PseudoDensityMatrix, clamp_log2, pdm_from_channel
+from causalcap.linalg import CPTP_ATOL, HERM_ATOL, I2, random_complex
+from causalcap.pdm import PseudoDensityMatrix, pdm_from_channel
 
 FAST_CFG = OptimizerConfig(restarts=8, seed=7)
 
@@ -433,10 +424,10 @@ class TestPhaseCovariantRoute:
         chans += [named_channel("dephasing", strength=s) for s in np.linspace(0.0, 1.0, 11)]
         chans += [named_channel("depolarizing", p=p) for p in np.linspace(0.0, 0.25, 11)]
         ws = [2.0 * pdm_from_channel(c).matrix for c in chans] + seeded_covariant_ws()
-        ws += list(2.0 * np.array([  # the sweep's closed-form W
-            partial_transpose(shifted_depolarizing_choi(p, g), (2, 2), 0)
+        ws += [  # the sweep's W, which is the channel's
+            2.0 * pdm_from_channel(shifted_depolarizing(p, g)).matrix
             for p in np.linspace(0.0, 0.25, 26) for g in np.linspace(0.0, 1.0, 21)
-        ]))
+        ]
         stars = [_sigma_star(*np.diagonal(w).real.tolist(), abs(complex(w[1, 2]))) for w in ws]
         cases = [(w, 0.5) for w in ws]
         cases += [(w, s) for w, s in zip(ws, stars) if bounds._FLOOR < s < 1.0 - bounds._FLOOR]
@@ -669,20 +660,11 @@ class TestSweep:
 
     def test_batched_rows_match_single_channel_solves(self):
         rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
-        for row in rows:
-            r = partial_transpose(shifted_depolarizing_choi(row.p, row.gamma), (2, 2), 0)
-            caus = clamp_log2(math.log2(trace_norm(r)))
-            single = max(clamp_log2(_solve_covariant(2.0 * r)[1]), caus)
-            assert (row.causality, row.hw) == (caus, single)
-
-    def test_rows_match_channel_built_bounds(self):
-        rows = sweep_shifted_depol(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21))
+        assert len(rows) == 546
         for row in rows:
             chan = shifted_depolarizing(row.p, row.gamma)
-            r = partial_transpose(shifted_depolarizing_choi(row.p, row.gamma), (2, 2), 0)
-            assert np.max(np.abs(r - pdm_from_channel(chan).matrix)) <= 1e-14
-            assert abs(row.causality - causality_bound(chan).value) <= 1e-14
-            assert abs(row.hw - hw_bound(chan).value) <= 1e-14
+            caus, hw = causality_bound(chan).value, hw_bound(chan).value
+            assert (row.causality, row.hw, row.hw_minus_causality) == (caus, hw, hw - caus)
 
     def test_builds_no_channel_and_no_pdm(self, monkeypatch):
         def refuse(self):

@@ -12,19 +12,20 @@ from causalcap.channels import (
     apply,
     channel_from_dict,
     channel_to_dict,
+    choi_from_kraus,
     compose,
     conjugate,
     from_kraus,
-    kraus_from_choi,
     load_channel,
     named_channel,
     random_channel,
     save_channel,
     shifted_depolarizing,
+    shifted_depolarizing_kraus,
     tensor,
     tp_residual,
 )
-from causalcap.linalg import I2, PAULI_Z, random_complex, random_density
+from causalcap.linalg import CPTP_ATOL, I2, PAULI_Z, random_complex, random_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -37,23 +38,23 @@ def phi_plus_projector():
     return np.outer(v, v.conj())
 
 
-def random_hermitian(dim, rng):
-    g = random_complex(dim, dim, rng)
-    return 0.5 * (g + g.conj().T)
-
-
 def input_marginal(j, dim_in, dim_out):
     """Tr_out of an operator on (input x output)."""
     return np.einsum("xyzy->xz", j.reshape(dim_in, dim_out, dim_in, dim_out))
 
 
-def noisy_choi(c, scale, seed):
-    """c's Choi matrix plus Hermitian noise of largest entry ``scale`` whose input
-    marginal is removed, so the result is exactly trace preserving."""
-    h = random_hermitian(c.choi.shape[0], np.random.default_rng(seed))
-    marginal = input_marginal(h, c.dim_in, c.dim_out)
-    h = h - np.kron(marginal, np.eye(c.dim_out) / c.dim_out)
-    return c.choi + scale * h / np.max(np.abs(h))
+def noisy_kraus(c, scale, seed):
+    """c's Kraus operators A_k plus complex noise N_k of largest entry ``scale``, less the
+    first-order completeness defect: N_k -> N_k - A_k E / 2, E = sum_k A_k^dag N_k + h.c.
+    The list is then complete to order scale**2 plus rounding, within ``CPTP_ATOL``."""
+    ops = np.array(c.kraus)
+    noise = random_complex(ops.size, 1, np.random.default_rng(seed)).reshape(ops.shape)
+    noise *= scale / np.max(np.abs(noise))
+    defect = np.einsum("kmi,kmj->ij", ops.conj(), noise)
+    noise -= ops @ (0.5 * (defect + defect.conj().T))
+    noisy = list(ops + noise)
+    assert tp_residual(from_kraus(noisy).choi, c.dim_in) <= CPTP_ATOL
+    return noisy
 
 
 class TestFromKraus:
@@ -146,43 +147,7 @@ class TestTpResidual:
         assert abs(tp_residual(j, d) - expected) < 1e-12
 
 
-class TestKrausFromChoi:
-    def test_max_entangled_gives_identity(self):
-        c = kraus_from_choi(phi_plus_projector(), 1, 1)
-        assert len(c.kraus) == 1
-        a = c.kraus[0]
-        assert np.allclose(a @ a.conj().T, I2)  # unitary, proportional to I2
-        assert np.allclose(a / a[0, 0], I2)
-
-    def test_maximally_mixed_choi_acts_depolarizing(self):
-        c = kraus_from_choi(np.eye(4, dtype=complex) / 4, 1, 1)
-        assert len(c.kraus) == 4
-        for sigma in (I2, PAULI_X, PAULI_Z):
-            rho = (I2 + 0.3 * sigma) / np.trace((I2 + 0.3 * sigma)).real
-            assert np.allclose(apply(c, rho), I2 / 2, atol=1e-9)
-
-    def test_round_trip(self):
-        for seed in range(10):
-            c = random_channel(1, 1, env_qubits=2, seed=100 + seed)
-            c2 = kraus_from_choi(c.choi, 1, 1)
-            assert np.max(np.abs(c2.choi - c.choi)) < 1e-8
-
-    def test_rejects_negative_choi(self):
-        bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
-        with pytest.raises(ValueError, match="not completely positive"):
-            kraus_from_choi(bad, 1, 1)
-
-    def test_rejects_bad_marginal(self):
-        bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="not trace preserving"):
-            kraus_from_choi(bad, 1, 1)
-
-    def test_rejects_marginal_drift_beyond_completeness_tolerance(self):
-        # input marginal I/2 + 4e-9 Z: completeness residual 8e-9
-        drifted = np.eye(4, dtype=complex) / 4 + 4e-9 * np.diag([1.0, 0.0, -1.0, 0.0])
-        with pytest.raises(ValueError, match="not trace preserving"):
-            kraus_from_choi(drifted, 1, 1)
-
+class TestNoisyKraus:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         qubits=st.sampled_from([1, 2]),
@@ -193,7 +158,7 @@ class TestKrausFromChoi:
         self, tmp_path_factory, qubits, seed, scale
     ):
         exact = random_channel(qubits, qubits, env_qubits=2, seed=seed)
-        c = kraus_from_choi(noisy_choi(exact, scale, seed), qubits, qubits)
+        c = from_kraus(noisy_kraus(exact, scale, seed))
         assert np.array_equal(from_kraus(c.kraus).choi, c.choi)
         path = tmp_path_factory.mktemp("noisy") / "chan.json"
         save_channel(c, path)
@@ -207,7 +172,7 @@ class TestKrausFromChoi:
         path = tmp_path / "chan.json"
         for seed in range(100):
             exact = random_channel(2, 2, env_qubits=2, seed=seed)
-            c = kraus_from_choi(noisy_choi(exact, 2e-10, seed), 2, 2)
+            c = from_kraus(noisy_kraus(exact, 2e-10, seed))
             save_channel(c, path)
             assert causality_bound(load_channel(path)).value == causality_bound(c).value
 
@@ -273,7 +238,7 @@ def test_every_constructor_builds_choi_from_its_kraus_list(seed, p, gamma):
     made = [
         a,
         b,
-        kraus_from_choi(noisy_choi(a, 2e-10, seed), 1, 1),
+        from_kraus(noisy_kraus(a, 2e-10, seed)),
         compose(a, b),
         tensor(a, b),
         conjugate(a),
@@ -332,14 +297,34 @@ class TestShiftedDepolarizing:
                 c = shifted_depolarizing(p, gamma)
                 assert np.array_equal(from_kraus(c.kraus).choi, c.choi)
 
-    def test_choi_is_bit_identical_to_the_kron_formula_on_grid(self):
+    def test_choi_matches_the_kron_formula_on_grid(self):
         phi = I2.reshape(-1) / np.sqrt(2.0)
+        eps = np.finfo(float).eps
         for p in np.linspace(0.0, 0.25, 26):
             for gamma in np.linspace(0.0, 1.0, 21):
                 shift = (I2 + gamma * PAULI_Z) / 2.0
                 j = (1.0 - 4.0 * p) * np.outer(phi, phi) + 4.0 * p * np.kron(I2 / 2.0, shift)
-                ref = kraus_from_choi(j, 1, 1).choi
-                assert np.array_equal(shifted_depolarizing(p, gamma).choi, ref), (p, gamma)
+                c = shifted_depolarizing(p, gamma)
+                assert np.max(np.abs(c.choi - j)) <= 2.0 * eps, (p, gamma)
+                for sigma in (I2, PAULI_X, 1j * (PAULI_X @ PAULI_Z), PAULI_Z):
+                    expected = (1.0 - 4.0 * p) * sigma + 4.0 * p * np.trace(sigma) * shift
+                    assert np.max(np.abs(apply(c, sigma) - expected)) <= 2.0 * eps, (p, gamma)
+
+    def test_stacked_kraus_give_each_channels_choi_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        grid = [(p, g) for p in np.linspace(0.0, 0.25, 26) for g in np.linspace(0.0, 1.0, 21)]
+        points = np.array(grid + list(zip(rng.uniform(0.0, 0.25, 200), rng.uniform(0.0, 1.0, 200))))
+        stacked = choi_from_kraus(shifted_depolarizing_kraus(*points.T))
+        assert stacked.shape == (746, 4, 4)
+        for j, (p, gamma) in zip(stacked, points.tolist()):
+            assert np.array_equal(j, shifted_depolarizing(p, gamma).choi), (p, gamma)
+
+    def test_kraus_operators_are_complete_and_zero_ones_are_dropped(self):
+        ops = shifted_depolarizing_kraus(0.1, 0.3)
+        assert ops.shape == (5, 2, 2) and ops.dtype == complex
+        assert np.max(np.abs(sum(a.conj().T @ a for a in ops) - I2)) <= 2.0 * np.finfo(float).eps
+        points = [(0.0, 0.5), (0.25, 1.0), (0.1, 1.0), (0.1, 0.3)]
+        assert [len(shifted_depolarizing(p, g).kraus) for p, g in points] == [1, 2, 3, 5]
 
     @pytest.mark.parametrize("p,gamma", [(-0.1, 0.0), (0.3, 0.0), (0.1, 1.5)])
     def test_range_checks(self, p, gamma):

@@ -13,19 +13,21 @@ from hypothesis import strategies as st
 
 import causalcap
 from causalcap import bounds as bounds_mod
+from causalcap import channels as channels_mod
 from causalcap.bounds import causality_bound
 from causalcap.channels import (
     CHANNEL_NAMES,
+    MAX_FILE_QUBITS,
     channel_to_dict,
     from_kraus,
-    kraus_from_choi,
     named_channel,
     random_channel,
     save_channel,
     shifted_depolarizing,
+    tensor,
 )
 from causalcap.cli import MAX_SWEEP_POINTS, main
-from causalcap.linalg import random_complex
+from test_channels import noisy_kraus
 
 FAST = ["--restarts", "4"]
 
@@ -243,19 +245,39 @@ class TestChannelInfo:
         assert "error" in err
 
     def test_file_from_noisy_choi_reports_validated_residual(self, capsys, tmp_path):
-        # an exactly trace-preserving 2-qubit Choi matrix with 2e-10 Hermitian noise
+        # a 2-qubit channel whose Kraus operators carry 2e-10 noise, complete to first order
         exact = random_channel(2, 2, env_qubits=2, seed=5)
-        g = random_complex(16, 16, np.random.default_rng(5))
-        h = 0.5 * (g + g.conj().T)
-        h -= np.kron(np.einsum("xyzy->xz", h.reshape(4, 4, 4, 4)), np.eye(4) / 4)
         path = tmp_path / "noisy.json"
-        save_channel(kraus_from_choi(exact.choi + 2e-10 * h / np.max(np.abs(h)), 2, 2), path)
+        save_channel(from_kraus(noisy_kraus(exact, 2e-10, 5)), path)
         code, out, _ = run(capsys, ["channel-info", "--channel", str(path)])
         assert code == 0
         assert json.loads(out.strip())["tp_residual"] <= 1e-9
         code, out, _ = run(capsys, ["bound", "--channel", str(path), "--method", "causality"])
         assert code == 0
         assert abs(json.loads(out.strip())["value"] - causality_bound(exact).value) < 1e-8
+
+    def test_oversized_file_exit3_before_allocating(self, capsys, tmp_path, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("a channel was built from a file that is too large")
+
+        # a valid isometry from 1 qubit into 16: its J would take 256 GiB
+        doc = {"label": "wide", "qubits_in": 1, "qubits_out": 16,
+               "kraus": [[[[float(x), 0.0] for x in row] for row in np.eye(2**16, 2)]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(channels_mod, "from_kraus", no_alloc)
+        code, out, err = run(capsys, ["channel-info", "--channel", str(path)])
+        assert_clean_failure(code, out, err, 3)
+        assert len(err.splitlines()) == 1 and str(MAX_FILE_QUBITS) in err
+
+    def test_file_at_the_qubit_limit_loads(self, capsys, tmp_path):
+        pair = tensor(random_channel(2, 2, seed=1), random_channel(2, 2, seed=2))
+        assert pair.qubits_in + pair.qubits_out == MAX_FILE_QUBITS
+        path = tmp_path / "pair.json"
+        save_channel(pair, path)
+        code, out, _ = run(capsys, ["channel-info", "--channel", str(path)])
+        assert code == 0
+        assert json.loads(out.strip())["kraus_rank"] == len(pair.kraus)
 
     def test_non_finite_file_exit3(self, capsys, non_finite_file):
         code, out, err = run(capsys, ["channel-info", "--channel", str(non_finite_file)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from causalcap.channels import from_kraus, named_channel, shifted_depolarizing
-from causalcap.linalg import I2, PAULI_Z, random_density
+from causalcap.linalg import I2, PAULI_Z, random_density, random_unitary
 from causalcap.verify import (
     SUITES,
     FidelityCheckRecord,
@@ -67,10 +67,10 @@ class TestEntanglementFidelity:
             assert abs(kraus_route - pure_route) < 1e-9
 
     def test_kraus_representation_independence(self):
-        from causalcap.channels import kraus_from_choi
-
         c = named_channel("amplitude-damping", eta=0.4)
-        c2 = kraus_from_choi(c.choi, 1, 1)
+        u = random_unitary(len(c.kraus), np.random.default_rng(5))
+        c2 = from_kraus(np.einsum("jk,kab->jab", u, np.array(c.kraus)))  # A'_j = sum_k U_jk A_k
+        assert not np.allclose(c2.kraus[0], c.kraus[0])
         rho = random_density(2, np.random.default_rng(4))
         assert abs(entanglement_fidelity(rho, c) - entanglement_fidelity(rho, c2)) < 1e-9
 
