@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print three SHA-256 digests: two over the Holevo-Werner results, one over the PDMs.
+"""Print four SHA-256 digests: three over the Holevo-Werner results, one over the PDMs.
 
 The first ("named") covers the rows of the default 26x21 shifted depolarizing
 sweep and ``hw_bound`` on the named 1-qubit channels: amplitude damping at 41
@@ -7,11 +7,14 @@ strengths in [0, 1], dephasing at 11 strengths in [0, 1] and depolarizing at
 11 weights p in [0, 1/4]. These channels all commute with phase rotations.
 The second ("random") covers ``hw_bound`` on ``random_channel(q, q,
 env_qubits=e, seed=s)`` for q in {1, 2}, e in {1, 2, 3} and s < 50, plus three
-2-qubit channels on which the solver stops early or converges slowly. For a
-channel the digest takes the ``hw_bound`` value, every diagnostic and the
-bytes of ``best_input``. Floats enter the digests exactly (as ``float.hex``),
-so two checkouts that print the same digest produced bit-identical results.
-The third ("causality") covers the channels of the default 26x21 sweep grid
+2-qubit channels on which the solver stops early or converges slowly. The
+third ("unequal") covers ``hw_bound`` on ``random_channel(1, 2, env_qubits=2,
+seed=s)`` and ``random_channel(2, 1, env_qubits=2, seed=s)`` for s < 4, whose
+input and output qubit counts differ. For a channel these digests take the
+``hw_bound`` value, every diagnostic and the bytes of ``best_input``. Floats
+enter the digests exactly (as ``float.hex``), so two checkouts that print the
+same digest produced bit-identical results.
+The fourth ("causality") covers the channels of the default 26x21 sweep grid
 and ``random_channel(q, q, seed=s)`` for q in {1, 2, 3} and s < 8: for each it
 takes the bytes of the Choi matrix and of the PDM, the causality bound, and
 the ``maxrains_surrogate`` value with its ``log2_inf_norm``.
@@ -79,6 +82,14 @@ def random_channels():
     return chans + [random_channel(2, 2, env_qubits=3, seed=s) for s in HARD_SEEDS]
 
 
+def unequal_channels():
+    return [
+        random_channel(q_in, q_out, env_qubits=2, seed=s)
+        for q_in, q_out in ((1, 2), (2, 1))
+        for s in range(4)
+    ]
+
+
 def _field(value) -> bytes:
     if isinstance(value, float):
         return value.hex().encode()
@@ -105,10 +116,9 @@ def named_fingerprint() -> tuple[str, int, int]:
     return digest.hexdigest(), len(rows), len(chans)
 
 
-def random_fingerprint() -> tuple[str, int]:
-    """(hex digest, channels) over the random channel list."""
+def channels_fingerprint(chans) -> tuple[str, int]:
+    """(hex digest, channels) over ``hw_bound`` on each channel of a list."""
     digest = hashlib.sha256()
-    chans = random_channels()
     _hash_channels(digest, chans)
     return digest.hexdigest(), len(chans)
 
@@ -164,10 +174,11 @@ def fingerprints() -> dict[str, str]:
     digests["named"], rows, chans = named_fingerprint()
     print(f"named: {rows} sweep rows, {chans} channels in {time.perf_counter() - t0:.1f} s")
     print(digests["named"])
-    t0 = time.perf_counter()
-    digests["random"], chans = random_fingerprint()
-    print(f"random: {chans} channels in {time.perf_counter() - t0:.1f} s")
-    print(digests["random"])
+    for name, chans in (("random", random_channels), ("unequal", unequal_channels)):
+        t0 = time.perf_counter()
+        digests[name], n = channels_fingerprint(chans())
+        print(f"{name}: {n} channels in {time.perf_counter() - t0:.1f} s")
+        print(digests[name])
     t0 = time.perf_counter()
     digests["causality"], chans = causality_fingerprint()
     print(f"causality: {chans} channels in {time.perf_counter() - t0:.1f} s")

@@ -70,9 +70,16 @@ class SweepRow:
     hw_minus_causality: float
 
 
+def _equal_count_pdm(c: QuantumChannel) -> pdm_mod.PseudoDensityMatrix:
+    if c.qubits_in != c.qubits_out:  # HW takes any counts; causality and max-Rains do not
+        raise ValueError(f"{c.label}: PDM construction needs equal input/output qubit counts "
+                         f"(got {c.qubits_in}->{c.qubits_out})")
+    return pdm_mod.pdm_from_channel(c)
+
+
 def causality_bound(c: QuantumChannel) -> BoundReport:
-    """Optimization-free capacity bound from the channel PDM."""
-    r = pdm_mod.pdm_from_channel(c)
+    """Optimization-free capacity bound from the channel PDM; needs equal qubit counts."""
+    r = _equal_count_pdm(c)
     return BoundReport(
         channel_label=c.label,
         method="causality",
@@ -262,28 +269,31 @@ def _covariant_ends(w00, w11, w22, w33, a12, s):
     return m00 + m33 + norm_b, max((m00 + abs11) / s, (abs22 + m33) / (1.0 - s))
 
 
-def _solve_covariant(w: np.ndarray):
+def _solve_covariant(flat):
     """Certified bracket for one phase-covariant 4x4 W in plain floats: the closed-form route.
 
-    Some diag(s, 1-s) is optimal (Holevo & Werner, PRA 63, 032312, 2001); :func:`_sigma_star`
-    picks s*. An I/2 bracket that closes to ``CPTP_ATOL`` is returned as :func:`_solve_hw`
-    returns it after 0 steps; else sigma* is bracketed too, unless s* is within eps /
-    ``CPTP_ATOL`` of 0 or 1 (f is flat there). The entries E off the pattern move each end
-    by delta = sum |e_ij|: ||(sqrt(sigma) x I) E (sqrt(sigma) x I)||_1 <= delta, and E has a
-    zero diagonal, so +-E <= delta I / 2. Returns log2 of the lower and upper end, the s of
-    the lower end and the number of sigma bracketed.
+    ``flat`` is W as 16 Python numbers, row-major; None if an entry off the pattern exceeds
+    ``HERM_ATOL``. Some diag(s, 1-s) is optimal (Holevo & Werner, PRA 63, 032312, 2001). An I/2
+    bracket that closes to ``CPTP_ATOL`` is returned as :func:`_solve_hw` returns it after 0
+    steps; else :func:`_sigma_star` picks s*, bracketed too unless within eps / ``CPTP_ATOL`` of
+    0 or 1 (f is flat there). Entries E off the pattern move each end by delta = sum |e_ij|, as
+    ||(sqrt(sigma) x I) E (sqrt(sigma) x I)||_1 <= delta and +-E <= delta I / 2 (zero diagonal).
+    Returns log2 of the lower and upper end, the s of the lower end and the sigma bracketed.
     """
-    flat = w.ravel().tolist()
+    off = [abs(flat[k]) for k in _OFF_PATTERN]
+    if max(off) > HERM_ATOL:
+        return None
     w00, w11, w22, w33 = (flat[k].real for k in (0, 5, 10, 15))
-    a12, delta = abs(flat[6]), sum(abs(flat[k]) for k in _OFF_PATTERN)
+    a12, delta = abs(flat[6]), sum(off)
     lower, upper = _covariant_ends(w00, w11, w22, w33, a12, 0.5)
     lower, upper, s_lower, evaluations = lower - delta, upper + delta, 0.5, 1
-    s = _sigma_star(w00, w11, w22, w33, a12)
-    if math.log2(upper) - math.log2(lower) > CPTP_ATOL and _FLOOR < s < 1.0 - _FLOOR:
-        lower_s, upper_s = _covariant_ends(w00, w11, w22, w33, a12, s)
-        if lower_s - delta > lower:
-            lower, s_lower = lower_s - delta, s
-        upper, evaluations = min(upper, upper_s + delta), 2
+    if math.log2(upper) - math.log2(lower) > CPTP_ATOL:
+        s = _sigma_star(w00, w11, w22, w33, a12)
+        if _FLOOR < s < 1.0 - _FLOOR:
+            lower_s, upper_s = _covariant_ends(w00, w11, w22, w33, a12, s)
+            if lower_s - delta > lower:
+                lower, s_lower = lower_s - delta, s
+            upper, evaluations = min(upper, upper_s + delta), 2
     # the value lies in [lower, upper]; an upper end below the lower end is rounding
     return math.log2(lower), math.log2(max(upper, lower)), s_lower, evaluations
 
@@ -291,27 +301,32 @@ def _solve_covariant(w: np.ndarray):
 def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
     """Holevo-Werner comparison bound log2 ||Theta o N||_dia (Theta the transpose).
 
-    A pure input with amplitude matrix Psi (reference x system) has output K W K^dag,
-    K = Psi x I, W = d R (R the channel PDM), whose trace norm is concave in sigma =
-    Psi^dag Psi. A 4x4 W with entries only at w00, w11, w22, w33 and w12 = w21* (to
-    ``HERM_ATOL``) takes :func:`_solve_covariant`, any other W :func:`_solve_hw`; ``note``
-    names the route. ``value`` is a certified upper bound; ``best_input`` attains ``lower``,
-    or on the closed form at least ``lower``. Both routes evaluate sigma = I/d, so ``value``
-    <= log2 lambda_max(Tr_out|W|), on the closed form plus delta (about 3e-15 at most); and
-    sigma = I/d attains ||R||_1, so rounding below the causality bound F(R) >= 0, below zero
-    included, is raised to F(R). ``cfg`` has no effect (:class:`OptimizerConfig`).
+    A pure input with amplitude matrix Psi (reference x system) has output K W K^dag, K =
+    Psi x I, W = d R (d = d_in, R the channel PDM; qubit counts may differ), whose trace norm
+    is concave in sigma = Psi^dag Psi. A 1-qubit channel's W, read once as 16 Python numbers,
+    takes :func:`_solve_covariant` if its only entries are w00, w11, w22, w33 and w12 = w21*
+    (to ``HERM_ATOL``); any other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a
+    certified upper bound; ``best_input`` attains ``lower``, or on the closed form at least
+    ``lower``. Both routes evaluate sigma = I/d, so ``value`` <= log2 lambda_max(Tr_out|W|), on
+    the closed form plus delta (about 3e-15 at most); and sigma = I/d attains ||R||_1, so
+    rounding below the causality bound F(R) >= 0, below zero included, is raised to F(R).
+    ``cfg`` has no effect (:class:`OptimizerConfig`).
     """
     dim, r = c.dim_in, pdm_mod.pdm_from_channel(c)
-    w, note = dim * r.matrix, "certified upper bound; best_input attains the lower end"
-    if w.shape == (4, 4) and np.abs(w.take(_OFF_PATTERN)).max() <= HERM_ATOL:
-        lower, upper, s, evaluations = _solve_covariant(w)
-        root = np.diag([math.sqrt(s), math.sqrt(1.0 - s)]).astype(complex)
+    note = "certified upper bound; best_input attains the lower end"
+    closed = c.qubits_in == c.qubits_out == 1 and _solve_covariant(
+        [2.0 * z for z in r.matrix.ravel().tolist()])  # W = 2R: scaling by 2 is exact
+    if closed:
+        lower, upper, s, evaluations = closed
+        a, b = math.sqrt(s), math.sqrt(1.0 - s)
+        rho = np.zeros((4, 4), dtype=complex)  # outer(a|00> + b|11>), imaginary parts +0.0
+        rho[0, 0], rho[0, 3], rho[3, 0], rho[3, 3] = a * a, a * b, a * b, b * b
         counts = {"iterations": 0, "evaluations": evaluations, "accelerated_steps": 0}
         note = "certified upper bound (phase-covariant); best_input attains the lower end"
     else:
-        lower, upper, root, counts = _solve_hw(w, dim)
-    value = max(float(upper), pdm_mod.causality_F(r))
-    low, amp = float(lower), root.reshape(-1)
+        lower, upper, root, counts = _solve_hw(dim * r.matrix, dim)
+        rho = np.outer(root, root.conj())  # np.outer flattens root
+    value, low = max(float(upper), pdm_mod.causality_F(r)), float(lower)
     return BoundReport(
         channel_label=c.label,
         method="holevo_werner",
@@ -325,7 +340,7 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
             "gap": value - low,
             "note": note,
         },
-        best_input=np.outer(amp, amp.conj()),
+        best_input=rho,
     )
 
 
@@ -338,7 +353,7 @@ def maxrains_surrogate(c: QuantumChannel) -> BoundReport:
     record the tighter infinity-norm intermediate. Both come from one
     eigensolve of the PDM, which is Hermitian by construction.
     """
-    spectrum = np.abs(np.linalg.eigvalsh(pdm_mod.pdm_from_channel(c).matrix))
+    spectrum = np.abs(np.linalg.eigvalsh(_equal_count_pdm(c).matrix))
     return BoundReport(
         channel_label=c.label,
         method="maxrains_surrogate",
@@ -369,8 +384,8 @@ def sweep_shifted_depol(
 
     Builds no channels: R = T_A(J), J from :func:`channels.choi_from_kraus` of the stacked
     :func:`channels.shifted_depolarizing_kraus` as for a channel, gives the causality column
-    (one batched eigensolve) and HW (:func:`_solve_covariant` per row, with :func:`hw_bound`'s
-    floor), equal bit for bit to the channel-built bounds. ``cfg`` and ``workers`` have no effect.
+    (one batched eigensolve) and HW (:func:`_solve_covariant` on each row of 2R.tolist(), with
+    :func:`hw_bound`'s floor), bit for bit as channel-built. ``cfg`` and ``workers`` do nothing.
     """
     points = np.array([(p, g) for p in p_grid for g in gamma_grid], dtype=float).reshape(-1, 2)
     if not points.size:  # an empty grid: there is no R to stack
@@ -379,7 +394,7 @@ def sweep_shifted_depol(
     r = np.array([partial_transpose(m, (2, 2), 0) for m in j])
     norms = np.abs(np.linalg.eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
     rows = []
-    for (p, g), norm, w in zip(points.tolist(), norms, 2.0 * r):
+    for (p, g), norm, w in zip(points.tolist(), norms, (2.0 * r).reshape(-1, 16).tolist()):
         caus = pdm_mod.clamp_log2(math.log2(norm))
         value = max(_solve_covariant(w)[1], caus)  # as in hw_bound
         rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))

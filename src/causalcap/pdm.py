@@ -105,11 +105,6 @@ def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
     """
     r = _PDMS.get(c)
     if r is None:
-        if c.qubits_in != c.qubits_out:
-            raise ValueError(
-                f"{c.label}: PDM construction needs equal input/output qubit counts "
-                f"(got {c.qubits_in}->{c.qubits_out})"
-            )
         t_a = partial_transpose(c.choi, (c.dim_in, c.dim_out), 0)
         r = _PDMS[c] = PseudoDensityMatrix(t_a, l_in=c.qubits_in, l_out=c.qubits_out)
     return r

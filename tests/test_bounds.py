@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,12 +47,21 @@ HW_RANDOM_1Q_SEED6 = 0.144438012046915
 
 def hw_ceiling(chan) -> float:
     """log2 lambda_max(Tr_out |d R|), the HW upper end at the maximally mixed marginal."""
-    d = chan.dim_in
-    pdm = chan.choi.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+    d, d_out = chan.dim_in, chan.dim_out
+    pdm = chan.choi.reshape(d, d_out, d, d_out).transpose(2, 1, 0, 3).reshape(d * d_out, -1)
     vals, vecs = np.linalg.eigh(d * pdm)
     absw = (vecs * np.abs(vals)) @ vecs.conj().T
-    marginal = np.trace(absw.reshape(d, d, d, d), axis1=1, axis2=3)
+    marginal = np.trace(absw.reshape(d, d_out, d, d_out), axis1=1, axis2=3)
     return math.log2(np.linalg.eigvalsh(marginal)[-1])
+
+
+def kraus_lower_end(chan, best_input) -> float:
+    """log2 ||(I x N)(T_B(best_input))||_1, the HW objective at best_input, via Kraus."""
+    d = chan.dim_in
+    tb = best_input.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    ext = [np.kron(np.eye(d), a) for a in chan.kraus]
+    out = sum(e @ tb @ e.conj().T for e in ext)
+    return math.log2(np.abs(np.linalg.eigvalsh(out)).sum())
 
 
 class TestCausalityBound:
@@ -67,6 +78,14 @@ class TestCausalityBound:
         rep = causality_bound(shifted_depolarizing(0.1, 1.0))
         root = math.sqrt(0.4)
         assert np.isclose(rep.value, math.log2(0.9 + root / 2 + (root - 0.2) / 2), atol=1e-9)
+
+    @pytest.mark.parametrize("qubits", [(1, 2), (2, 1)])
+    def test_rejects_unequal_qubit_counts(self, qubits):
+        chan = random_channel(*qubits, env_qubits=1, seed=0)
+        message = f"equal input/output qubit counts (got {qubits[0]}->{qubits[1]})"
+        for bound in (causality_bound, maxrains_surrogate, compare_bounds):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bound(chan)
 
 
 class TestAnalytic:
@@ -150,12 +169,7 @@ class TestHwBound:
             random_channel(1, 1, env_qubits=2, seed=8),
         ):
             rep = hw_bound(chan, cfg)
-            # transpose the system factor, then apply the channel to it
-            tb = rep.best_input.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-            ext = [np.kron(I2, a) for a in chan.kraus]
-            out = sum(e @ tb @ e.conj().T for e in ext)
-            norm = np.abs(np.linalg.eigvalsh(out)).sum()
-            assert abs(math.log2(norm) - rep.diagnostics["lower"]) < 1e-9
+            assert abs(kraus_lower_end(chan, rep.best_input) - rep.diagnostics["lower"]) < 1e-9
             assert rep.diagnostics["lower"] <= rep.value
 
     def test_diagnostics(self):
@@ -278,6 +292,22 @@ class TestHwBracketProperties:
         assert diag["gap"] <= CPTP_ATOL
         assert diag["converged_restarts"] == 1
 
+    @pytest.mark.parametrize("qubits", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unequal_qubit_counts(self, qubits, seed):
+        # the fixed point on W = d_in R; 2 -> 1 channels stop short of CPTP_ATOL, gap reported
+        chan = random_channel(*qubits, env_qubits=2, seed=seed)
+        rep = hw_bound(chan)
+        diag, d = rep.diagnostics, chan.dim_in
+        assert "phase-covariant" not in diag["note"]
+        assert rep.best_input.shape == (d * d, d * d)
+        assert abs(kraus_lower_end(chan, rep.best_input) - diag["lower"]) < 1e-9
+        assert diag["lower"] >= pdm_mod.causality_F(pdm_from_channel(chan)) - CPTP_ATOL
+        assert diag["lower"] <= rep.value <= hw_ceiling(chan) + 1e-12
+        assert diag["gap"] == rep.value - diag["lower"] < 1e-3
+        assert diag["converged_restarts"] == int(diag["gap"] <= CPTP_ATOL)
+        assert diag["converged_restarts"] == (qubits == (1, 2))
+
     def test_certified_bracket_on_three_qubits(self):
         chan = random_channel(3, 3, env_qubits=2, seed=3)
         rep = hw_bound(chan)
@@ -376,6 +406,64 @@ def default_grid_channels():
     ]
 
 
+def named_channels():
+    """The default grid, the 1-qubit identity and the other named channels over their range."""
+    return (
+        default_grid_channels()
+        + [named_channel("identity", qubits=1)]
+        + [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
+        + [named_channel("dephasing", strength=s) for s in np.linspace(0.0, 1.0, 11)]
+        + [named_channel("depolarizing", p=p) for p in np.linspace(0.0, 0.25, 11)]
+    )
+
+
+def numpy_plumbed_hw(r) -> tuple:
+    """(value, diagnostics, best_input) of the closed-form route with NumPy plumbing.
+
+    A reference for :func:`hw_bound`, which reads W once as plain numbers: here W = 2 * R
+    stays an array, the pattern is tested by ``np.abs(w.take(_OFF_PATTERN)).max()``, the
+    bracket is taken as the route first took it (s* picked whether or not the I/2 bracket
+    closes) and best_input is ``np.outer`` of diag(sqrt(s), sqrt(1-s)).
+    """
+    w = 2 * r.matrix
+    assert w.shape == (4, 4) and np.abs(w.take(bounds._OFF_PATTERN)).max() <= HERM_ATOL
+    flat = w.ravel().tolist()
+    w00, w11, w22, w33 = (flat[k].real for k in (0, 5, 10, 15))
+    a12, delta = abs(flat[6]), sum(abs(flat[k]) for k in bounds._OFF_PATTERN)
+    lower, upper = _covariant_ends(w00, w11, w22, w33, a12, 0.5)
+    lower, upper, s_lower, evaluations = lower - delta, upper + delta, 0.5, 1
+    s = _sigma_star(w00, w11, w22, w33, a12)
+    if math.log2(upper) - math.log2(lower) > CPTP_ATOL and bounds._FLOOR < s < 1.0 - bounds._FLOOR:
+        lower_s, upper_s = _covariant_ends(w00, w11, w22, w33, a12, s)
+        if lower_s - delta > lower:
+            lower, s_lower = lower_s - delta, s
+        upper, evaluations = min(upper, upper_s + delta), 2
+    amp = np.diag([math.sqrt(s_lower), math.sqrt(1.0 - s_lower)]).astype(complex).reshape(-1)
+    value = max(math.log2(max(upper, lower)), pdm_mod.causality_F(r))
+    low = math.log2(lower)
+    diagnostics = {
+        "restarts": 1, "iterations": 0, "evaluations": evaluations, "accelerated_steps": 0,
+        "converged_restarts": int(value - low <= CPTP_ATOL), "tolerance": CPTP_ATOL,
+        "lower": low, "gap": value - low,
+        "note": "certified upper bound (phase-covariant); best_input attains the lower end",
+    }
+    return value, diagnostics, np.outer(amp, amp.conj())
+
+
+def with_off_pattern(w, rng) -> np.ndarray:
+    """W plus a Hermitian E on the entries off the pattern, each |e_ij| below ``HERM_ATOL``."""
+    e = np.zeros((4, 4), dtype=complex)
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)):
+        e[i, j] = HERM_ATOL * rng.random() * np.exp(2j * np.pi * rng.random())
+    return w + e + e.conj().T
+
+
+def exact(value, diagnostics, best_input) -> tuple:
+    """A report's fields with floats as hex, so that equality is bit for bit (signed zeros)."""
+    hexed = {k: v.hex() if isinstance(v, float) else v for k, v in diagnostics.items()}
+    return value.hex(), hexed, best_input.dtype, best_input.shape, best_input.tobytes()
+
+
 class TestPhaseCovariantRoute:
     def test_closed_form_inside_fixed_point_bracket(self):
         chans = default_grid_channels()
@@ -388,12 +476,26 @@ class TestPhaseCovariantRoute:
             assert rep.diagnostics["iterations"] == 0, chan.label
             assert "phase-covariant" in rep.diagnostics["note"]
 
+    def test_plain_number_route_matches_numpy_plumbing_bit_for_bit(self, monkeypatch):
+        evaluations = set()
+        for chan in named_channels():
+            rep = hw_bound(chan)
+            want = numpy_plumbed_hw(pdm_from_channel(chan))
+            assert exact(rep.value, rep.diagnostics, rep.best_input) == exact(*want), chan.label
+            evaluations.add(rep.diagnostics["evaluations"])
+        stand_in, rng = from_kraus([I2], label="stand-in"), np.random.default_rng(20)
+        ws = seeded_covariant_ws()
+        ws += [with_off_pattern(w, rng) for w in ws]  # delta is 0 on the named channels
+        for w in ws:  # their trace is not 2: a stand-in carries R = W / 2
+            r = SimpleNamespace(matrix=w / 2.0, trace_norm=np.abs(np.linalg.eigvalsh(w)).sum() / 2)
+            monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
+            rep = hw_bound(stand_in)
+            assert exact(rep.value, rep.diagnostics, rep.best_input) == exact(*numpy_plumbed_hw(r))
+            evaluations.add(rep.diagnostics["evaluations"])
+        assert evaluations == {1, 2}  # I/2 alone, and sigma* as well
+
     def test_scalar_sigma_star_matches_vectorised_reference(self):
-        chans = default_grid_channels()
-        chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
-        chans += [named_channel("dephasing", strength=s) for s in np.linspace(0.0, 1.0, 11)]
-        chans += [named_channel("depolarizing", p=p) for p in np.linspace(0.0, 0.25, 11)]
-        ws = [2.0 * pdm_from_channel(c).matrix for c in chans]
+        ws = [2.0 * pdm_from_channel(c).matrix for c in named_channels()]
         rng = np.random.default_rng(15)
         for scale in (1e-3, 1.0, 10.0):
             for _ in range(200):
@@ -419,19 +521,11 @@ class TestPhaseCovariantRoute:
         assert {0.0, 1.0} <= set(scalar) and 0.5 in scalar
 
     def test_closed_form_ends_match_bracket(self):
-        chans = default_grid_channels()
-        chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
-        chans += [named_channel("dephasing", strength=s) for s in np.linspace(0.0, 1.0, 11)]
-        chans += [named_channel("depolarizing", p=p) for p in np.linspace(0.0, 0.25, 11)]
-        ws = [2.0 * pdm_from_channel(c).matrix for c in chans] + seeded_covariant_ws()
-        ws += [  # the sweep's W, which is the channel's
-            2.0 * pdm_from_channel(shifted_depolarizing(p, g)).matrix
-            for p in np.linspace(0.0, 0.25, 26) for g in np.linspace(0.0, 1.0, 21)
-        ]
+        ws = [2.0 * pdm_from_channel(c).matrix for c in named_channels()] + seeded_covariant_ws()
         stars = [_sigma_star(*np.diagonal(w).real.tolist(), abs(complex(w[1, 2]))) for w in ws]
         cases = [(w, 0.5) for w in ws]
         cases += [(w, s) for w, s in zip(ws, stars) if bounds._FLOOR < s < 1.0 - bounds._FLOOR]
-        assert len(cases) > 3000  # 1755 W at I/2, most of them at an interior s* too
+        assert len(cases) > 2000  # 1210 W at I/2, 872 of them at an interior s* too
         # degenerate blocks, w12 = 0 and s w11 = (1 - s) w22 exactly
         cases += [(covariant_w(0.4, 0.7, 0.3, 0.6, 0.0), 0.3)]
         cases += [(covariant_w(1.0, 0.5, 0.5, 0.0, 0.0), 0.5)]

@@ -27,6 +27,7 @@ from causalcap.channels import (
     tensor,
 )
 from causalcap.cli import MAX_SWEEP_POINTS, main
+from test_bounds import hw_ceiling
 from test_channels import noisy_kraus
 
 FAST = ["--restarts", "4"]
@@ -460,13 +461,27 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("method", ["causality", "hw", "maxrains", "all"])
+    @pytest.mark.parametrize("method", ["causality", "maxrains", "all"])
     def test_unequal_qubit_counts_exit2(self, capsys, tmp_path, method):
         path = tmp_path / "two_to_one.json"
         save_channel(random_channel(2, 1, env_qubits=2, seed=0), path)
         code, out, err = run(capsys, ["bound", "--channel", str(path), "--method", method])
         assert_clean_failure(code, out, err, 2)
         assert err.count("\n") == 1 and "(got 2->1)" in err
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unequal_qubit_counts_hw_exit0(self, capsys, tmp_path, seed):
+        chan = random_channel(2, 1, env_qubits=2, seed=seed)
+        path = tmp_path / "two_to_one.json"
+        save_channel(chan, path)
+        code, out, err = run(capsys, ["bound", "--channel", str(path), "--method", "hw"])
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        diag = rep["diagnostics"]
+        assert rep["method"] == "holevo_werner"
+        assert diag["lower"] <= rep["value"] <= hw_ceiling(chan) + 1e-12
+        assert diag["gap"] == rep["value"] - diag["lower"]
+        assert diag["converged_restarts"] == int(diag["gap"] <= diag["tolerance"])
 
 
 def test_only_main_maps_exceptions_to_exit_codes():

@@ -15,6 +15,7 @@ from causalcap.channels import (
 from causalcap.linalg import (
     CPTP_ATOL,
     I2,
+    partial_transpose,
     random_density,
     random_isometry,
     random_unitary,
@@ -135,10 +136,13 @@ class TestPdmFromChannel:
             assert np.isclose(np.trace(r.matrix).real, 1.0, atol=1e-9)
             assert np.max(np.abs(r.matrix - r.matrix.conj().T)) < 1e-10
 
-    def test_rejects_unequal_qubit_counts(self):
-        c = random_channel(1, 2, env_qubits=1, seed=0)
-        with pytest.raises(ValueError, match="equal input/output"):
-            pdm_from_channel(c)
+    @pytest.mark.parametrize("qubits", [(1, 2), (2, 1)])
+    def test_builds_unequal_qubit_counts(self, qubits):
+        # HW reads this R; the causality bound and max-Rains surrogate refuse the channel
+        c = random_channel(*qubits, env_qubits=1, seed=0)
+        r = pdm_from_channel(c)
+        assert (r.l_in, r.l_out) == qubits
+        assert np.array_equal(r.matrix, partial_transpose(c.choi, (c.dim_in, c.dim_out), 0))
 
 
 class TestOnePdmPerChannel:
