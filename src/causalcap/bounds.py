@@ -1,11 +1,11 @@
 """Capacity upper bounds for qubit channels.
 
 Four routes are implemented: the optimization-free causality bound (trace norm of the
-channel PDM), the closed-form expression for shifted depolarizing channels, the
-Holevo-Werner comparison bound as a certified bracket on a concave problem over the input
-marginal (in closed form, in plain floats with no eigensolve, where W = d R has the
-phase-covariant pattern of every named channel; else by a fixed-point solve), and a
-max-Rains surrogate from the partially transposed Choi matrix. All read one operator, the
+channel PDM), the closed-form expression for shifted depolarizing channels, the Holevo-Werner
+comparison bound as a certified bracket on a concave problem over the input marginal (in
+closed form with no eigensolve where W = d R has the phase-covariant pattern of every named
+channel; else by a fixed-point solve, with one eigensolve per bracket on 1-qubit inputs), and
+a max-Rains surrogate from the partially transposed Choi matrix. All read one operator, the
 PDM R: :func:`pdm.pdm_from_channel` builds it and its trace norm once per channel and holds
 them weakly, for every bound to share; the sweep builds no channels but stacks its family's
 Kraus operators into R by a channel's arithmetic. All values are in qubits per channel use.
@@ -106,40 +106,55 @@ _FLOOR = _EPS / CPTP_ATOL
 _OFF_PATTERN = (1, 2, 3, 4, 7, 8, 11, 12, 13, 14)
 
 
-def _bracket(w4: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
-    """Lower end f(sigma) = ||M||_1, eigenpairs of G and image T(sigma) for one W.
+def _bracket(w: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
+    """Lower end f(sigma) = ||M||_1, lambda_max(G), G and image T(sigma) for one (dim, dim) W.
 
-    W comes reshaped to (d, d_out, d, d_out). M = (sqrt(sigma) x I) W (sqrt(sigma) x I),
-    G = sigma^(-1/2) Tr_out|M| sigma^(-1/2). Y = (sigma^(-1/2) x I)|M|(sigma^(-1/2) x I)
-    satisfies Y >= +-W, so lambda_max(G) = ||Tr_out Y||_inf is an upper end; its relative
-    rounding error is up to eps / lambda_min(sigma), as sigma^(-1/2) scales the eps ||M||
-    error of the eigensolve. T(sigma) = Tr_out|M| / ||M||_1 is the plain fixed-point image.
+    M = (A x I) W (A x I), A = ``root`` = sqrt(sigma), from two products on the input index
+    (W is Hermitian: the second takes the first's conjugate transpose); G = A^-1 Tr_out|M| A^-1.
+    Y = (A^-1 x I)|M|(A^-1 x I) >= +-W for any Hermitian A, so lambda_max(G) = ||Tr_out Y||_inf
+    is an upper end (closed-form at d = 2); A^-1 scales the eps ||M|| error of the eigensolve
+    of M to a relative error of up to eps / lambda_min(sigma). T(sigma) = Tr_out|M| / ||M||_1.
     """
-    d, d_out = w4.shape[:2]
-    m = np.einsum("ab,bicj,cd->aidj", root, w4, root).reshape(d * d_out, -1)
-    mu, u = np.linalg.eigh(m)
-    abs_mu, u3 = np.abs(mu), u.reshape(d, d_out, -1)
-    marginal = np.einsum("aik,k,bik->ab", u3, abs_mu, u3.conj())
-    lower = abs_mu.sum()
-    g_vals, g_vecs = np.linalg.eigh(inv_root @ marginal @ inv_root)
-    return lower, g_vals, g_vecs, marginal / lower
+    d, dim = root.shape[0], w.shape[0]
+    x = (root @ w.reshape(d, -1)).reshape(dim, dim)
+    mu, u = np.linalg.eigh((root @ x.conj().T.reshape(d, -1)).reshape(dim, dim))
+    abs_mu = np.abs(mu)
+    marginal = (u * abs_mu).reshape(d, -1) @ u.reshape(d, -1).conj().T
+    lower, g = sum(abs_mu.tolist()), inv_root @ marginal @ inv_root
+    if d > 2:
+        return lower, float(np.linalg.eigvalsh(g)[-1]), g, marginal / lower
+    (p, _), (q, r) = g.tolist()  # G >= 0, so the sum has no cancellation
+    return lower, (p + r).real / 2 + math.hypot((p - r).real / 2, abs(q)), g, marginal / lower
 
 
-def _evaluate(w4, sigma):
-    """Iterates (sigma, sqrt(sigma), lower, G eigenpairs, T(sigma)) at one sigma.
+def _evaluate(w, sigma):
+    """(sigma, sqrt(sigma), lower, lambda_max(G), G, T(sigma)) at one sigma, or None.
 
-    Also returns whether every eigenvalue of sigma is above ``_FLOOR``. If not,
-    sigma is evaluated with its eigenvalues raised to ``_FLOOR``, so that no
-    sigma^(-1/2) is formed from a singular sigma; callers discard it.
+    None unless lambda_min(sigma) > ``_FLOOR`` (a NaN or a non-positive trace fails too), so
+    that no sigma^(-1/2) is formed from a singular sigma. At d = 2 the roots are closed-form:
+    with s = sqrt(det sigma) and t = sqrt(tr sigma + 2 s), sqrt(sigma) = (sigma + s I) / t and
+    sigma^(-1/2) = (adj sigma + s I) / (t s), and lambda_min = det / lambda_max. Else eigh.
     """
-    vals, vecs = np.linalg.eigh(sigma)
-    vh, sqrt_vals = vecs.conj().T, np.sqrt(np.fmax(vals, _FLOOR))
-    root = (vecs * sqrt_vals) @ vh
-    return vals[0] > _FLOOR, (sigma, root, *_bracket(w4, root, (vecs / sqrt_vals) @ vh))
+    if sigma.shape[0] == 2:
+        (a, _), (b, c) = sigma.tolist()  # the lower triangle, as eigh reads it
+        trace, det = (a + c).real, a.real * c.real - abs(b) ** 2
+        if not (trace > 0.0 and det / (trace / 2 + math.hypot((a - c).real / 2, abs(b))) > _FLOOR):
+            return None
+        s = math.sqrt(det)
+        t, a, c, bc = math.sqrt(trace + 2.0 * s), a.real + s, c.real + s, b.conjugate()
+        root, inv_root = np.array([[a, bc], [b, c]]) / t, np.array([[c, -bc], [-b, a]]) / (t * s)
+    else:
+        vals, vecs = np.linalg.eigh(sigma)
+        if not vals[0] > _FLOOR:
+            return None
+        vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)
+        root, inv_root = (vecs * sqrt_vals) @ vh, (vecs / sqrt_vals) @ vh
+    return (sigma, root, *_bracket(w, root, inv_root))
 
 
-def _power(root, g_vals, g_vecs, squarings: int):
+def _power(root, g, squarings: int):
     """normalise(sqrt(sigma) (G / lambda_max G)^alpha sqrt(sigma)), alpha = 2**squarings."""
+    g_vals, g_vecs = np.linalg.eigh(g)
     ratio = np.maximum(g_vals, 0.0) / g_vals[-1]
     for _ in range(squarings):
         ratio = ratio * ratio
@@ -147,25 +162,21 @@ def _power(root, g_vals, g_vecs, squarings: int):
     return sigma / sigma.trace().real
 
 
-def _extrapolate(xs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
-    """Anderson mix of iterates xs and their images gs = T(xs), shape (k, d, d).
+def _extrapolate(fs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
+    """Anderson mix of k residuals fs = T(x) - x (as real rows) and images gs = T(x), (k, d, d).
 
-    Minimises the residual F = T(x) - x over affine combinations of the k
-    stored pairs (Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011) in the
-    real Frobenius inner product, and returns the same combination of the
-    images, trace-normalised. Differences are taken from the pair at index
-    ``latest``. A Levenberg-Marquardt ridge keeps the Gram system nonsingular.
+    Minimises the residual over affine combinations of the pairs (Walker & Ni, SIAM J. Numer.
+    Anal. 49, 1715, 2011) in the real Frobenius inner product, and returns the same combination
+    of the images, trace-normalised. Differences are from the pair ``latest``, whose zero row
+    gets coefficient 0; a Levenberg-Marquardt ridge keeps the Gram system nonsingular.
     """
-    k = xs.shape[0]
-    others = [j for j in range(k) if j != latest]
-    f = (gs - xs).reshape(k, -1).view(float)
-    df = f[latest] - f[others]
+    df = fs[latest] - fs
     gram = df @ df.T
-    diag = gram.reshape(-1)[::k]  # the diagonal, as a writeable view
+    diag = gram.reshape(-1)[:: len(fs) + 1]  # the diagonal, as a writeable view
     diag += 1e-12 * diag + _TINY
-    coef = np.linalg.solve(gram, df @ f[latest, :, None]).T
-    dg = (gs[latest] - gs[others]).reshape(k - 1, -1)
-    cand = gs[latest] - (coef @ dg).reshape(gs.shape[1:])
+    weights = np.linalg.solve(gram, df @ fs[latest])
+    weights[latest] += 1.0 - weights.sum()
+    cand = (weights @ gs.reshape(len(gs), -1)).reshape(gs.shape[1:])
     trace = cand.trace().real
     # a non-positive trace cannot be normalised; such a candidate fails the eigenvalue test
     return cand / (trace if trace > 0.0 else 1.0)
@@ -178,48 +189,45 @@ def _solve_hw(w: np.ndarray, d: int):
     extrapolation of the last ``ANDERSON_DEPTH + 1`` pairs (sigma, T(sigma) = Tr_out|M| /
     ||M||_1), kept if its bracket is narrower than the iterate's; else a power step, whose
     exponent doubles while the bracket narrows and is retaken at 1 (the plain fixed point)
-    when it widens. A trial counts only if its eigenvalues exceed eps / ``CPTP_ATOL``, for
-    the rounding of :func:`_bracket`'s upper end. The solve stops at a log2 bracket of at
-    most ``CPTP_ATOL``, after ``MAX_ITERS`` steps, or when no trial counts. Returns log2 of
-    the best lower and smallest upper end, sqrt(sigma) of the best lower end, and the
-    counts of steps, bracket evaluations and extrapolations.
+    when it widens (at d = 2, one eigensolve per trial and one per power step). A trial
+    counts only if its eigenvalues exceed eps / ``CPTP_ATOL``, for the rounding of
+    :func:`_bracket`'s upper end. The solve stops at a log2 bracket of at most ``CPTP_ATOL``,
+    after ``MAX_ITERS`` steps, or when no trial counts. Returns log2 of the best lower and
+    smallest upper end, sqrt(sigma) of the best lower end, and the step, bracket evaluation
+    and extrapolation counts.
     """
-    dim, slots = w.shape[0], ANDERSON_DEPTH + 1
-    w4 = w.reshape(d, dim // d, d, dim // d)
-    root = np.eye(d, dtype=complex) / math.sqrt(d)
-    lower, g_vals, g_vecs, image = _bracket(w4, root, root * d)
-    upper, best_lower, best_root = g_vals[-1], lower, root
-    # ring buffer of (sigma, T(sigma)): step t is in slot t % slots
-    xs = np.tile(np.eye(d, dtype=complex) / d, (slots, 1, 1))
-    gs = np.tile(image, (slots, 1, 1))
+    slots, sigma, root = ANDERSON_DEPTH + 1, np.eye(d) / d, np.eye(d, dtype=complex) / math.sqrt(d)
+    lower, g_max, g, image = _bracket(w, root, root * d)
+    upper, best_lower, best_root = g_max, lower, root
+    # ring buffer of residuals T(sigma) - sigma and images T(sigma): step t in slot t % slots
+    fs, gs = np.empty((slots, 2 * d * d)), np.empty((slots, d, d), dtype=complex)
     evaluations, accelerated, squarings, t = 1, 0, 0, 0
-    while t < MAX_ITERS and np.log2(upper) - np.log2(best_lower) > CPTP_ATOL:
-        width, won = g_vals[-1] - lower, False
+    while t < MAX_ITERS and math.log2(upper) - math.log2(best_lower) > CPTP_ATOL:
+        fs[t % slots], gs[t % slots] = (image - sigma).reshape(-1).view(float), image
+        width, won = g_max - lower, False
         if t:
-            valid, trial = _evaluate(w4, _extrapolate(xs[: t + 1], gs[: t + 1], t % slots))
-            won = bool(valid and trial[3][-1] - trial[2] < width)
+            trial = _evaluate(w, _extrapolate(fs[: t + 1], gs[: t + 1], t % slots))
+            won = trial is not None and trial[3] - trial[2] < width
             evaluations, accelerated = evaluations + 1, accelerated + won
         if not won:
-            valid, trial = _evaluate(w4, _power(root, g_vals, g_vecs, squarings))
-            narrowed = bool(valid and trial[3][-1] - trial[2] < width)
+            trial = _evaluate(w, _power(root, g, squarings))
+            narrowed = trial is not None and trial[3] - trial[2] < width
             if not narrowed and squarings:  # retaken at exponent 1
-                valid, trial = _evaluate(w4, _power(root, g_vals, g_vecs, 0))
+                trial = _evaluate(w, _power(root, g, 0))
                 evaluations += 1
             evaluations += 1
             # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
             squarings = min(squarings + 1, 52) if narrowed else 0
-            # a power step stands if it narrows the iterate's bracket, and at exponent 1 anyway
-            if not (narrowed or valid):  # no trial counts: the ends stay as they are
+            if trial is None:  # no trial counts, and the ends stay; else a power step stands
                 break
-        sigma, root, lower, g_vals, g_vecs, image = trial
+        sigma, root, lower, g_max, g, image = trial
         t += 1
-        xs[t % slots], gs[t % slots] = sigma, image
         if lower > best_lower:
             best_lower, best_root = lower, root
-        upper = np.fmin(upper, g_vals[-1])
+        upper = min(upper, g_max)
     counts = {"iterations": t, "evaluations": evaluations, "accelerated_steps": accelerated}
     # the value lies in [lower, upper]; an upper end below the lower end is rounding
-    return np.log2(best_lower), np.log2(np.fmax(upper, best_lower)), best_root, counts
+    return np.log2(best_lower), np.log2(max(upper, best_lower)), best_root, counts
 
 
 def _sigma_star(w00: float, w11: float, w22: float, w33: float, a12: float) -> float:

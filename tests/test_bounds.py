@@ -34,7 +34,7 @@ from causalcap.channels import (
     shifted_depolarizing,
     tensor,
 )
-from causalcap.linalg import CPTP_ATOL, HERM_ATOL, I2, random_complex
+from causalcap.linalg import CPTP_ATOL, HERM_ATOL, I2, random_complex, random_unitary
 from causalcap.pdm import PseudoDensityMatrix, pdm_from_channel
 
 FAST_CFG = OptimizerConfig(restarts=8, seed=7)
@@ -232,12 +232,13 @@ class TestHwBound:
             assert np.array_equal(a.best_input, b.best_input)
 
     @pytest.mark.parametrize(
-        "chan, counts",
+        "chan, counts",  # (steps, evaluations, accelerated steps, eigh calls)
         [
-            (random_channel(1, 1, env_qubits=2, seed=1), (0, 1, 0)),
-            (random_channel(1, 1, env_qubits=2, seed=0), (7, 10, 4)),
-            (random_channel(1, 1, env_qubits=2, seed=6), (10, 17, 4)),
-            (random_channel(2, 2, env_qubits=2, seed=0), (29, 30, 28)),
+            (random_channel(1, 1, env_qubits=2, seed=1), (0, 1, 0, 1)),
+            (random_channel(1, 1, env_qubits=2, seed=0), (7, 10, 4, 13)),
+            (random_channel(1, 1, env_qubits=2, seed=6), (10, 17, 4, 23)),
+            (random_channel(2, 2, env_qubits=2, seed=0), (29, 30, 28, 60)),
+            (random_channel(3, 3, env_qubits=2, seed=3), (19, 20, 18, 40)),
         ],
     )
     def test_trajectory_and_eigensolves_are_pinned(self, chan, counts, monkeypatch):
@@ -249,9 +250,17 @@ class TestHwBound:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         diag = hw_bound(chan).diagnostics
-        assert (diag["iterations"], diag["evaluations"], diag["accelerated_steps"]) == counts
-        # the start solves M and G; every later evaluation also solves its sigma
-        assert len(calls) == 3 * diag["evaluations"] - 1
+        trajectory = (diag["iterations"], diag["evaluations"], diag["accelerated_steps"])
+        assert (*trajectory, len(calls)) == counts
+        # each evaluation solves M, unless its sigma is rejected at the floor (one trial of
+        # seed 6); each power step solves G. Every step but the first tries an extrapolation,
+        # so the other evaluations after the start are power steps
+        d, evaluations = chan.dim_in, diag["evaluations"]
+        power_steps = evaluations - max(diag["iterations"], 1)
+        # at d = 2 the roots of sigma are closed-form; else every trial solves its sigma
+        sigma_solves = 0 if d == 2 else evaluations - 1
+        assert calls.count((d, d)) == power_steps + sigma_solves
+        assert calls.count((d * chan.dim_out,) * 2) <= evaluations
 
     @pytest.mark.parametrize(
         "chan",
@@ -314,6 +323,63 @@ class TestHwBracketProperties:
         assert rep.diagnostics["converged_restarts"] == 1
         assert rep.diagnostics["lower"] >= causality_bound(chan).value - 1e-9
         assert rep.value <= hw_ceiling(chan) + 1e-12
+
+
+def reference_evaluate(w, sigma) -> tuple:
+    """(lower, lambda_max(G), T(sigma)) at one sigma by eigh and einsum, as first computed.
+
+    The earlier :func:`bounds._evaluate`: sqrt(sigma) and sigma^(-1/2) from eigh(sigma), M
+    by a 3-operand einsum on W reshaped to (d, d_out, d, d_out), Tr_out|M| by another, and
+    lambda_max(G) from eigh(G). A reference for the closed forms and the products.
+    """
+    d, dim = sigma.shape[0], w.shape[0]
+    vals, vecs = np.linalg.eigh(sigma)
+    vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)
+    root, inv_root = (vecs * sqrt_vals) @ vh, (vecs / sqrt_vals) @ vh
+    w4 = w.reshape(d, dim // d, d, dim // d)
+    m = np.einsum("ab,bicj,cd->aidj", root, w4, root).reshape(dim, dim)
+    mu, u = np.linalg.eigh(m)
+    abs_mu, u3 = np.abs(mu), u.reshape(d, dim // d, -1)
+    marginal = np.einsum("aik,k,bik->ab", u3, abs_mu, u3.conj())
+    lower = abs_mu.sum()
+    return lower, np.linalg.eigh(inv_root @ marginal @ inv_root)[0][-1], marginal / lower
+
+
+def floor_sigma(d, rng) -> np.ndarray:
+    """A random sigma whose least eigenvalue is 2 _FLOOR."""
+    vals = np.concatenate([[2.0 * bounds._FLOOR], rng.random(d - 1) + 0.1])
+    vals[1:] *= (1.0 - vals[0]) / vals[1:].sum()
+    u = random_unitary(d, rng)
+    return (u * vals) @ u.conj().T
+
+
+class TestFixedPointEvaluation:
+    @pytest.mark.parametrize("qubits", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
+    def test_matches_eigh_einsum_reference(self, qubits):
+        rng = np.random.default_rng(21)
+        for seed in range(3):
+            chan = random_channel(*qubits, env_qubits=2, seed=seed)
+            d = chan.dim_in
+            w = d * pdm_from_channel(chan).matrix
+            sigmas = [np.eye(d, dtype=complex) / d, random_state(d, d, seed), floor_sigma(d, rng)]
+            for sigma in sigmas:
+                lower, upper, image = reference_evaluate(w, sigma)
+                trial = bounds._evaluate(w, sigma)
+                assert abs(trial[2] - lower) <= 1e-13 * lower
+                assert np.abs(trial[5] - image).max() <= 1e-13 * np.abs(image).max()
+                # the upper end's rounding error is up to eps / lambda_min(sigma) (_bracket)
+                slack = 1e-13 + 2.0 * np.finfo(float).eps / np.linalg.eigvalsh(sigma)[0]
+                assert abs(trial[3] - upper) <= slack * upper
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_rejects_sigma_at_the_floor(self, qubits):
+        d = 2**qubits
+        w = d * pdm_from_channel(random_channel(qubits, qubits, seed=0)).matrix
+        sigma = np.diag([bounds._FLOOR] + [(1.0 - bounds._FLOOR) / (d - 1)] * (d - 1))
+        assert bounds._evaluate(w, sigma.astype(complex)) is None
+        assert bounds._evaluate(w, -np.eye(d, dtype=complex) / d) is None
+        if d == 2:  # eigh raises on NaN, the closed form rejects it
+            assert bounds._evaluate(w, np.full((2, 2), np.nan, dtype=complex)) is None
 
 
 def assert_additive_brackets(chan):
@@ -386,8 +452,7 @@ def bracket_ends(ws, ss) -> np.ndarray:
     for w, s in zip(ws, ss):
         root = np.diag([math.sqrt(s), math.sqrt(1.0 - s)]).astype(complex)
         inv_root = np.diag([1.0 / root[0, 0], 1.0 / root[1, 1]])
-        lower, g_vals = _bracket(np.reshape(w, (2, 2, 2, 2)), root, inv_root)[:2]
-        ends.append((lower, g_vals[-1]))
+        ends.append(_bracket(np.asarray(w), root, inv_root)[:2])
     return np.array(ends)
 
 

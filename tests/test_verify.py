@@ -148,6 +148,6 @@ class TestSuites:
             suite(seed=-1, cases=1)
 
     def test_case_counts(self):
-        # lemmas adds the monotonicity cases, bounds its four fixed HW cases
+        # lemmas adds the monotonicity cases, bounds its four fixed HW and two N x N cases
         results = run_suites(list(SUITES), seed=0, cases=3)
-        assert [r.cases for r in results] == [3, 6, 3, 7]
+        assert [r.cases for r in results] == [3, 6, 3, 9]
