@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print four SHA-256 digests: three over the Holevo-Werner results, one over the PDMs.
+"""Print nine SHA-256 digests: four over results, five over command output.
 
 The first ("named") covers the rows of the default 26x21 shifted depolarizing
 sweep and ``hw_bound`` on the named 1-qubit channels: amplitude damping at 41
@@ -11,7 +11,9 @@ env_qubits=e, seed=s)`` for q in {1, 2}, e in {1, 2, 3} and s < 50, plus three
 third ("unequal") covers ``hw_bound`` on ``random_channel(1, 2, env_qubits=2,
 seed=s)`` and ``random_channel(2, 1, env_qubits=2, seed=s)`` for s < 4, whose
 input and output qubit counts differ. For a channel these digests take the
-``hw_bound`` value, every diagnostic and the bytes of ``best_input``. Floats
+``hw_bound`` value, every diagnostic and the bytes of ``best_input``; the third
+also takes the causality bound, and the ``maxrains_surrogate`` value with its
+``log2_inf_norm``. Floats
 enter the digests exactly (as ``float.hex``), so two checkouts that print the
 same digest produced bit-identical results.
 The fourth ("causality") covers the channels of the default 26x21 sweep grid
@@ -116,10 +118,23 @@ def named_fingerprint() -> tuple[str, int, int]:
     return digest.hexdigest(), len(rows), len(chans)
 
 
-def channels_fingerprint(chans) -> tuple[str, int]:
-    """(hex digest, channels) over ``hw_bound`` on each channel of a list."""
+def _hash_pdm_bounds(digest, c) -> None:
+    digest.update(b"causality=" + _field(causality_bound(c).value))
+    rains = maxrains_surrogate(c)
+    digest.update(b"maxrains=" + _field(rains.value))
+    digest.update(b"log2_inf_norm=" + _field(rains.diagnostics["log2_inf_norm"]))
+
+
+def channels_fingerprint(chans, pdm_bounds: bool) -> tuple[str, int]:
+    """(hex digest, channels) over ``hw_bound`` on each channel of a list.
+
+    With ``pdm_bounds`` the digest also takes each channel's causality and max-Rains values.
+    """
     digest = hashlib.sha256()
     _hash_channels(digest, chans)
+    if pdm_bounds:
+        for c in chans:
+            _hash_pdm_bounds(digest, c)
     return digest.hexdigest(), len(chans)
 
 
@@ -134,10 +149,7 @@ def causality_fingerprint() -> tuple[str, int]:
     for c in chans:
         digest.update(b"chan" + c.label.encode() + c.choi.tobytes())
         digest.update(pdm_from_channel(c).matrix.tobytes())
-        digest.update(b"causality=" + _field(causality_bound(c).value))
-        rains = maxrains_surrogate(c)
-        digest.update(b"maxrains=" + _field(rains.value))
-        digest.update(b"log2_inf_norm=" + _field(rains.diagnostics["log2_inf_norm"]))
+        _hash_pdm_bounds(digest, c)
     return digest.hexdigest(), len(chans)
 
 
@@ -174,9 +186,11 @@ def fingerprints() -> dict[str, str]:
     digests["named"], rows, chans = named_fingerprint()
     print(f"named: {rows} sweep rows, {chans} channels in {time.perf_counter() - t0:.1f} s")
     print(digests["named"])
-    for name, chans in (("random", random_channels), ("unequal", unequal_channels)):
+    for name, chans, pdm_bounds in (
+        ("random", random_channels, False), ("unequal", unequal_channels, True),
+    ):
         t0 = time.perf_counter()
-        digests[name], n = channels_fingerprint(chans())
+        digests[name], n = channels_fingerprint(chans(), pdm_bounds)
         print(f"{name}: {n} channels in {time.perf_counter() - t0:.1f} s")
         print(digests[name])
     t0 = time.perf_counter()

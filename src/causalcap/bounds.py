@@ -5,10 +5,10 @@ channel PDM), the closed-form expression for shifted depolarizing channels, the 
 comparison bound as a certified bracket on a concave problem over the input marginal (in
 closed form with no eigensolve where W = d R has the phase-covariant pattern of every named
 channel; else by a fixed-point solve, with one eigensolve per bracket on 1-qubit inputs), and
-a max-Rains surrogate from the partially transposed Choi matrix. All read one operator, the
-PDM R: :func:`pdm.pdm_from_channel` builds it and its trace norm once per channel and holds
-them weakly, for every bound to share; the sweep builds no channels but stacks its family's
-Kraus operators into R by a channel's arithmetic. All values are in qubits per channel use.
+a max-Rains surrogate from the partially transposed Choi matrix. All read one operator on any
+qubit counts, the PDM R: :func:`pdm.pdm_from_channel` builds it and its trace norm once per
+channel and holds them weakly, for every bound to share; the sweep builds no channels but
+stacks its family's Kraus operators into R by a channel's arithmetic. Values are qubits per use.
 """
 
 from __future__ import annotations
@@ -70,20 +70,17 @@ class SweepRow:
     hw_minus_causality: float
 
 
-def _equal_count_pdm(c: QuantumChannel) -> pdm_mod.PseudoDensityMatrix:
-    if c.qubits_in != c.qubits_out:  # HW takes any counts; causality and max-Rains do not
-        raise ValueError(f"{c.label}: PDM construction needs equal input/output qubit counts "
-                         f"(got {c.qubits_in}->{c.qubits_out})")
-    return pdm_mod.pdm_from_channel(c)
-
-
 def causality_bound(c: QuantumChannel) -> BoundReport:
-    """Optimization-free capacity bound from the channel PDM; needs equal qubit counts."""
-    r = _equal_count_pdm(c)
+    """Optimization-free capacity bound log2 ||R||_1, R the channel PDM, on any qubit counts.
+
+    Q(N) <= log2 ||R||_1 holds for equal counts and padding keeps it: N o Tr_k gives J x I/2^k,
+    N x |0><0| gives J x |0><0|, and neither moves Q or ||T_A J||_1. The ``qubits`` diagnostic
+    is the input count.
+    """
     return BoundReport(
         channel_label=c.label,
         method="causality",
-        value=pdm_mod.causality_F(r),
+        value=pdm_mod.causality_F(pdm_mod.pdm_from_channel(c)),
         diagnostics={"qubits": c.qubits_in},
     )
 
@@ -152,9 +149,8 @@ def _evaluate(w, sigma):
     return (sigma, root, *_bracket(w, root, inv_root))
 
 
-def _power(root, g, squarings: int):
-    """normalise(sqrt(sigma) (G / lambda_max G)^alpha sqrt(sigma)), alpha = 2**squarings."""
-    g_vals, g_vecs = np.linalg.eigh(g)
+def _power(root, g_vals, g_vecs, squarings: int):
+    """normalise(sqrt(sigma) (G / lambda_max G)^(2**squarings) sqrt(sigma)), G = eigh's pairs."""
     ratio = np.maximum(g_vals, 0.0) / g_vals[-1]
     for _ in range(squarings):
         ratio = ratio * ratio
@@ -210,10 +206,11 @@ def _solve_hw(w: np.ndarray, d: int):
             won = trial is not None and trial[3] - trial[2] < width
             evaluations, accelerated = evaluations + 1, accelerated + won
         if not won:
-            trial = _evaluate(w, _power(root, g, squarings))
+            g_eig = np.linalg.eigh(g)  # shared with a retaken step
+            trial = _evaluate(w, _power(root, *g_eig, squarings))
             narrowed = trial is not None and trial[3] - trial[2] < width
             if not narrowed and squarings:  # retaken at exponent 1
-                trial = _evaluate(w, _power(root, g, 0))
+                trial = _evaluate(w, _power(root, *g_eig, 0))
                 evaluations += 1
             evaluations += 1
             # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
@@ -355,13 +352,13 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
 def maxrains_surrogate(c: QuantumChannel) -> BoundReport:
     """Upper-bound surrogate from the partially transposed Choi matrix.
 
-    The value is log2 of the trace norm of T_B(Choi). T_B(Choi) is the full
-    transpose of T_A(Choi), the channel PDM, so the two share a spectrum and
-    the value equals the causality bound for every channel. The diagnostics
-    record the tighter infinity-norm intermediate. Both come from one
-    eigensolve of the PDM, which is Hermitian by construction.
+    The value is log2 of the trace norm of T_B(Choi), the full transpose of T_A(Choi), the
+    channel PDM R: the two share a spectrum, so the value equals the causality bound on any
+    qubit counts. ``log2_inf_norm`` records the tighter infinity-norm intermediate of R as
+    computed (each qubit padded onto the input would halve max|lambda|). Both come from one
+    eigensolve of R, which is Hermitian by construction.
     """
-    spectrum = np.abs(np.linalg.eigvalsh(_equal_count_pdm(c).matrix))
+    spectrum = np.abs(np.linalg.eigvalsh(pdm_mod.pdm_from_channel(c).matrix))
     return BoundReport(
         channel_label=c.label,
         method="maxrains_surrogate",

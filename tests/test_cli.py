@@ -27,7 +27,7 @@ from causalcap.channels import (
     tensor,
 )
 from causalcap.cli import MAX_SWEEP_POINTS, main
-from test_bounds import hw_ceiling
+from test_bounds import hw_ceiling, padded
 from test_channels import noisy_kraus
 
 FAST = ["--restarts", "4"]
@@ -462,12 +462,25 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("method", ["causality", "maxrains", "all"])
-    def test_unequal_qubit_counts_exit2(self, capsys, tmp_path, method):
+    def test_unequal_qubit_counts_exit0(self, capsys, tmp_path, method):
+        methods = {
+            "causality": ["causality"],
+            "maxrains": ["maxrains_surrogate"],
+            "all": ["causality", "holevo_werner", "maxrains_surrogate"],
+        }[method]
+        chan = random_channel(2, 1, env_qubits=2, seed=0)
         path = tmp_path / "two_to_one.json"
-        save_channel(random_channel(2, 1, env_qubits=2, seed=0), path)
+        save_channel(chan, path)
         code, out, err = run(capsys, ["bound", "--channel", str(path), "--method", method])
-        assert_clean_failure(code, out, err, 2)
-        assert err.count("\n") == 1 and "(got 2->1)" in err
+        assert code == 0 and err == ""
+        reps = [json.loads(line) for line in out.splitlines()]
+        assert [rep["method"] for rep in reps] == methods
+        value = causality_bound(padded(chan)).value
+        for rep in reps:
+            if rep["method"] == "holevo_werner":
+                assert rep["value"] >= value
+            else:
+                assert abs(rep["value"] - value) <= 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unequal_qubit_counts_hw_exit0(self, capsys, tmp_path, seed):

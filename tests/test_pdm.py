@@ -138,7 +138,7 @@ class TestPdmFromChannel:
 
     @pytest.mark.parametrize("qubits", [(1, 2), (2, 1)])
     def test_builds_unequal_qubit_counts(self, qubits):
-        # HW reads this R; the causality bound and max-Rains surrogate refuse the channel
+        # every bound reads this R: HW, and the causality bound and max-Rains surrogate by padding
         c = random_channel(*qubits, env_qubits=1, seed=0)
         r = pdm_from_channel(c)
         assert (r.l_in, r.l_out) == qubits
