@@ -1,11 +1,11 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
-Every constructor passes a Kraus list to :func:`from_kraus`, which validates
-and stores it. The Choi matrix J (normalized to trace 1, i.e. the channel
-acting on one half of a maximally entangled state) is built from that stored
-list by :func:`choi_from_kraus`, the one conversion there is, so the two
-cannot disagree and a saved channel reloads with a bit-identical J. Channels
-are immutable after construction and safe to share across threads.
+Every constructor passes a Kraus list to :func:`from_kraus`, which validates it and
+stores read-only copies. The Choi matrix J (normalized to trace 1, i.e. the channel
+acting on one half of a maximally entangled state) is built from that stored list by
+:func:`choi_from_kraus`, the one conversion there is, so the two cannot disagree and a
+saved channel reloads with a bit-identical J. Channels are immutable after construction,
+as no caller holds their arrays, and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def choi_from_kraus(ops) -> np.ndarray:
 class QuantumChannel:
     """Completely positive trace-preserving map between qubit registers.
 
-    ``choi`` is not an argument: it is built from ``kraus``, symmetrized and
-    made read-only. Channels compare and hash by identity; compare ``choi`` for value equality.
+    ``kraus`` is read-only, and so is ``choi``, built from it (not an argument) and
+    symmetrized. Channels compare and hash by identity; compare ``choi`` for value equality.
     """
 
     qubits_in: int
@@ -82,7 +82,7 @@ def from_kraus(
     label: str = "channel",
 ) -> QuantumChannel:
     """Build a channel from Kraus operators, validating trace preservation."""
-    mats = tuple(as_matrix(a) for a in ops)
+    mats = tuple(as_matrix(a).copy() for a in ops)  # stored read-only: the caller keeps none
     if not mats:
         raise ValueError("a channel needs at least one Kraus operator")
     rows, cols = mats[0].shape
@@ -101,6 +101,8 @@ def from_kraus(
     # sum_k A_k^dag A_k = I bounds every entry by 1; a larger one could overflow J
     if not all(np.abs(a).max() <= 1.0 + CPTP_ATOL for a in mats):
         raise ValueError("Kraus entries must have magnitude at most 1")
+    for a in mats:
+        a.setflags(write=False)
     c = QuantumChannel(qubits_in, qubits_out, mats, label)
     residual = tp_residual(c.choi, cols)
     if not residual <= CPTP_ATOL:  # NaN-safe

@@ -5,17 +5,16 @@ density matrix, may carry negative eigenvalues; those witness temporal
 correlations between the two ends of a process. The causality measure is
 the base-2 logarithm of its trace norm.
 
-A channel's PDM R is built once, kept in a table that holds the channel
-weakly (an entry dies with its channel), and computes its trace norm once;
-every bound read from one channel shares both.
+A channel's PDM R is built once and kept in a table that holds the channel
+weakly (an entry dies with its channel). Building it validates R and takes
+its trace norm in one pass; every bound read from one channel shares both.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .linalg import (
     I2,
     as_matrix,
     partial_transpose,
-    require_hermitian,
     require_state,
     trace_norm,
 )
@@ -35,31 +33,30 @@ from .linalg import (
 class PseudoDensityMatrix:
     """Hermitian unit-trace operator over (earlier time x later time).
 
-    ``matrix`` is read-only. PDMs compare and hash by identity, as channels do;
-    compare ``matrix`` for value equality.
+    ``matrix`` is a symmetrized read-only copy. ``trace_norm`` = ||R||_1 is not an argument:
+    the one call that rejects a non-finite, non-square or non-Hermitian matrix computes it.
+    PDMs compare and hash by identity, as channels do; compare ``matrix`` for value equality.
     """
 
     matrix: np.ndarray
     l_in: int
     l_out: int
+    trace_norm: float = field(init=False)
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
+        norm = trace_norm(self.matrix)
+        m = as_matrix(self.matrix)
         if m.shape != (2 ** (self.l_in + self.l_out),) * 2:
             raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{self.l_in}+{self.l_out} qubits"
+                f"matrix shape {m.shape} does not match {self.l_in}+{self.l_out} qubits"
             )
-        tr = np.trace(m).real
+        tr = float(np.trace(m).real)
         if abs(tr - 1.0) > CPTP_ATOL:
             raise ValueError(f"pseudo-density matrix trace {tr!r} is not 1")
+        m = 0.5 * (m + m.conj().T)  # the matrix trace_norm took; a channel's R is unchanged
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @cached_property
-    def trace_norm(self) -> float:
-        """||R||_1, computed on first use and kept."""
-        return trace_norm(self.matrix)
+        object.__setattr__(self, "trace_norm", norm)
 
 
 def swap_matrix(l: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from . import pdm as pdm_mod
 from .channels import (
     QuantumChannel,
     compose,
-    conjugate,
     from_kraus,
     named_channel,
     random_channel,
@@ -168,13 +167,11 @@ def _pdm_margins(rng: np.random.Generator) -> list:
     # additivity over tensor products
     prod = pdm_mod.PseudoDensityMatrix(np.kron(r.matrix, other.matrix), 2, 2)
     margins.append(abs(pdm_mod.causality_F(prod) - f_r - pdm_mod.causality_F(other)))
-    # causality of the PDM equals log-negativity of the Choi state
-    margins.append(abs(f_r - pdm_mod.log_negativity(chan.choi, (2, 2))))
     return margins
 
 
 def suite_pdm(seed: int = 0, cases: int = 100) -> SuiteResult:
-    """Causality-measure properties plus the Choi log-negativity identity."""
+    """Causality-measure properties: nonnegativity, basis invariance, convexity, additivity."""
     return _cases("pdm", seed, 0, cases, _pdm_margins)
 
 
@@ -221,10 +218,10 @@ def _entanglement_fidelity_purified(rho: np.ndarray, c: QuantumChannel) -> float
     return float(np.real(phi.conj() @ evolved @ phi))
 
 
-def _surrogate_margins(rng: np.random.Generator) -> list:
-    chan = _random_single_qubit_channel(rng)
-    conj_caus = bounds_mod.causality_bound(conjugate(chan)).value
-    return [abs(bounds_mod.maxrains_surrogate(chan).value - conj_caus)]
+def _closed_form_margins(rng: np.random.Generator) -> list:
+    p, gamma = float(rng.uniform(0.0, 0.25)), float(rng.uniform(0.0, 1.0))
+    caus = bounds_mod.causality_bound(shifted_depolarizing(p, gamma)).value
+    return [abs(bounds_mod.analytic_shifted_depol(p, gamma) - caus)]
 
 
 def _hw_margins(chan: QuantumChannel) -> list:
@@ -239,10 +236,11 @@ def _additivity_margins(chan: QuantumChannel) -> list:
 
 
 def suite_bounds(seed: int = 0, cases: int = 100) -> SuiteResult:
-    """Max-Rains surrogate identity, the HW bracket and HW additivity.
+    """The paper's closed form, the HW bracket and HW additivity.
 
-    The surrogate must equal the causality bound of the conjugate channel, computed here
-    through an independent channel construction. Six fixed cases follow the random ones: the
+    Each random case draws (p, gamma) uniformly from [0, 1/4] x [0, 1], where the closed form
+    ``analytic_shifted_depol`` must equal the causality bound of the channel built from its
+    Kraus operators, two independent routes. Six fixed cases follow the random ones: the
     certified HW bracket on three closed-form channels and one fixed-point solve (7 steps),
     whose lower end, attained by an input, is at least causality and which closes to tolerance;
     and, for amplitude damping 0.3 and a random channel N, the brackets of 2 HW(N) and of
@@ -253,7 +251,7 @@ def suite_bounds(seed: int = 0, cases: int = 100) -> SuiteResult:
     squared = [named_channel("amplitude-damping", eta=0.3)]  # each tensored with itself
     squared.append(random_channel(1, 1, env_qubits=2, seed=3))
     hw = itertools.chain(map(_hw_margins, hw_channels), map(_additivity_margins, squared))
-    return _cases("bounds", seed, 30_000, cases, _surrogate_margins, fixed=hw)
+    return _cases("bounds", seed, 30_000, cases, _closed_form_margins, fixed=hw)
 
 
 SUITES = {

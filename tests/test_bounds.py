@@ -781,6 +781,14 @@ class TestMaxRainsSurrogate:
             assert abs(rep.value - causality_bound(conjugate(chan)).value) < 1e-9
             assert rep.diagnostics["log2_inf_norm"] <= rep.value + 1e-12
 
+    def test_value_is_the_causality_measure_of_the_shared_pdm(self):
+        grid = [shifted_depolarizing(p, g) for p in np.linspace(0.0, 0.25, 26)
+                for g in np.linspace(0.0, 1.0, 21)]
+        rand = [random_channel(*q, env_qubits=2, seed=s)
+                for q in [(1, 1), (1, 2), (2, 1)] for s in range(10)]
+        for chan in grid + rand:
+            assert maxrains_surrogate(chan).value == pdm_mod.causality_F(pdm_from_channel(chan))
+
 
 class TestCompareBounds:
     def test_identity_all_one(self):

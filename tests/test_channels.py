@@ -97,6 +97,39 @@ class TestFromKraus:
         with pytest.raises(ValueError, match="does not match"):
             from_kraus([I2], 10**400, 1)
 
+    def test_rejects_operators_of_different_shapes(self):
+        with pytest.raises(ValueError, match="Kraus operators must share a common shape"):
+            from_kraus([I2, np.eye(4, 2, dtype=complex)])
+
+    @pytest.mark.parametrize("op", [np.ones(2), np.ones((2, 2, 1)), np.array(1.0)],
+                             ids=["1-d", "3-d", "0-d"])
+    def test_rejects_an_operator_that_is_not_2d(self, op):
+        with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \("):
+            from_kraus([I2, op])
+
+
+class TestImmutable:
+    def test_the_callers_array_cannot_change_the_channel(self):
+        a = np.eye(2, dtype=complex)
+        c = from_kraus([a])
+        a[:] = PAULI_X
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        assert np.array_equal(apply(c, rho), rho)
+        assert np.array_equal(c.kraus[0], I2) and np.array_equal(c.choi, IDENT.choi)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_channel(1, 2, env_qubits=1, seed=0),  # its operators are views of one array
+        lambda: shifted_depolarizing(0.1, 0.3),
+        lambda: tensor(IDENT, DEPHASE),
+        lambda: conjugate(DEPHASE),
+    ], ids=["random", "shifted", "tensor", "conjugate"])
+    def test_stored_arrays_are_read_only(self, make):
+        c = make()
+        assert type(c.kraus) is tuple
+        for m in (*c.kraus, c.choi):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
+
 
 class TestApply:
     def test_shift_endpoint(self):

@@ -360,6 +360,23 @@ class TestExitCodes:
         path = write_doc(tmp_path, doc)
         assert_clean_failure(*run(capsys, ["channel-info", "--channel", str(path)]), 3)
 
+    @pytest.mark.parametrize(
+        "kraus, message",
+        [
+            ([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [[[1.0, 0.0]]]],
+             "Kraus operators must share a common shape"),
+            ([[]], "expected a 2-d matrix, got shape (0,)"),
+        ],
+        ids=["different-shapes", "not-2d"],
+    )
+    @pytest.mark.parametrize("command", ["bound", "channel-info"])
+    def test_malformed_kraus_list_exit3(self, capsys, tmp_path, command, kraus, message):
+        doc = ad_doc()
+        doc["kraus"] = kraus
+        code, out, err = run(capsys, [command, "--channel", str(write_doc(tmp_path, doc))])
+        assert_clean_failure(code, out, err, 3)
+        assert err == f"error: {message}\n"
+
     def test_entry_too_large_for_a_float_exit3(self, capsys, tmp_path):
         doc = ad_doc()
         doc["kraus"][0][0][0] = [10**400, 0]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -5,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from causalcap import bounds, pdm
+from causalcap import bounds, linalg, pdm
 from causalcap.channels import (
     from_kraus,
     named_channel,
@@ -19,6 +20,7 @@ from causalcap.linalg import (
     random_density,
     random_isometry,
     random_unitary,
+    trace_norm,
 )
 from causalcap.pdm import (
     PseudoDensityMatrix,
@@ -189,6 +191,55 @@ class TestOnePdmPerChannel:
             assert calls == {"partial_transpose": 1, "trace_norm": 1}
             r = pdm_from_channel(c)
             assert reports["causality"].value == causality_F(r) == math.log2(r.trace_norm)
+
+    def test_compare_bounds_checks_r_once(self, monkeypatch):
+        # one Hermiticity scan of R, inside the trace norm that builds it
+        shapes = []
+
+        def counted(a, inner=linalg.require_hermitian):
+            shapes.append(np.shape(a))
+            return inner(a)
+
+        for mod in (linalg, pdm, bounds):  # wherever the check is imported
+            if hasattr(mod, "require_hermitian"):
+                monkeypatch.setattr(mod, "require_hermitian", counted)
+        for c in (shifted_depolarizing(0.1, 0.4), random_channel(2, 2, env_qubits=2, seed=6),
+                  random_channel(1, 2, env_qubits=1, seed=7)):
+            shapes.clear()
+            bounds.compare_bounds(c)
+            assert shapes == [c.choi.shape]
+
+
+class TestValidatedOnce:
+    def test_the_norm_is_a_field_set_when_r_is_built(self):
+        r = pdm_from_channel(random_channel(1, 1, env_qubits=1, seed=8))
+        assert "trace_norm" in {f.name for f in dataclasses.fields(r)}
+        assert vars(r)["trace_norm"] == trace_norm(r.matrix)
+
+    @pytest.mark.parametrize(
+        "matrix, l, message",
+        [
+            (np.ones(4), 1, "expected a 2-d matrix"),
+            (np.ones((4, 2)), 1, "expected a square matrix"),
+            (np.diag([np.nan, 1.0, 0.0, 0.0]), 1, "must be finite"),
+            (np.triu(np.ones((4, 4))) / 4, 1, "not Hermitian"),
+            (np.eye(4).tolist(), 2, r"shape \(4, 4\) does not match 2\+2 qubits"),
+            (np.eye(4) / 2, 1, "trace 2.0 is not 1"),
+        ],
+        ids=["1-d", "not-square", "nan", "not-hermitian", "shape-of-a-list", "trace"],
+    )
+    def test_a_supplied_matrix_is_rejected_with_its_message(self, matrix, l, message):
+        with pytest.raises(ValueError, match=message):
+            PseudoDensityMatrix(matrix, l, l)
+
+    def test_a_supplied_matrix_is_copied_symmetrized_and_normed(self):
+        m = swap_matrix(1) / 2
+        m[0, 1] += 1e-12j  # drift within HERM_ATOL
+        r = PseudoDensityMatrix(m, 1, 1)
+        assert m.flags.writeable and not r.matrix.flags.writeable
+        assert np.array_equal(r.matrix, r.matrix.conj().T)
+        assert np.max(np.abs(r.matrix - m)) <= 1e-12
+        assert r.trace_norm == trace_norm(m)
 
 
 class TestCausalityMeasure:
