@@ -1,14 +1,14 @@
 """Capacity upper bounds for qubit channels.
 
-Four routes are implemented: the optimization-free causality bound (trace norm of the
-channel PDM), the closed-form expression for shifted depolarizing channels, the Holevo-Werner
-comparison bound as a certified bracket on a concave problem over the input marginal (in
-closed form with no eigensolve where W = d R has the phase-covariant pattern of every named
-channel; else by a fixed-point solve, with one eigensolve per bracket on 1-qubit inputs), and
-a max-Rains surrogate from the partially transposed Choi matrix. All read one operator on any
+Four routes are implemented: the optimization-free causality bound (trace norm of the channel
+PDM), the closed-form expression for shifted depolarizing channels, the Holevo-Werner comparison
+bound as a certified bracket on a concave problem over the input marginal (in closed form with
+no eigensolve where W = d R has the phase-covariant pattern of every named channel; else by a
+fixed-point solve, on 1-qubit inputs in floats but for one eigensolve per bracket), and a
+max-Rains surrogate from the partially transposed Choi matrix. All read one operator on any
 qubit counts, the PDM R: :func:`pdm.pdm_from_channel` builds it and its trace norm once per
-channel and holds them weakly, for every bound to share; the sweep builds no channels but
-stacks its family's Kraus operators into R by a channel's arithmetic. Values are qubits per use.
+channel and holds them weakly for all bounds; the sweep builds no channels but stacks its
+family's Kraus operators into R by a channel's arithmetic. Values are qubits per use.
 """
 
 from __future__ import annotations
@@ -96,61 +96,78 @@ def analytic_shifted_depol(p: float, gamma: float) -> float:
 ANDERSON_DEPTH = 5
 # the most steps a fixed-point solve takes
 MAX_ITERS = 2000
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 # the least eigenvalue a trial input marginal may have (see _solve_hw)
 _FLOOR = _EPS / CPTP_ATOL
 # the flat indices off the phase-covariant 4x4 pattern: all but w00, w11, w12, w21, w22, w33
 _OFF_PATTERN = (1, 2, 3, 4, 7, 8, 11, 12, 13, 14)
 
 
-def _bracket(w: np.ndarray, root: np.ndarray, inv_root: np.ndarray):
+def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
     """Lower end f(sigma) = ||M||_1, lambda_max(G), G and image T(sigma) for one (dim, dim) W.
 
     M = (A x I) W (A x I), A = ``root`` = sqrt(sigma), from two products on the input index
     (W is Hermitian: the second takes the first's conjugate transpose); G = A^-1 Tr_out|M| A^-1.
     Y = (A^-1 x I)|M|(A^-1 x I) >= +-W for any Hermitian A, so lambda_max(G) = ||Tr_out Y||_inf
-    is an upper end (closed-form at d = 2); A^-1 scales the eps ||M|| error of the eigensolve
-    of M to a relative error of up to eps / lambda_min(sigma). T(sigma) = Tr_out|M| / ||M||_1.
+    is an upper end; A^-1 scales the eps ||M|| error of the eigensolve of M to a relative error
+    of up to eps / lambda_min(sigma). T(sigma) = Tr_out|M| / ||M||_1. At d = 2 A^-1 and K =
+    Tr_out|M| are Pauli 4-tuples, T(sigma) a Bloch vector and G (K, lambda_min, lambda_max).
     """
     d, dim = root.shape[0], w.shape[0]
     x = (root @ w.reshape(d, -1)).reshape(dim, dim)
     mu, u = np.linalg.eigh((root @ x.conj().T.reshape(d, -1)).reshape(dim, dim))
     abs_mu = np.abs(mu)
     marginal = (u * abs_mu).reshape(d, -1) @ u.reshape(d, -1).conj().T
-    lower, g = sum(abs_mu.tolist()), inv_root @ marginal @ inv_root
+    lower = sum(abs_mu.tolist())
     if d > 2:
+        g = inv_root @ marginal @ inv_root
         return lower, float(np.linalg.eigvalsh(g)[-1]), g, marginal / lower
-    (p, _), (q, r) = g.tolist()  # G >= 0, so the sum has no cancellation
-    return lower, (p + r).real / 2 + math.hypot((p - r).real / 2, abs(q)), g, marginal / lower
+    (p, _), (q, r) = marginal.tolist()
+    (b0, *b), k = inv_root, ((p.real + r.real) / 2, q.real, q.imag, (p.real - r.real) / 2)
+    # G = (g0, g) = ((b0^2 + |b|^2) k0 + 2 b0 b.k, 2 (b0 k0 + b.k) b + (b0^2 - |b|^2) k)
+    bk, bb = b[0] * k[1] + b[1] * k[2] + b[2] * k[3], b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
+    c, e, g0 = 2.0 * (b0 * k[0] + bk), b0 * b0 - bb, (b0 * b0 + bb) * k[0] + 2.0 * b0 * bk
+    h = math.hypot(c * b[0] + e * k[1], c * b[1] + e * k[2], c * b[2] + e * k[3])  # G >= 0
+    return lower, g0 + h, (k, g0 - h, g0 + h), [k[1] / lower, k[2] / lower, k[3] / lower]
 
 
 def _evaluate(w, sigma):
     """(sigma, sqrt(sigma), lower, lambda_max(G), G, T(sigma)) at one sigma, or None.
 
     None unless lambda_min(sigma) > ``_FLOOR`` (a NaN or a non-positive trace fails too), so
-    that no sigma^(-1/2) is formed from a singular sigma. At d = 2 the roots are closed-form:
-    with s = sqrt(det sigma) and t = sqrt(tr sigma + 2 s), sqrt(sigma) = (sigma + s I) / t and
-    sigma^(-1/2) = (adj sigma + s I) / (t s), and lambda_min = det / lambda_max. Else eigh.
+    that no sigma^(-1/2) is formed from a singular sigma. At d = 2 sigma is its Bloch vector s,
+    I / 2 + s.(X, Y, Z), lambda = 1/2 -+ |s|, and with r = sqrt(det sigma) and t = sqrt(1 + 2 r),
+    sqrt(sigma) = (sigma + r I) / t and sigma^(-1/2) = adj(sqrt(sigma)) / r. Else eigh.
     """
-    if sigma.shape[0] == 2:
-        (a, _), (b, c) = sigma.tolist()  # the lower triangle, as eigh reads it
-        trace, det = (a + c).real, a.real * c.real - abs(b) ** 2
-        if not (trace > 0.0 and det / (trace / 2 + math.hypot((a - c).real / 2, abs(b))) > _FLOOR):
+    if isinstance(sigma, list):
+        norm = math.hypot(*sigma)
+        if not 0.5 - norm > _FLOOR:
             return None
-        s = math.sqrt(det)
-        t, a, c, bc = math.sqrt(trace + 2.0 * s), a.real + s, c.real + s, b.conjugate()
-        root, inv_root = np.array([[a, bc], [b, c]]) / t, np.array([[c, -bc], [-b, a]]) / (t * s)
-    else:
-        vals, vecs = np.linalg.eigh(sigma)
-        if not vals[0] > _FLOOR:
-            return None
-        vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)
-        root, inv_root = (vecs * sqrt_vals) @ vh, (vecs / sqrt_vals) @ vh
+        r = math.sqrt((0.5 - norm) * (0.5 + norm))
+        t = math.sqrt(1.0 + 2.0 * r)
+        q, x, y, z = (0.5 + r) / t, sigma[0] / t, sigma[1] / t, sigma[2] / t
+        root = np.array([[q + z, complex(x, -y)], [complex(x, y), q - z]])
+        return (sigma, root, *_bracket(w, root, (q / r, -x / r, -y / r, -z / r)))
+    vals, vecs = np.linalg.eigh(sigma)
+    if not vals[0] > _FLOOR:
+        return None
+    vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)
+    root, inv_root = (vecs * sqrt_vals) @ vh, (vecs / sqrt_vals) @ vh
     return (sigma, root, *_bracket(w, root, inv_root))
 
 
 def _power(root, g_vals, g_vecs, squarings: int):
-    """normalise(sqrt(sigma) (G / lambda_max G)^(2**squarings) sqrt(sigma)), G = eigh's pairs."""
+    """normalise(sqrt(sigma) (G / lambda_max G)^(2**squarings) sqrt(sigma)), G = eigh's pairs.
+
+    At d = 2 g_vals = (sigma, K, l-, l+), l-+ G's eigenvalues: sqrt(sigma) G sqrt(sigma) = K, so
+    G's top eigenprojector P has sqrt(sigma) P sqrt(sigma) = (K - l- sigma) / (l+ - l-).
+    """
+    if g_vecs is None:
+        sigma, k, low, high = g_vals
+        rho = (max(low, 0.0) / high) ** (2**squarings)
+        c = (1.0 - rho) / (high - low) if high > low else 0.0  # G = lambda I: the power is I
+        return [((rho - c * low) * x + c * y) / (rho - c * low + 2.0 * c * k[0])
+                for x, y in zip(sigma, k[1:])]
     ratio = np.maximum(g_vals, 0.0) / g_vals[-1]
     for _ in range(squarings):
         ratio = ratio * ratio
@@ -158,7 +175,7 @@ def _power(root, g_vals, g_vecs, squarings: int):
     return sigma / sigma.trace().real
 
 
-def _extrapolate(fs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
+def _extrapolate(fs, gs, latest: int):
     """Anderson mix of k residuals fs = T(x) - x (as real rows) and images gs = T(x), (k, d, d).
 
     Minimises the residual over affine combinations of the pairs (Walker & Ni, SIAM J. Numer.
@@ -166,6 +183,21 @@ def _extrapolate(fs: np.ndarray, gs: np.ndarray, latest: int) -> np.ndarray:
     of the images, trace-normalised. Differences are from the pair ``latest``, whose zero row
     gets coefficient 0; a Levenberg-Marquardt ridge keeps the Gram system nonsingular.
     """
+    if isinstance(fs, list):  # d = 2, Bloch vectors: LDL^T in floats on 3 differences, 0-padded
+        def dot(x, y):
+            return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+        f, order = fs[latest], [k for k in range(len(fs)) if k != latest] + [latest] * (4 - len(fs))
+        (a, ga), (b, gb), (c, gc) = [([p - q for p, q in zip(f, fs[k])], gs[k]) for k in order]
+        aa, bb, cc = [dot(x, x) * (1.0 + 1e-12) + _TINY for x in (a, b, c)]
+        ab, ac, ha = dot(a, b), dot(a, c), dot(a, f)
+        lb, lc, e = ab / aa, ac / aa, dot(b, c) - ac / aa * ab
+        db, yb = bb - lb * ab, dot(b, f) - lb * ha
+        wc = (dot(c, f) - lc * ha - e / db * yb) / (cc - lc * ac - e / db * e)
+        wb = (yb - e * wc) / db
+        wa = ha / aa - lb * wb - lc * wc
+        return [x - wa * (x - p) - wb * (x - q) - wc * (x - r)
+                for x, p, q, r in zip(gs[latest], ga, gb, gc)]
     df = fs[latest] - fs
     gram = df @ df.T
     diag = gram.reshape(-1)[:: len(fs) + 1]  # the diagonal, as a writeable view
@@ -182,31 +214,35 @@ def _solve_hw(w: np.ndarray, d: int):
     """Certified bracket on ||Theta o N||_dia for one W = d R: the fixed-point route.
 
     Maximises the concave f(sigma) from sigma = I/d. Each step first tries the Anderson
-    extrapolation of the last ``ANDERSON_DEPTH + 1`` pairs (sigma, T(sigma) = Tr_out|M| /
-    ||M||_1), kept if its bracket is narrower than the iterate's; else a power step, whose
-    exponent doubles while the bracket narrows and is retaken at 1 (the plain fixed point)
-    when it widens (at d = 2, one eigensolve per trial and one per power step). A trial
-    counts only if its eigenvalues exceed eps / ``CPTP_ATOL``, for the rounding of
-    :func:`_bracket`'s upper end. The solve stops at a log2 bracket of at most ``CPTP_ATOL``,
-    after ``MAX_ITERS`` steps, or when no trial counts. Returns log2 of the best lower and
-    smallest upper end, sqrt(sigma) of the best lower end, and the step, bracket evaluation
-    and extrapolation counts.
+    extrapolation of the last min(``ANDERSON_DEPTH``, d^2 - 1) + 1 pairs (sigma, T(sigma) =
+    Tr_out|M| / ||M||_1), kept if its bracket is narrower than the iterate's; else a power step,
+    whose exponent doubles while the bracket narrows and is retaken at 1 (the plain fixed point)
+    when it widens. At d = 2 the only eigensolve is a trial's, of M, and the rest is plain
+    floats; for d > 2 a trial also solves sigma, and a power step G. A trial counts only if its
+    eigenvalues exceed eps / ``CPTP_ATOL``, for the rounding of :func:`_bracket`'s upper end.
+    The solve stops at a log2 bracket of at most ``CPTP_ATOL``, after ``MAX_ITERS`` steps, or
+    when no trial counts. Returns log2 of the best lower and smallest upper end, sqrt(sigma) of
+    the best lower end, and the step, bracket evaluation and extrapolation counts.
     """
-    slots, sigma, root = ANDERSON_DEPTH + 1, np.eye(d) / d, np.eye(d, dtype=complex) / math.sqrt(d)
-    lower, g_max, g, image = _bracket(w, root, root * d)
+    slots = min(ANDERSON_DEPTH, d * d - 1) + 1
+    sigma, root = np.eye(d) / d, np.eye(d, dtype=complex) / math.sqrt(d)
+    lower, g_max, g, image = _bracket(w, root, root * d if d > 2 else (2**0.5, 0.0, 0.0, 0.0))
     upper, best_lower, best_root = g_max, lower, root
     # ring buffer of residuals T(sigma) - sigma and images T(sigma): step t in slot t % slots
     fs, gs = np.empty((slots, 2 * d * d)), np.empty((slots, d, d), dtype=complex)
+    if d == 2:  # Bloch vectors (see _evaluate)
+        sigma, fs, gs = [0.0, 0.0, 0.0], [None] * slots, [None] * slots
     evaluations, accelerated, squarings, t = 1, 0, 0, 0
     while t < MAX_ITERS and math.log2(upper) - math.log2(best_lower) > CPTP_ATOL:
-        fs[t % slots], gs[t % slots] = (image - sigma).reshape(-1).view(float), image
-        width, won = g_max - lower, False
+        fs[t % slots] = ([a - b for a, b in zip(image, sigma)] if d == 2
+                         else (image - sigma).reshape(-1).view(float))
+        gs[t % slots], width, won = image, g_max - lower, False
         if t:
             trial = _evaluate(w, _extrapolate(fs[: t + 1], gs[: t + 1], t % slots))
             won = trial is not None and trial[3] - trial[2] < width
             evaluations, accelerated = evaluations + 1, accelerated + won
         if not won:
-            g_eig = np.linalg.eigh(g)  # shared with a retaken step
+            g_eig = ((sigma, *g), None) if d == 2 else np.linalg.eigh(g)  # shared when retaken
             trial = _evaluate(w, _power(root, *g_eig, squarings))
             narrowed = trial is not None and trial[3] - trial[2] < width
             if not narrowed and squarings:  # retaken at exponent 1

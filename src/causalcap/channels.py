@@ -94,6 +94,8 @@ def from_kraus(
     q_in, q_out = max(cols.bit_length() - 1, 0), max(rows.bit_length() - 1, 0)
     qubits_in = q_in if qubits_in is None else qubits_in
     qubits_out = q_out if qubits_out is None else qubits_out
+    if min(qubits_in, qubits_out) < 1:
+        raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
     if (1 << q_in, 1 << q_out, q_in, q_out) != (cols, rows, qubits_in, qubits_out):
         raise ValueError(
             f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
@@ -246,6 +248,8 @@ def random_channel(
     The isometry is an orthonormalized random complex matrix; the
     environment is traced out. Deterministic per seed.
     """
+    if min(qubits_in, qubits_out) < 1:  # before 2**q, which a negative count makes a float
+        raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
     if env_qubits < 1:
         raise ValueError("env_qubits must be at least 1")
     dim_in, dim_out, dim_env = 2**qubits_in, 2**qubits_out, 2**env_qubits

@@ -261,8 +261,8 @@ class TestHwBound:
         "chan, counts",  # (steps, evaluations, accelerated steps, eigh calls)
         [
             (random_channel(1, 1, env_qubits=2, seed=1), (0, 1, 0, 1)),
-            (random_channel(1, 1, env_qubits=2, seed=0), (7, 10, 4, 13)),
-            (random_channel(1, 1, env_qubits=2, seed=6), (10, 17, 4, 22)),
+            (random_channel(1, 1, env_qubits=2, seed=0), (7, 10, 4, 10)),
+            (random_channel(1, 1, env_qubits=2, seed=6), (9, 16, 3, 16)),
             (random_channel(2, 2, env_qubits=2, seed=0), (29, 30, 28, 60)),
             (random_channel(3, 3, env_qubits=2, seed=3), (19, 20, 18, 40)),
         ],
@@ -278,14 +278,13 @@ class TestHwBound:
         diag = hw_bound(chan).diagnostics
         trajectory = (diag["iterations"], diag["evaluations"], diag["accelerated_steps"])
         assert (*trajectory, len(calls)) == counts
-        # each evaluation solves M, unless its sigma is rejected at the floor (one trial of
-        # seed 6); each power step solves G once, a retaken one too. Every step but the first
-        # tries an extrapolation, and each step it does not win is a power step
+        # each evaluation solves M, unless its sigma is rejected at the floor. Every step but
+        # the first tries an extrapolation, and each step it does not win is a power step. At
+        # d = 2 sigma, its roots and G are plain floats, so nothing else is solved; for d > 2
+        # every trial solves its sigma, and each power step G once, a retaken one too
         d, evaluations = chan.dim_in, diag["evaluations"]
         power_steps = diag["iterations"] - diag["accelerated_steps"]
-        # at d = 2 the roots of sigma are closed-form; else every trial solves its sigma
-        sigma_solves = 0 if d == 2 else evaluations - 1
-        assert calls.count((d, d)) == power_steps + sigma_solves
+        assert calls.count((d, d)) == (0 if d == 2 else power_steps + evaluations - 1)
         assert calls.count((d * chan.dim_out,) * 2) <= evaluations
 
     @pytest.mark.parametrize(
@@ -302,6 +301,42 @@ class TestHwBound:
         rep = hw_bound(chan)
         assert "phase-covariant" in rep.diagnostics["note"]
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "qubits_out, seed, floor_rejections",
+        [(1, 0, 0), (1, 6, 0), (1, 12, 1), (2, 0, 0), (2, 3, 0)],
+    )
+    def test_qubit_input_makes_one_eigensolve_per_bracket(
+        self, qubits_out, seed, floor_rejections, monkeypatch
+    ):
+        # a 1-qubit input carries sigma, its roots, G and the Anderson system in plain floats:
+        # the only eigensolve is of M, once per bracket that passes the floor
+        chan = random_channel(1, qubits_out, env_qubits=2, seed=seed)
+        causality_bound(chan)  # builds the PDM and its trace norm
+        calls, brackets, rejected = count_eigensolves(monkeypatch), [], []
+        bracket, evaluate = bounds._bracket, bounds._evaluate
+
+        def counted_bracket(*args):
+            brackets.append(args[0].shape)
+            return bracket(*args)
+
+        def counted_evaluate(w, sigma):
+            trial = evaluate(w, sigma)
+            rejected.append(trial is None)
+            return trial
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(bounds, "_bracket", counted_bracket)
+        monkeypatch.setattr(bounds, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        diag = hw_bound(chan).diagnostics
+        dim = 2 * chan.dim_out
+        assert diag["iterations"] > 0 and diag["gap"] <= CPTP_ATOL
+        assert sum(rejected) == floor_rejections
+        assert len(brackets) == diag["evaluations"] - sum(rejected)  # the start is a bracket
+        assert calls == [("eigh", (dim, dim))] * len(brackets)
 
     def test_sweep_makes_one_eigensolve(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)
@@ -343,6 +378,17 @@ class TestHwBracketProperties:
         assert diag["converged_restarts"] == int(diag["gap"] <= CPTP_ATOL)
         assert diag["converged_restarts"] == (qubits == (1, 2))
 
+    def test_qubit_input_fingerprint_channels_close(self):
+        # every channel with a 1-qubit input in the random and unequal digests of
+        # scripts/hw_fingerprint.py takes the fixed point in plain floats and closes
+        chans = [random_channel(1, 1, env_qubits=e, seed=s) for e in (1, 2, 3) for s in range(50)]
+        chans += [random_channel(1, 2, env_qubits=2, seed=s) for s in range(4)]
+        for chan in chans:
+            rep = hw_bound(chan)
+            assert rep.diagnostics["gap"] <= CPTP_ATOL, chan.label
+            assert rep.diagnostics["converged_restarts"] == 1, chan.label
+            assert rep.value <= hw_ceiling(chan) + 1e-12, chan.label
+
     def test_certified_bracket_on_three_qubits(self):
         chan = random_channel(3, 3, env_qubits=2, seed=3)
         rep = hw_bound(chan)
@@ -379,6 +425,15 @@ def floor_sigma(d, rng) -> np.ndarray:
     return (u * vals) @ u.conj().T
 
 
+def bloch(sigma) -> list:
+    """The Bloch vector s of a unit-trace 2x2 sigma = I/2 + s.(X, Y, Z), as _evaluate takes it."""
+    return [sigma[1, 0].real, sigma[1, 0].imag, (sigma[0, 0] - sigma[1, 1]).real / 2]
+
+
+def from_bloch(s) -> np.ndarray:
+    return np.array([[0.5 + s[2], complex(s[0], -s[1])], [complex(s[0], s[1]), 0.5 - s[2]]])
+
+
 class TestFixedPointEvaluation:
     @pytest.mark.parametrize("qubits", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
     def test_matches_eigh_einsum_reference(self, qubits):
@@ -390,9 +445,11 @@ class TestFixedPointEvaluation:
             sigmas = [np.eye(d, dtype=complex) / d, random_state(d, d, seed), floor_sigma(d, rng)]
             for sigma in sigmas:
                 lower, upper, image = reference_evaluate(w, sigma)
-                trial = bounds._evaluate(w, sigma)
+                # a 1-qubit input takes sigma and gives T(sigma) as Bloch vectors
+                trial = bounds._evaluate(w, bloch(sigma) if d == 2 else sigma)
+                ours = from_bloch(trial[5]) if d == 2 else trial[5]
                 assert abs(trial[2] - lower) <= 1e-13 * lower
-                assert np.abs(trial[5] - image).max() <= 1e-13 * np.abs(image).max()
+                assert np.abs(ours - image).max() <= 1e-13 * np.abs(image).max()
                 # the upper end's rounding error is up to eps / lambda_min(sigma) (_bracket)
                 slack = 1e-13 + 2.0 * np.finfo(float).eps / np.linalg.eigvalsh(sigma)[0]
                 assert abs(trial[3] - upper) <= slack * upper
@@ -402,10 +459,16 @@ class TestFixedPointEvaluation:
         d = 2**qubits
         w = d * pdm_from_channel(random_channel(qubits, qubits, seed=0)).matrix
         sigma = np.diag([bounds._FLOOR] + [(1.0 - bounds._FLOOR) / (d - 1)] * (d - 1))
-        assert bounds._evaluate(w, sigma.astype(complex)) is None
-        assert bounds._evaluate(w, -np.eye(d, dtype=complex) / d) is None
-        if d == 2:  # eigh raises on NaN, the closed form rejects it
-            assert bounds._evaluate(w, np.full((2, 2), np.nan, dtype=complex)) is None
+        if d > 2:
+            assert bounds._evaluate(w, sigma.astype(complex)) is None
+            assert bounds._evaluate(w, -np.eye(d, dtype=complex) / d) is None
+            return
+        # Bloch vectors: the least eigenvalue 1/2 - |s| just below and just above the floor,
+        # outside the ball (a negative eigenvalue) and NaN, on which eigh would raise
+        below, above = 1.0 - 1e-9, 1.0 + 1e-9
+        assert bounds._evaluate(w, [0.0, 0.0, 0.5 - above * bounds._FLOOR]) is not None
+        for s in ([0.0, 0.0, 0.5 - below * bounds._FLOOR], [0.0, 0.0, 0.75], [math.nan] * 3):
+            assert bounds._evaluate(w, s) is None
 
 
 def assert_additive_brackets(chan):
@@ -475,12 +538,15 @@ def seeded_covariant_ws() -> list:
 
 
 def bracket_ends(ws, ss) -> np.ndarray:
-    """(||M||_1, lambda_max(G)) per W at sigma = diag(s, 1-s), from :func:`_bracket`."""
+    """(||M||_1, lambda_max(G)) per W at sigma = diag(s, 1-s), from :func:`_bracket`.
+
+    sigma^(-1/2) = diag(a, b) enters as its Pauli 4-tuple ((a + b) / 2, 0, 0, (a - b) / 2).
+    """
     ends = []
     for w, s in zip(ws, ss):
         root = np.diag([math.sqrt(s), math.sqrt(1.0 - s)]).astype(complex)
-        inv_root = np.diag([1.0 / root[0, 0], 1.0 / root[1, 1]])
-        ends.append(_bracket(np.asarray(w), root, inv_root)[:2])
+        a, b = 1.0 / math.sqrt(s), 1.0 / math.sqrt(1.0 - s)
+        ends.append(_bracket(np.asarray(w), root, ((a + b) / 2, 0.0, 0.0, (a - b) / 2))[:2])
     return np.array(ends)
 
 
@@ -775,8 +841,9 @@ class TestMaxRainsSurrogate:
         assert abs(maxrains_surrogate(chan).value - causality_bound(chan).value) < 1e-9
 
     def test_conjugate_identity_on_random_channels(self):
-        for seed in range(100):
-            chan = random_channel(1, 1, env_qubits=2, seed=seed)
+        # acceptance criterion 8 checks 1 -> 1 channels; these take the padded value
+        for qubits, seed in [(q, s) for q in [(1, 2), (2, 1)] for s in range(50)]:
+            chan = random_channel(*qubits, env_qubits=2, seed=seed)
             rep = maxrains_surrogate(chan)
             assert abs(rep.value - causality_bound(conjugate(chan)).value) < 1e-9
             assert rep.diagnostics["log2_inf_norm"] <= rep.value + 1e-12

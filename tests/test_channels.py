@@ -101,6 +101,21 @@ class TestFromKraus:
         with pytest.raises(ValueError, match="Kraus operators must share a common shape"):
             from_kraus([I2, np.eye(4, 2, dtype=complex)])
 
+    @pytest.mark.parametrize(
+        "ops, qubits, shown",
+        [
+            ([np.eye(1)], (None, None), "0->0"),  # the counts read from a 1x1 shape
+            ([np.eye(1)], (0, 0), "0->0"),
+            ([np.array([[1.0], [0.0]])], (None, None), "0->1"),  # prepares |0>
+            ([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])], (None, None), "1->0"),  # trace
+            ([I2], (-1, 1), "-1->1"),
+        ],
+        ids=["1x1", "0-0", "0-1", "1-0", "negative"],
+    )
+    def test_rejects_qubit_counts_below_one(self, ops, qubits, shown):
+        with pytest.raises(ValueError, match=f"qubit counts must be at least 1, got {shown}$"):
+            from_kraus(ops, *qubits)
+
     @pytest.mark.parametrize("op", [np.ones(2), np.ones((2, 2, 1)), np.array(1.0)],
                              ids=["1-d", "3-d", "0-d"])
     def test_rejects_an_operator_that_is_not_2d(self, op):
@@ -438,6 +453,13 @@ class TestRandomChannel:
     def test_env_required(self):
         with pytest.raises(ValueError, match="env_qubits"):
             random_channel(1, 1, env_qubits=0, seed=0)
+
+    @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (0, 0), (-1, 1), (1, -2)])
+    def test_rejects_qubit_counts_below_one(self, qubits):
+        # checked before 2**q: a negative count would make a float dimension
+        shown = f"{qubits[0]}->{qubits[1]}"
+        with pytest.raises(ValueError, match=f"qubit counts must be at least 1, got {shown}$"):
+            random_channel(*qubits, env_qubits=1, seed=0)
 
 
 class TestChannelFile:
