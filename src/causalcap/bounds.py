@@ -433,7 +433,7 @@ def sweep_shifted_depol(
     if not points.size:  # an empty grid: there is no R to stack
         return []
     j = choi_from_kraus(shifted_depolarizing_kraus(*points.T))
-    r = np.array([partial_transpose(m, (2, 2), 0) for m in j])
+    r = partial_transpose(j, (2, 2), 0)
     norms = np.abs(np.linalg.eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
     rows = []
     for (p, g), norm, w in zip(points.tolist(), norms, (2.0 * r).reshape(-1, 16).tolist()):

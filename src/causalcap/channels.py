@@ -1,16 +1,17 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
-Every constructor passes a Kraus list to :func:`from_kraus`, which validates it and
-stores read-only copies. The Choi matrix J (normalized to trace 1, i.e. the channel
-acting on one half of a maximally entangled state) is built from that stored list by
-:func:`choi_from_kraus`, the one conversion there is, so the two cannot disagree and a
-saved channel reloads with a bit-identical J. Channels are immutable after construction,
-as no caller holds their arrays, and safe to share across threads.
+:class:`QuantumChannel` validates itself and stores read-only copies of its Kraus list, so
+every channel, however built, has passed the same checks. The Choi matrix J (normalized to
+trace 1, i.e. the channel acting on one half of a maximally entangled state) is built from
+that stored list by :func:`choi_from_kraus`, the one conversion there is, so the two cannot
+disagree and a saved channel reloads with a bit-identical J. Channels are immutable after
+construction, as no caller holds their arrays, and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,12 +38,23 @@ def choi_from_kraus(ops) -> np.ndarray:
     return 0.5 * (j + j.conj().swapaxes(-1, -2))
 
 
+def _qubit_count(q) -> int:
+    """``q`` as an int (NumPy integers pass); anything else is a ValueError naming it."""
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise ValueError(f"qubit counts must be integers, got {q!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map between qubit registers.
 
-    ``kraus`` is read-only, and so is ``choi``, built from it (not an argument) and
-    symmetrized. Channels compare and hash by identity; compare ``choi`` for value equality.
+    Validates itself, in order: each Kraus operator is a 2-D matrix, there is one at least,
+    all share a shape, entries are finite, the qubit counts are integers of at least 1 that
+    match the shape, entries have magnitude at most 1, and the list is trace preserving.
+    ``kraus`` is a tuple of read-only copies; ``choi``, built from it, and the dimensions are
+    not arguments. Channels compare and hash by identity; compare ``choi`` for value equality.
     """
 
     qubits_in: int
@@ -50,19 +62,41 @@ class QuantumChannel:
     kraus: tuple
     label: str = "channel"
     choi: np.ndarray = field(init=False)
+    dim_in: int = field(init=False)
+    dim_out: int = field(init=False)
 
     def __post_init__(self):
-        j = choi_from_kraus(self.kraus)
+        mats = tuple(as_matrix(a).copy() for a in self.kraus)  # the caller keeps none
+        if not mats:
+            raise ValueError("a channel needs at least one Kraus operator")
+        rows, cols = mats[0].shape
+        if any(a.shape != (rows, cols) for a in mats):
+            raise ValueError("Kraus operators must share a common shape")
+        if not all(np.isfinite(a).all() for a in mats):
+            raise ValueError("Kraus entries must be finite (found NaN or infinity)")
+        qubits_in, qubits_out = _qubit_count(self.qubits_in), _qubit_count(self.qubits_out)
+        if min(qubits_in, qubits_out) < 1:
+            raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
+        # compare bit lengths, never 2**q, so a huge qubit count fails at once
+        q_in, q_out = max(cols.bit_length() - 1, 0), max(rows.bit_length() - 1, 0)
+        if (1 << q_in, 1 << q_out, q_in, q_out) != (cols, rows, qubits_in, qubits_out):
+            raise ValueError(
+                f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
+            )
+        # sum_k A_k^dag A_k = I bounds every entry by 1; a larger one could overflow J
+        if not all(np.abs(a).max() <= 1.0 + CPTP_ATOL for a in mats):
+            raise ValueError("Kraus entries must have magnitude at most 1")
+        for a in mats:
+            a.setflags(write=False)
+        j = choi_from_kraus(mats)
         j.setflags(write=False)
-        object.__setattr__(self, "choi", j)
-
-    @property
-    def dim_in(self) -> int:
-        return 2**self.qubits_in
-
-    @property
-    def dim_out(self) -> int:
-        return 2**self.qubits_out
+        residual = tp_residual(j, cols)
+        if not residual <= CPTP_ATOL:  # NaN-safe
+            raise ValueError(
+                f"Kraus list is not trace preserving (completeness residual {residual:.3e})"
+            )
+        self.__dict__.update(qubits_in=qubits_in, qubits_out=qubits_out, kraus=mats, choi=j,
+                             dim_in=cols, dim_out=rows)  # frozen: set past __setattr__
 
 
 def tp_residual(j: np.ndarray, dim_in: int) -> float:
@@ -75,43 +109,15 @@ def tp_residual(j: np.ndarray, dim_in: int) -> float:
     return float(np.max(np.abs(dim_in * marginal - np.eye(dim_in))))
 
 
-def from_kraus(
-    ops: Sequence[np.ndarray],
-    qubits_in: int | None = None,
-    qubits_out: int | None = None,
-    label: str = "channel",
-) -> QuantumChannel:
-    """Build a channel from Kraus operators, validating trace preservation."""
-    mats = tuple(as_matrix(a).copy() for a in ops)  # stored read-only: the caller keeps none
-    if not mats:
-        raise ValueError("a channel needs at least one Kraus operator")
-    rows, cols = mats[0].shape
-    if any(a.shape != (rows, cols) for a in mats):
-        raise ValueError("Kraus operators must share a common shape")
-    if not all(np.isfinite(a).all() for a in mats):
-        raise ValueError("Kraus entries must be finite (found NaN or infinity)")
-    # compare bit lengths, never 2**q, so a huge qubit count fails at once
-    q_in, q_out = max(cols.bit_length() - 1, 0), max(rows.bit_length() - 1, 0)
-    qubits_in = q_in if qubits_in is None else qubits_in
-    qubits_out = q_out if qubits_out is None else qubits_out
-    if min(qubits_in, qubits_out) < 1:
-        raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
-    if (1 << q_in, 1 << q_out, q_in, q_out) != (cols, rows, qubits_in, qubits_out):
-        raise ValueError(
-            f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
-        )
-    # sum_k A_k^dag A_k = I bounds every entry by 1; a larger one could overflow J
-    if not all(np.abs(a).max() <= 1.0 + CPTP_ATOL for a in mats):
-        raise ValueError("Kraus entries must have magnitude at most 1")
-    for a in mats:
-        a.setflags(write=False)
-    c = QuantumChannel(qubits_in, qubits_out, mats, label)
-    residual = tp_residual(c.choi, cols)
-    if not residual <= CPTP_ATOL:  # NaN-safe
-        raise ValueError(
-            f"Kraus list is not trace preserving (completeness residual {residual:.3e})"
-        )
-    return c
+def from_kraus(ops: Sequence[np.ndarray], qubits_in: int | None = None,
+               qubits_out: int | None = None, label: str = "channel") -> QuantumChannel:
+    """:class:`QuantumChannel` of ``ops``; a count left out is read from the first one's shape."""
+    if qubits_in is None or qubits_out is None:
+        ops = list(ops)  # any iterable, as the type takes
+        rows, cols = as_matrix(ops[0]).shape if ops else (1, 1)  # no ops: the type refuses
+        qubits_in = max(cols.bit_length() - 1, 0) if qubits_in is None else qubits_in
+        qubits_out = max(rows.bit_length() - 1, 0) if qubits_out is None else qubits_out
+    return QuantumChannel(qubits_in, qubits_out, ops, label)
 
 
 def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -139,10 +145,8 @@ def compose(d: QuantumChannel, c: QuantumChannel) -> QuantumChannel:
 def tensor(c: QuantumChannel, d: QuantumChannel) -> QuantumChannel:
     """Parallel use of two channels; qubit counts add."""
     ops = [np.kron(a, b) for a in c.kraus for b in d.kraus]
-    return from_kraus(
-        ops, c.qubits_in + d.qubits_in, c.qubits_out + d.qubits_out,
-        label=f"{c.label}⊗{d.label}",
-    )
+    return from_kraus(ops, c.qubits_in + d.qubits_in, c.qubits_out + d.qubits_out,
+                      label=f"{c.label}⊗{d.label}")
 
 
 def conjugate(c: QuantumChannel) -> QuantumChannel:
@@ -170,7 +174,7 @@ def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
     stack (5, 2, 2) for floats p and gamma, (n, 5, 2, 2) for arrays of n points."""
     check_shifted_depolarizing(p, gamma)
     up, down = np.sqrt(2.0 * p * (1.0 + gamma)), np.sqrt(2.0 * p * (1.0 - gamma))
-    # complex, as from_kraus makes every list: a real stack takes another BLAS kernel for J
+    # complex, as a channel makes every list: a real stack takes another BLAS kernel for J
     ops = np.zeros(np.shape(p) + (5, 2, 2), dtype=complex)
     ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(1.0 - 4.0 * p)
     ops[..., 1, 0, 0], ops[..., 2, 0, 1], ops[..., 3, 1, 0], ops[..., 4, 1, 1] = up, up, down, down
@@ -192,14 +196,11 @@ def named_channel(name: str, **params) -> QuantumChannel:
     try:
         name = name.lower()
         if name == "identity":
-            qubits = int(params.pop("qubits", 1))
+            qubits = _qubit_count(params.pop("qubits", 1))
             if not 1 <= qubits <= 3:  # before np.eye allocates: sized for 3+3 qubits
                 raise ValueError(f"identity channel needs 1 to 3 qubits, got {qubits}")
             _reject_extra(name, params)
-            return from_kraus(
-                [np.eye(2**qubits, dtype=complex)], qubits, qubits,
-                label=f"identity({qubits})",
-            )
+            return from_kraus([np.eye(2**qubits)], qubits, qubits, label=f"identity({qubits})")
         if name == "depolarizing":
             p = float(params.pop("p"))
             _reject_extra(name, params)
@@ -237,17 +238,14 @@ def _reject_extra(name: str, params: dict) -> None:
         raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
 
 
-def random_channel(
-    qubits_in: int,
-    qubits_out: int,
-    env_qubits: int = 1,
-    seed: int = 0,
-) -> QuantumChannel:
+def random_channel(qubits_in: int, qubits_out: int, env_qubits: int = 1,
+                   seed: int = 0) -> QuantumChannel:
     """Random CPTP channel from an isometry into system + environment.
 
     The isometry is an orthonormalized random complex matrix; the
     environment is traced out. Deterministic per seed.
     """
+    qubits_in, qubits_out, env_qubits = map(_qubit_count, (qubits_in, qubits_out, env_qubits))
     if min(qubits_in, qubits_out) < 1:  # before 2**q, which a negative count makes a float
         raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
     if env_qubits < 1:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small multi-qubit operators.
 
-All functions operate on plain complex numpy arrays (row-major, shape
-``(rows, cols)``) and never mutate their arguments, so values can be shared
-freely across threads. Sized for operators up to 64x64 (3+3 qubits); no
-attempt is made at sparse storage or large-dimension performance.
+All functions operate on plain complex numpy arrays (row-major, ``(rows, cols)``,
+or a stack of them where a function says so) and never mutate their arguments, so
+values can be shared freely across threads. Sized for operators up to 64x64 (3+3
+qubits); no attempt is made at sparse storage or large-dimension performance.
 """
 
 from __future__ import annotations
@@ -34,19 +34,21 @@ def as_matrix(a) -> np.ndarray:
 
 
 def partial_transpose(a: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite operator.
+    """Transpose one tensor factor of a bipartite operator, or of each in a stack (..., n, n).
 
     Preserves Hermiticity and the trace for Hermitian input.
     """
-    a = as_matrix(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     d1, d2 = int(dims[0]), int(dims[1])
-    if a.shape != (d1 * d2, d1 * d2):
+    if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"dims {dims} do not match matrix shape {a.shape}")
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
-    t = a.reshape(d1, d2, d1, d2)
-    t = t.transpose(2, 1, 0, 3) if subsystem == 0 else t.transpose(0, 3, 2, 1)
-    return t.reshape(d1 * d2, d1 * d2)
+    t = a.reshape(-1, d1, d2, d1, d2)
+    t = t.transpose(0, 3, 2, 1, 4) if subsystem == 0 else t.transpose(0, 1, 4, 3, 2)
+    return t.reshape(a.shape)
 
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:

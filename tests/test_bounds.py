@@ -193,6 +193,9 @@ class TestHwBound:
             shifted_depolarizing(0.15, 1.0),
             named_channel("amplitude-damping", eta=0.3),
             random_channel(1, 1, env_qubits=2, seed=8),
+            # d_out != d: a W read with its input and output factors swapped fails here
+            *(random_channel(*qubits, env_qubits=2, seed=seed)
+              for qubits in ((1, 2), (2, 1)) for seed in range(4)),
         ):
             rep = hw_bound(chan, cfg)
             assert abs(kraus_lower_end(chan, rep.best_input) - rep.diagnostics["lower"]) < 1e-9

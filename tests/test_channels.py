@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from causalcap.linalg import CPTP_ATOL, I2, PAULI_Z, random_complex, random_dens
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 IDENT = from_kraus([I2], label="identity")
+# the two ways to a 1->1 channel: from_kraus reads the counts from the shape, the type is given them
+ENTRY_POINTS = (from_kraus, lambda ops: QuantumChannel(1, 1, ops))
 DEPHASE = from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z], label="dephase")
 
 
@@ -71,35 +74,44 @@ class TestFromKraus:
         rho = (I2 + PAULI_X) / 2
         assert np.allclose(apply(DEPHASE, rho), I2 / 2)
 
+    # Each rejection test below runs both ways to a channel, from_kraus(ops, ...) and
+    # QuantumChannel(qubits_in, qubits_out, ops), and expects one message from both.
+
     def test_rejects_incomplete(self):
-        with pytest.raises(ValueError, match="not trace preserving"):
-            from_kraus([0.5 * I2])
+        for build in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="not trace preserving"):
+                build([0.5 * I2])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            from_kraus([])
+        for build in ENTRY_POINTS:
+            with pytest.raises(ValueError):
+                build([])
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_rejects_non_finite(self, entry):
         bad = I2.copy()
         bad[0, 1] = entry
-        with pytest.raises(ValueError, match="finite"):
-            from_kraus([bad])
+        for build in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="finite"):
+                build([bad])
 
     def test_rejects_overflowing_entry(self):
         # J of this list overflows to inf/NaN; the entry bound rejects it first
         bad = I2.copy()
         bad[0, 0] = 1e308
-        with pytest.raises(ValueError, match="magnitude"):
-            from_kraus([bad])
+        for build in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="magnitude"):
+                build([bad])
 
     def test_rejects_huge_qubit_count_without_computing_its_dimension(self):
-        with pytest.raises(ValueError, match="does not match"):
-            from_kraus([I2], 10**400, 1)
+        for build in (from_kraus, lambda ops, *qubits: QuantumChannel(*qubits, ops)):
+            with pytest.raises(ValueError, match="does not match"):
+                build([I2], 10**400, 1)
 
     def test_rejects_operators_of_different_shapes(self):
-        with pytest.raises(ValueError, match="Kraus operators must share a common shape"):
-            from_kraus([I2, np.eye(4, 2, dtype=complex)])
+        for build in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="Kraus operators must share a common shape"):
+                build([I2, np.eye(4, 2, dtype=complex)])
 
     @pytest.mark.parametrize(
         "ops, qubits, shown",
@@ -115,12 +127,55 @@ class TestFromKraus:
     def test_rejects_qubit_counts_below_one(self, ops, qubits, shown):
         with pytest.raises(ValueError, match=f"qubit counts must be at least 1, got {shown}$"):
             from_kraus(ops, *qubits)
+        # the type is given the counts that from_kraus reads from the shape
+        with pytest.raises(ValueError, match=f"qubit counts must be at least 1, got {shown}$"):
+            QuantumChannel(*map(int, shown.split("->")), ops)
 
     @pytest.mark.parametrize("op", [np.ones(2), np.ones((2, 2, 1)), np.array(1.0)],
                              ids=["1-d", "3-d", "0-d"])
     def test_rejects_an_operator_that_is_not_2d(self, op):
-        with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \("):
-            from_kraus([I2, op])
+        for build in ENTRY_POINTS:
+            with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \("):
+                build([I2, op])
+
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: from_kraus([I2], 1.0, 1.0), "1.0"),
+        (lambda: QuantumChannel(1, 1.0, [I2]), "1.0"),
+        (lambda: QuantumChannel(None, 1, [I2]), "None"),
+        (lambda: random_channel(1.0, 1), "1.0"),
+        (lambda: random_channel(1, 1, env_qubits=1.5), "1.5"),
+        (lambda: named_channel("identity", qubits=2.7), "2.7"),
+    ], ids=["from_kraus", "type", "type-none", "random", "random-env", "identity"])
+    def test_rejects_qubit_counts_that_are_not_integers(self, build, shown):
+        with pytest.raises(ValueError, match=f"must be integers, got {re.escape(shown)}$"):
+            build()
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        c = random_channel(np.int64(1), np.int32(2), env_qubits=np.uint8(1))
+        assert (type(c.qubits_in), type(c.qubits_out), c.dim_in, c.dim_out) == (int, int, 2, 4)
+        assert type(named_channel("identity", qubits=np.int64(2)).qubits_in) is int
+
+
+class TestDirectConstructor:
+    """QuantumChannel(q_in, q_out, ops) makes the checks and copies that from_kraus makes."""
+
+    def test_rejects_a_map_that_is_not_trace_preserving(self):
+        ket0_bra0, ket1_bra0 = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="not trace preserving"):
+            QuantumChannel(1, 1, (ket0_bra0, ket1_bra0))
+
+    def test_the_callers_array_cannot_change_the_channel(self):
+        a = np.eye(2, dtype=complex)
+        c = QuantumChannel(1, 1, [a])
+        a[:] = PAULI_X
+        assert np.array_equal(c.kraus[0], I2) and np.array_equal(c.choi, IDENT.choi)
+
+    def test_kraus_is_a_tuple_of_read_only_arrays(self):
+        c = QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z])
+        assert type(c.kraus) is tuple and len(c.kraus) == 2
+        for m in (*c.kraus, c.choi):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
 
 
 class TestImmutable:

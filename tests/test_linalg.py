@@ -54,6 +54,23 @@ class TestPartialTranspose:
         assert np.isclose(np.trace(pt), np.trace(a))
         assert np.allclose(pt, pt.conj().T)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2)], ids=["2x2", "2x4", "4x2"])
+    @pytest.mark.parametrize("subsystem", [0, 1])
+    def test_stack_equals_the_per_matrix_loop(self, dims, subsystem):
+        n = dims[0] * dims[1]
+        stack = random_complex(3 * 5 * n, n, RNG).reshape(3, 5, n, n)
+        looped = np.array([[partial_transpose(m, dims, subsystem) for m in row] for row in stack])
+        out = partial_transpose(stack, dims, subsystem)
+        assert out.shape == stack.shape and out.tobytes() == looped.tobytes()
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.ones(4), r"expected a 2-d matrix, got shape \(4,\)"),
+        (np.ones((3, 4, 2)), r"dims \(2, 2\) do not match matrix shape \(3, 4, 2\)"),
+    ], ids=["1-d", "stack-of-wrong-shape"])
+    def test_rejects_what_is_not_a_matrix_or_a_stack(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            partial_transpose(bad, (2, 2), 0)
+
 
 class TestNorms:
     def test_trace_norm_diag(self):
