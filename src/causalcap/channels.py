@@ -1,11 +1,11 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
-:class:`QuantumChannel` validates itself and stores read-only copies of its Kraus list, so
-every channel, however built, has passed the same checks. The Choi matrix J (normalized to
-trace 1, i.e. the channel acting on one half of a maximally entangled state) is built from
-that stored list by :func:`choi_from_kraus`, the one conversion there is, so the two cannot
-disagree and a saved channel reloads with a bit-identical J. Channels are immutable after
-construction, as no caller holds their arrays, and safe to share across threads.
+:class:`QuantumChannel` validates itself on one read-only stacked copy of its Kraus operators,
+stored as the tuple of its rows, so every channel, however built, has passed the same checks.
+The Choi matrix J (normalized to trace 1, i.e. the channel acting on one half of a maximally
+entangled state) is built from that stack by :func:`choi_from_kraus`, the one conversion, so
+the two cannot disagree and a saved channel reloads with a bit-identical J. Channels are
+immutable after construction, as no caller holds their arrays, and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class QuantumChannel:
     Validates itself, in order: each Kraus operator is a 2-D matrix, there is one at least,
     all share a shape, entries are finite, the qubit counts are integers of at least 1 that
     match the shape, entries have magnitude at most 1, and the list is trace preserving.
-    ``kraus`` is a tuple of read-only copies; ``choi``, built from it, and the dimensions are
-    not arguments. Channels compare and hash by identity; compare ``choi`` for value equality.
+    ``kraus`` (matrices, or a stack (k, d_out, d_in)) is copied once into a read-only stack
+    and stored as the tuple of its rows; ``choi``, built from that stack, and the dimensions
+    are not arguments. Channels compare and hash by identity; compare ``choi`` for value equality.
     """
 
     qubits_in: int
@@ -66,13 +67,14 @@ class QuantumChannel:
     dim_out: int = field(init=False)
 
     def __post_init__(self):
-        mats = tuple(as_matrix(a).copy() for a in self.kraus)  # the caller keeps none
+        mats = [as_matrix(a) for a in self.kraus]  # views where the input is complex already
         if not mats:
             raise ValueError("a channel needs at least one Kraus operator")
         rows, cols = mats[0].shape
         if any(a.shape != (rows, cols) for a in mats):
             raise ValueError("Kraus operators must share a common shape")
-        if not all(np.isfinite(a).all() for a in mats):
+        ops = np.array(mats)  # the one copy: the caller keeps none
+        if not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite (found NaN or infinity)")
         qubits_in, qubits_out = _qubit_count(self.qubits_in), _qubit_count(self.qubits_out)
         if min(qubits_in, qubits_out) < 1:
@@ -84,28 +86,26 @@ class QuantumChannel:
                 f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
             )
         # sum_k A_k^dag A_k = I bounds every entry by 1; a larger one could overflow J
-        if not all(np.abs(a).max() <= 1.0 + CPTP_ATOL for a in mats):
+        if not np.abs(ops).max() <= 1.0 + CPTP_ATOL:
             raise ValueError("Kraus entries must have magnitude at most 1")
-        for a in mats:
-            a.setflags(write=False)
-        j = choi_from_kraus(mats)
+        ops.setflags(write=False)
+        j = choi_from_kraus(ops)
         j.setflags(write=False)
         residual = tp_residual(j, cols)
         if not residual <= CPTP_ATOL:  # NaN-safe
             raise ValueError(
                 f"Kraus list is not trace preserving (completeness residual {residual:.3e})"
             )
-        self.__dict__.update(qubits_in=qubits_in, qubits_out=qubits_out, kraus=mats, choi=j,
-                             dim_in=cols, dim_out=rows)  # frozen: set past __setattr__
+        self.__dict__.update(qubits_in=qubits_in, qubits_out=qubits_out, kraus=tuple(ops),
+                             choi=j, dim_in=cols, dim_out=rows)  # frozen: set past __setattr__
 
 
 def tp_residual(j: np.ndarray, dim_in: int) -> float:
-    """Trace-preservation residual max|d_in Tr_out J - I| of a trace-1 Choi matrix.
-
-    For J built from Kraus operators A_k it is max|sum_k A_k^dag A_k - I|.
-    """
+    """Trace-preservation residual max|d_in Tr_out J - I| of a trace-1 Choi matrix, Tr_out one
+    ``trace`` of J as (d_in, d_out, d_in, d_out); for J built from Kraus operators A_k it is
+    max|sum_k A_k^dag A_k - I|."""
     dim_out = j.shape[0] // dim_in
-    marginal = np.einsum("xyzy->xz", j.reshape(dim_in, dim_out, dim_in, dim_out))
+    marginal = j.reshape(dim_in, dim_out, dim_in, dim_out).trace(axis1=1, axis2=3)
     return float(np.max(np.abs(dim_in * marginal - np.eye(dim_in))))
 
 
@@ -183,8 +183,9 @@ def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
 
 def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2, from its nonzero Kraus operators."""
-    ops = [a for a in shifted_depolarizing_kraus(p, gamma) if a.any()]
-    return from_kraus(ops, 1, 1, label=f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
+    ops = shifted_depolarizing_kraus(p, gamma)
+    return from_kraus(ops[ops.any(axis=(1, 2))], 1, 1,
+                      label=f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
 
 
 CHANNEL_NAMES = ("identity", "depolarizing", "shifted-depolarizing", "dephasing",
@@ -204,8 +205,8 @@ def named_channel(name: str, **params) -> QuantumChannel:
         if name == "depolarizing":
             p = float(params.pop("p"))
             _reject_extra(name, params)
-            ops = [a for a in shifted_depolarizing_kraus(p, 0.0) if a.any()]
-            return from_kraus(ops, 1, 1, label=f"depolarizing(p={p:g})")
+            ops = shifted_depolarizing_kraus(p, 0.0)
+            return from_kraus(ops[ops.any(axis=(1, 2))], 1, 1, label=f"depolarizing(p={p:g})")
         if name == "shifted-depolarizing":
             p = float(params.pop("p"))
             gamma = float(params.pop("gamma"))

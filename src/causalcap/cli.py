@@ -42,7 +42,7 @@ EXIT_USAGE = 2
 EXIT_BAD_CHANNEL = 3
 EXIT_BAD_OUTPUT = 4
 
-# the most (p, gamma) points one sweep may have; a full one raises peak RSS ~214 MB (2.2 KB/point)
+# the most (p, gamma) points one sweep may have; a full one raises peak RSS ~192 MB (2.0 KB/point)
 MAX_SWEEP_POINTS = 100_000
 
 

@@ -177,6 +177,38 @@ class TestDirectConstructor:
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 0.0
 
+    @pytest.mark.parametrize("q_in, q_out, stack", [
+        (1, 1, shifted_depolarizing_kraus(0.1, 0.3)),
+        (2, 2, np.array(random_channel(2, 2).kraus)),
+    ], ids=["shifted", "random"])
+    def test_a_stack_builds_the_channel_its_list_builds(self, q_in, q_out, stack):
+        from_stack = QuantumChannel(q_in, q_out, stack)
+        from_list = QuantumChannel(q_in, q_out, list(stack))
+        assert np.array(from_stack.kraus).tobytes() == np.array(from_list.kraus).tobytes()
+        assert from_stack.choi.tobytes() == from_list.choi.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
+        lambda: shifted_depolarizing(0.1, 0.3),
+        lambda: random_channel(2, 1, env_qubits=2, seed=0),
+    ], ids=["list", "shifted", "random"])
+    def test_operators_are_views_of_one_array(self, make):
+        c = make()
+        base = c.kraus[0].base
+        assert isinstance(base, np.ndarray) and base.shape == (len(c.kraus), c.dim_out, c.dim_in)
+        assert all(a.base is base for a in c.kraus)
+
+    def test_the_callers_stack_cannot_change_the_channel(self):
+        stack = shifted_depolarizing_kraus(0.1, 0.3)
+        c = QuantumChannel(1, 1, stack)
+        stack[:] = PAULI_X
+        assert np.array_equal(np.array(c.kraus), shifted_depolarizing_kraus(0.1, 0.3))
+        assert np.array_equal(c.choi, choi_from_kraus(shifted_depolarizing_kraus(0.1, 0.3)))
+
+    def test_an_empty_stack_is_refused(self):
+        with pytest.raises(ValueError, match="needs at least one Kraus operator"):
+            QuantumChannel(1, 1, np.zeros((0, 2, 2)))
+
 
 class TestImmutable:
     def test_the_callers_array_cannot_change_the_channel(self):
@@ -236,12 +268,13 @@ class TestChoi:
 
 
 class TestTpResidual:
-    @pytest.mark.parametrize("qubits", [1, 2])
-    def test_equals_completeness_residual(self, qubits):
+    @pytest.mark.parametrize("q_in, q_out", [(1, 1), (2, 2), (1, 2), (2, 1), (3, 3)],
+                             ids=["1", "2", "1-2", "2-1", "3-3"])
+    def test_equals_completeness_residual(self, q_in, q_out):
         rng = np.random.default_rng(16)
         ops = [a + 0.01 * rng.standard_normal(a.shape)
-               for a in random_channel(qubits, qubits, env_qubits=2, seed=qubits).kraus]
-        d = 2**qubits
+               for a in random_channel(q_in, q_out, env_qubits=2, seed=q_in).kraus]
+        d = 2**q_in
         vecs = [a.T.reshape(-1) / np.sqrt(d) for a in ops]
         j = sum(np.outer(v, v.conj()) for v in vecs)
         completeness = sum(a.conj().T @ a for a in ops)
