@@ -211,9 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite", default="all", choices=["all", "pdm", "lemmas", "fidelity", "bounds"]
-    )
+    p_verify.add_argument("--suite", default="all", choices=["all", *verify_mod.SUITES])
     p_verify.add_argument("--cases", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)

@@ -2,8 +2,9 @@
 
 All functions operate on plain complex numpy arrays (row-major, ``(rows, cols)``,
 or a stack of them where a function says so) and never mutate their arguments, so
-values can be shared freely across threads. Sized for operators up to 64x64 (3+3
-qubits); no attempt is made at sparse storage or large-dimension performance.
+values can be shared freely across threads. Sized for Choi matrices up to 256x256, as a channel
+file may have at most ``channels.MAX_FILE_QUBITS`` = 8 qubits in and out together; no attempt is
+made at sparse storage or large-dimension performance.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from causalcap.bounds import (
     _bracket,
     _covariant_ends,
     _sigma_star,
-    _solve_hw,
     analytic_shifted_depol,
     causality_bound,
     compare_bounds,
@@ -55,14 +54,21 @@ def hw_ceiling(chan) -> float:
     return math.log2(np.linalg.eigvalsh(marginal)[-1])
 
 
+def discarding(chan, k=1) -> QuantumChannel:
+    """N o Tr_k: k qubits added after the input and discarded."""
+    basis = np.eye(2**k)
+    return compose(chan, from_kraus([np.kron(np.eye(chan.dim_in), b) for b in basis[:, None]]))
+
+
+def appending(chan, k=1) -> QuantumChannel:
+    """N x |0><0|: k qubits in |0> added after the output."""
+    return from_kraus([np.kron(a, np.eye(2**k)[:, :1]) for a in chan.kraus])
+
+
 def padded(chan) -> QuantumChannel:
     """The equal-count channel N o Tr_k (d_in < d_out) or N x |0><0| (d_in > d_out)."""
     k = abs(chan.qubits_out - chan.qubits_in)
-    basis = np.eye(2**k)
-    if chan.qubits_in < chan.qubits_out:  # the k added input qubits are discarded
-        discard = [np.kron(np.eye(chan.dim_in), basis[i : i + 1]) for i in range(2**k)]
-        return compose(chan, from_kraus(discard))
-    return from_kraus([np.kron(a, basis[:, :1]) for a in chan.kraus])
+    return discarding(chan, k) if chan.qubits_in < chan.qubits_out else appending(chan, k)
 
 
 def kraus_lower_end(chan, best_input) -> float:
@@ -95,23 +101,6 @@ class TestCausalityBound:
         reports = compare_bounds(chan)  # calls causality_bound and maxrains_surrogate
         assert abs(reports["causality"].value - causality_bound(padded(chan)).value) <= 1e-14
         assert reports["maxrains_surrogate"].value == reports["causality"].value
-
-
-class TestPaddingIdentity:
-    # the paper's equal-count theorem on the padded channel bounds Q(N) by the causality
-    # bound of N itself: padding moves neither Q nor ||R||_1
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(
-        qubits=st.sampled_from([(1, 2), (2, 1)]),
-        env_qubits=st.sampled_from([1, 2]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_causality_equals_the_padded_channels(self, qubits, env_qubits, seed):
-        chan = random_channel(*qubits, env_qubits=env_qubits, seed=seed)
-        caus = causality_bound(chan).value
-        assert abs(caus - causality_bound(padded(chan)).value) <= 1e-14
-        assert maxrains_surrogate(chan).value == caus
-        assert caus <= hw_bound(chan).diagnostics["lower"] + CPTP_ATOL
 
 
 class TestAnalytic:
@@ -474,36 +463,6 @@ class TestFixedPointEvaluation:
             assert bounds._evaluate(w, s) is None
 
 
-def assert_additive_brackets(chan):
-    """HW(N x N) = 2 HW(N): the certified brackets of N and of N x N must close and overlap."""
-    one, two = hw_bound(chan), hw_bound(tensor(chan, chan))
-    assert one.diagnostics["gap"] <= CPTP_ATOL
-    assert two.diagnostics["gap"] <= CPTP_ATOL
-    assert 2.0 * one.diagnostics["lower"] <= two.value + CPTP_ATOL
-    assert two.diagnostics["lower"] <= 2.0 * one.value + CPTP_ATOL
-
-
-class TestHwAdditivity:
-    # the diamond norm is multiplicative under tensor products, so log2 ||Theta o N||_dia is
-    # additive; a covariant N takes the closed form and N x N the 16x16 fixed-point solve
-    @pytest.mark.parametrize(
-        "chan",
-        [
-            named_channel("amplitude-damping", eta=0.3),
-            named_channel("dephasing", strength=0.4),
-            shifted_depolarizing(0.15, 1.0),
-            shifted_depolarizing(0.1, 0.5),
-        ],
-    )
-    def test_named_channels(self, chan):
-        assert_additive_brackets(chan)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(env_qubits=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
-    def test_random_channels(self, env_qubits, seed):
-        assert_additive_brackets(random_channel(1, 1, env_qubits=env_qubits, seed=seed))
-
-
 def reference_sigma_star(w: np.ndarray) -> np.ndarray:
     """s* per W in a stack of phase-covariant 4x4 W, by vectorised NaN masking.
 
@@ -627,17 +586,6 @@ def exact(value, diagnostics, best_input) -> tuple:
 
 
 class TestPhaseCovariantRoute:
-    def test_closed_form_inside_fixed_point_bracket(self):
-        chans = default_grid_channels()
-        chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
-        for chan in chans:
-            rep = hw_bound(chan)
-            lower, upper, _, _ = _solve_hw(2.0 * pdm_from_channel(chan).matrix, 2)
-            assert lower - 1e-12 <= rep.value <= upper + 1e-12, chan.label
-            assert rep.diagnostics["gap"] <= CPTP_ATOL, chan.label
-            assert rep.diagnostics["iterations"] == 0, chan.label
-            assert "phase-covariant" in rep.diagnostics["note"]
-
     def test_plain_number_route_matches_numpy_plumbing_bit_for_bit(self, monkeypatch):
         evaluations = set()
         for chan in named_channels():
@@ -734,6 +682,85 @@ class TestPhaseCovariantRoute:
         s = _sigma_star(0.0, 0.5, 1.5, 0.0, 2.0)
         for f in bracket_ends([w, w], [0.5, s])[:, 0]:
             assert rep.value >= math.log2(f)
+
+
+def framed(chan, rng) -> QuantumChannel:
+    """U o N o V for random unitaries U on the output and V on the input, drawn from rng."""
+    u, v = random_unitary(chan.dim_out, rng), random_unitary(chan.dim_in, rng)
+    return from_kraus([u @ a @ v for a in chan.kraus], label=f"U∘{chan.label}∘V")
+
+
+def hw_brackets(original, transformed, copies=1) -> tuple:
+    """hw_bound's reports on both channels, where HW(transformed) = copies x HW(original).
+
+    The certified brackets must overlap to ``CPTP_ATOL``, and the transformed one must close
+    to ``CPTP_ATOL`` wherever the original closes.
+    """
+    one, other = hw_bound(original), hw_bound(transformed)
+    assert other.diagnostics["lower"] <= copies * one.value + CPTP_ATOL, transformed.label
+    assert copies * one.diagnostics["lower"] <= other.value + CPTP_ATOL, transformed.label
+    closes = one.diagnostics["gap"] <= CPTP_ATOL
+    assert other.diagnostics["gap"] <= CPTP_ATOL or not closes, transformed.label
+    return one, other
+
+
+class TestHwInvariances:
+    """||Theta o N||_dia is invariant under unitary frames and padding, and multiplicative
+    under tensor products (Watrous, arXiv:1207.5726), so each transformation sends a channel
+    through another HW route with a known answer."""
+
+    def test_unitary_frames(self):
+        # U o N o V takes a phase-covariant N off the closed form onto the 1-qubit fixed point,
+        # except the fully depolarizing channel, which commutes with every unitary
+        rng = np.random.default_rng(27)
+        chans = default_grid_channels()
+        chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
+        chans += 25 * [
+            named_channel("amplitude-damping", eta=0.3),
+            named_channel("amplitude-damping", eta=0.7),
+            shifted_depolarizing(0.15, 1.0),
+            shifted_depolarizing(0.1, 0.5),
+        ]
+        for chan in chans:
+            one, other = hw_brackets(chan, framed(chan, rng))
+            assert "phase-covariant" in one.diagnostics["note"], chan.label
+            assert one.diagnostics["gap"] <= CPTP_ATOL, chan.label
+            fully_depolarizing = np.allclose(chan.choi, np.eye(4) / 4)
+            assert ("phase-covariant" in other.diagnostics["note"]) == fully_depolarizing
+
+    def test_pads(self):
+        # N o Tr_1 is 2 -> 1, on the array route at d = 4; N x |0><0| is 1 -> 2, on the float
+        # route; padded() gives equal counts to the channels of the fingerprint's unequal
+        # digest. Padding moves neither Q nor ||R||_1, so the paper's equal-count theorem on
+        # the padded channel bounds Q(N) by the causality bound of N itself
+        chans = [random_channel(1, 1, env_qubits=2, seed=s) for s in range(30)]
+        cases = [(c, pad(c)) for c in chans for pad in (discarding, appending)]
+        unequal = [random_channel(*q, env_qubits=2, seed=s) for q in ((1, 2), (2, 1))
+                   for s in range(4)]
+        for chan, pad in cases + [(c, padded(c)) for c in unequal]:
+            hw_brackets(chan, pad)
+            assert abs(causality_bound(pad).value - causality_bound(chan).value) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "chan",
+        [
+            named_channel("amplitude-damping", eta=0.3),
+            named_channel("dephasing", strength=0.4),
+            shifted_depolarizing(0.15, 1.0),
+            shifted_depolarizing(0.1, 0.5),
+        ],
+    )
+    def test_tensor_square(self, chan):
+        # a covariant N takes the closed form, and N x N the 16x16 fixed-point solve
+        one, _ = hw_brackets(chan, tensor(chan, chan), copies=2)
+        assert one.diagnostics["gap"] <= CPTP_ATOL
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(env_qubits=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_tensor_square_of_random_channels(self, env_qubits, seed):
+        chan = random_channel(1, 1, env_qubits=env_qubits, seed=seed)
+        one, _ = hw_brackets(chan, tensor(chan, chan), copies=2)
+        assert one.diagnostics["gap"] <= CPTP_ATOL
 
 
 def binary_entropy(x):

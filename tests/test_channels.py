@@ -498,6 +498,14 @@ class TestNamedChannel:
         rho = random_density(2, np.random.default_rng(15))
         assert np.allclose(apply(c, rho), rho)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("dephasing", {"strength": 1.5}, "dephasing strength 1.5 outside"),
+        ("amplitude-damping", {"eta": -0.1}, "damping eta -0.1 outside"),
+    ])
+    def test_rejects_a_parameter_outside_the_unit_interval(self, name, params, message):
+        with pytest.raises(ValueError, match=message + r" \[0, 1\]$"):
+            named_channel(name, **params)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown channel"):
             named_channel("teleporter")
@@ -541,6 +549,10 @@ class TestRandomChannel:
     def test_env_required(self):
         with pytest.raises(ValueError, match="env_qubits"):
             random_channel(1, 1, env_qubits=0, seed=0)
+
+    def test_rejects_an_environment_too_small_for_an_isometry(self):
+        with pytest.raises(ValueError, match=r"no isometry from 3 qubits into 1\+1$"):
+            random_channel(3, 1, env_qubits=1)
 
     @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (0, 0), (-1, 1), (1, -2)])
     def test_rejects_qubit_counts_below_one(self, qubits):

@@ -10,6 +10,7 @@ from causalcap.linalg import (
     partial_transpose,
     random_complex,
     random_density,
+    random_isometry,
     random_unitary,
     require_state,
     trace_norm,
@@ -70,6 +71,15 @@ class TestPartialTranspose:
     def test_rejects_what_is_not_a_matrix_or_a_stack(self, bad, match):
         with pytest.raises(ValueError, match=match):
             partial_transpose(bad, (2, 2), 0)
+
+    def test_rejects_a_third_subsystem(self):
+        with pytest.raises(ValueError, match="subsystem must be 0 or 1"):
+            partial_transpose(np.eye(4), (2, 2), 2)
+
+
+def test_random_isometry_rejects_a_smaller_output():
+    with pytest.raises(ValueError, match="no isometry from dimension 2 into 1"):
+        random_isometry(1, 2, RNG)
 
 
 class TestNorms:

@@ -65,6 +65,10 @@ class TestSwapMatrix:
                 va, vb = np.eye(2)[a], np.eye(2)[b]
                 assert np.allclose(s @ np.kron(va, vb), np.kron(vb, va))
 
+    def test_rejects_zero_pairs(self):
+        with pytest.raises(ValueError, match="need at least one qubit pair"):
+            swap_matrix(0)
+
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_trace(self, l):
         assert np.isclose(np.trace(swap_matrix(l)) / 2**l, 1.0)
@@ -104,6 +108,10 @@ class TestPdmTwoPoint:
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
             pdm_two_point(np.diag([1.0, 1.0]), IDENT)
+
+    def test_rejects_a_two_qubit_state(self):
+        with pytest.raises(ValueError, match=r"state shape \(4, 4\) does not match dimension 2"):
+            pdm_two_point(np.eye(4) / 4, IDENT)
 
     def test_rejects_multiqubit_channel(self):
         with pytest.raises(ValueError, match="single-qubit"):

@@ -43,6 +43,10 @@ class TestFidelity:
         with pytest.raises(ValueError, match="not a state"):
             fidelity(np.diag([2.0, -1.0]).astype(complex), KET0)
 
+    def test_rejects_states_of_different_sizes(self):
+        with pytest.raises(ValueError, match=r"state shapes differ: \(2, 2\) vs \(4, 4\)"):
+            fidelity(KET0, np.eye(4) / 4)
+
 
 class TestEntanglementFidelity:
     def test_identity_channel(self):
@@ -82,6 +86,7 @@ class TestEntanglementFidelity:
 class TestFvg:
     def test_equal_states(self):
         rec = fvg_check(KET0, KET0)
+        assert isinstance(rec, FidelityCheckRecord)
         assert np.isclose(rec.f, 1.0)
         assert np.isclose(rec.half_trace_dist, 0.0, atol=1e-12)
         assert abs(rec.lower_gap) < 1e-9 and abs(rec.upper_gap) < 1e-9
