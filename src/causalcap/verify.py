@@ -1,9 +1,9 @@
 """Verification utilities: fidelities, trace-distance inequalities, and
 randomized suites for the structural identities the bounds rely on.
 
-The suites mirror the property checks in the test suite but are callable
-from the command line with a chosen case count and seed; failures are
-counted and reported, not raised. Every suite runs its cases through one
+Acceptance criteria 6 and 9 run the pdm, lemmas and fidelity suites, and
+``causalcap verify`` runs any suite with a chosen case count and seed; failures
+are counted and reported, not raised. Every suite runs its cases through one
 loop with one rule: ``cases`` must be at least 1 and ``seed`` non-negative,
 and a case fails when its worst margin exceeds ``CPTP_ATOL`` (``HERM_ATOL``
 for the swap intertwining residual).

@@ -4,14 +4,12 @@ The certified Holevo-Werner values for criteria 3-5 are computed once per
 session and shared across the three tests.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
 from causalcap.bounds import (
-    OptimizerConfig,
     analytic_shifted_depol,
     causality_bound,
     hw_bound,
@@ -23,22 +21,9 @@ from causalcap.channels import (
     random_channel,
     shifted_depolarizing,
 )
-from causalcap.linalg import random_density, random_isometry, random_unitary
-from causalcap.pdm import (
-    PseudoDensityMatrix,
-    causality_F,
-    lemma1_check,
-    log_negativity,
-    pdm_from_channel,
-)
-from causalcap.verify import (
-    _entanglement_fidelity_purified,
-    entanglement_fidelity,
-    fvg_check,
-    lemma2_suite,
-)
+from causalcap.pdm import causality_F, log_negativity, pdm_from_channel
+from causalcap.verify import suite_fidelity, suite_lemmas, suite_pdm
 
-HW_CFG = OptimizerConfig(restarts=32, seed=20260825)
 P_COINCIDENCE = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]
 GAMMA_SEPARATION = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -57,10 +42,7 @@ def hw_results():
     out = {}
     for p, gamma in points:
         chan = shifted_depolarizing(p, gamma)
-        out[(p, gamma)] = (
-            causality_bound(chan).value,
-            hw_bound(chan, HW_CFG).value,
-        )
+        out[(p, gamma)] = (causality_bound(chan).value, hw_bound(chan).value)
     return out
 
 
@@ -117,40 +99,15 @@ def test_criterion_5_hw_never_below_causality(hw_results):
 
 
 def test_criterion_6_measure_properties_and_lemmas():
-    worst = -np.inf
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        r1 = pdm_from_channel(random_channel(1, 1, 2, seed=2 * seed))
-        r2 = pdm_from_channel(random_channel(1, 1, 2, seed=2 * seed + 1))
-        f1, f2 = causality_F(r1), causality_F(r2)
-        # property 1: nonnegative, zero on positive semi-definite input
-        sep = np.kron(random_density(2, rng), random_density(2, rng))
-        worst = max(worst, -f1, abs(causality_F(PseudoDensityMatrix(sep, 1, 1))))
-        # property 2: local unitary invariance
-        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-        rot = PseudoDensityMatrix(u @ r1.matrix @ u.conj().T, 1, 1)
-        worst = max(worst, abs(causality_F(rot) - f1))
-        # property 4: convex mixing
-        w = rng.uniform()
-        mix = PseudoDensityMatrix(w * r1.matrix + (1 - w) * r2.matrix, 1, 1)
-        worst = max(worst, causality_F(mix) - max(f1, f2))
-        # property 5: tensor additivity
-        prod = PseudoDensityMatrix(np.kron(r1.matrix, r2.matrix), 2, 2)
-        worst = max(worst, abs(causality_F(prod) - f1 - f2))
-    props_ok = worst <= 1e-9
-
-    worst_l1 = 0.0
-    for seed in range(50):
-        rng = np.random.default_rng(1_000_000 + seed)
-        k = int(rng.integers(1, 3))
-        m = int(rng.integers(k, 3))
-        worst_l1 = max(worst_l1, lemma1_check(random_isometry(2**m, 2**k, rng), k, m))
-    l2 = lemma2_suite(seed=20260825, cases=100)
+    # properties 1/2/4/5 of the measure; Lemma 1 (swap intertwining) and Lemma 2 (monotonicity)
+    props = suite_pdm(seed=20260825, cases=100)
+    lemmas = suite_lemmas(seed=20260825, cases=100)
     report(
         6,
-        props_ok and worst_l1 < 1e-10 and l2.failures == 0,
-        "measure properties 1/2/4/5, intertwining residual "
-        f"{worst_l1:.2e}, monotonicity worst margin {l2.worst_margin:.2e}",
+        props.failures == 0 and props.worst_margin <= 1e-9 and lemmas.failures == 0,
+        f"measure properties worst margin {props.worst_margin:.2e} over {props.cases} cases, "
+        f"lemmas worst margin {lemmas.worst_margin:.2e} over {lemmas.cases} cases "
+        f"({lemmas.notes[0]})",
     )
 
 
@@ -180,25 +137,12 @@ def test_criterion_8_maxrains_surrogate_identity():
 
 
 def test_criterion_9_fidelity_checks():
-    rng = np.random.default_rng(99)
-    worst_gap = np.inf
-    for _ in range(100):
-        rec = fvg_check(random_density(2, rng), random_density(2, rng))
-        worst_gap = min(worst_gap, rec.lower_gap, rec.upper_gap)
-    worst_fe = 0.0
-    for seed in range(50):
-        rng = np.random.default_rng(7_000_000 + seed)
-        rho = random_density(2, rng)
-        c = random_channel(1, 1, 2, seed=int(rng.integers(2**31)))
-        worst_fe = max(
-            worst_fe,
-            abs(entanglement_fidelity(rho, c) - _entanglement_fidelity_purified(rho, c)),
-        )
+    # Fuchs-van de Graaf gaps and the Kraus and purification entanglement-fidelity routes
+    res = suite_fidelity(seed=99, cases=100)
     report(
         9,
-        worst_gap >= -1e-9 and worst_fe < 1e-9,
-        f"fidelity inequality gaps >= {worst_gap:.2e}, "
-        f"entanglement-fidelity route mismatch {worst_fe:.2e}",
+        res.failures == 0 and res.worst_margin < 1e-9,
+        f"fidelity checks worst margin {res.worst_margin:.2e} over {res.cases} cases",
     )
 
 

@@ -36,8 +36,6 @@ from causalcap.channels import (
 from causalcap.linalg import CPTP_ATOL, HERM_ATOL, I2, random_complex, random_unitary
 from causalcap.pdm import PseudoDensityMatrix, pdm_from_channel
 
-FAST_CFG = OptimizerConfig(restarts=8, seed=7)
-
 # best value found by a 256-restart reference run, stable across seeds
 HW_P015_G1 = 0.2969817377571
 # inside the certified bracket [0.1444380120469146, 0.14443801204691575] at tol 1e-13
@@ -113,12 +111,6 @@ class TestAnalytic:
     def test_depolarizing_value(self):
         assert np.isclose(analytic_shifted_depol(0.1, 0.0), math.log2(1.4), atol=1e-12)
 
-    def test_matches_numeric_on_grid(self):
-        for p in np.linspace(0.0, 0.25, 6):
-            for gamma in np.linspace(0.0, 1.0, 5):
-                numeric = causality_bound(shifted_depolarizing(p, gamma)).value
-                assert abs(analytic_shifted_depol(p, gamma) - numeric) < 1e-8
-
     def test_monotone_in_gamma(self):
         for p in np.linspace(0.0, 0.25, 6):
             values = [analytic_shifted_depol(p, g) for g in np.linspace(0, 1, 11)]
@@ -143,7 +135,7 @@ def count_eigensolves(monkeypatch) -> list:
 
 class TestHwBound:
     def test_identity(self):
-        rep = hw_bound(from_kraus([I2], label="identity"), FAST_CFG)
+        rep = hw_bound(from_kraus([I2], label="identity"))
         assert np.isclose(rep.value, 1.0, atol=1e-6)
         assert rep.best_input is not None
         # the transpose map attains its norm only at maximally entangled
@@ -154,12 +146,12 @@ class TestHwBound:
 
     def test_coincides_with_causality_without_shift(self):
         chan = shifted_depolarizing(0.1, 0.0)
-        rep = hw_bound(chan, FAST_CFG)
+        rep = hw_bound(chan)
         assert abs(rep.value - math.log2(1.4)) < 1e-3
 
     def test_strictly_above_causality_with_shift(self):
         chan = shifted_depolarizing(0.15, 1.0)
-        rep = hw_bound(chan, OptimizerConfig(restarts=16, seed=5))
+        rep = hw_bound(chan)
         caus = causality_bound(chan).value
         assert rep.value - caus > 1e-4
         assert abs(rep.value - HW_P015_G1) < 1e-6
@@ -167,17 +159,10 @@ class TestHwBound:
     def test_never_below_causality(self):
         for seed in range(5):
             chan = random_channel(1, 1, env_qubits=2, seed=seed)
-            rep = hw_bound(chan, OptimizerConfig(restarts=2, seed=seed))
+            rep = hw_bound(chan)
             assert rep.value >= causality_bound(chan).value - 1e-9
 
-    def test_never_below_causality_on_default_grid(self):
-        for p in np.linspace(0.0, 0.25, 26):
-            for gamma in np.linspace(0.0, 1.0, 21):
-                chan = shifted_depolarizing(p, gamma)
-                assert hw_bound(chan).value >= causality_bound(chan).value, (p, gamma)
-
     def test_value_matches_best_input_via_kraus(self):
-        cfg = OptimizerConfig(restarts=2, seed=2)
         for chan in (
             shifted_depolarizing(0.15, 1.0),
             named_channel("amplitude-damping", eta=0.3),
@@ -186,12 +171,12 @@ class TestHwBound:
             *(random_channel(*qubits, env_qubits=2, seed=seed)
               for qubits in ((1, 2), (2, 1)) for seed in range(4)),
         ):
-            rep = hw_bound(chan, cfg)
+            rep = hw_bound(chan)
             assert abs(kraus_lower_end(chan, rep.best_input) - rep.diagnostics["lower"]) < 1e-9
             assert rep.diagnostics["lower"] <= rep.value
 
     def test_diagnostics(self):
-        rep = hw_bound(random_channel(1, 1, env_qubits=2, seed=6), FAST_CFG)
+        rep = hw_bound(random_channel(1, 1, env_qubits=2, seed=6))
         diag = rep.diagnostics
         assert diag["restarts"] == 1
         assert diag["converged_restarts"] == 1
@@ -908,7 +893,7 @@ class TestCompareBounds:
 
 class TestSweep:
     def test_single_point(self):
-        rows = sweep_shifted_depol([0.1], [0.0], FAST_CFG, workers=1)
+        rows = sweep_shifted_depol([0.1], [0.0])
         assert len(rows) == 1
         row = rows[0]
         assert abs(row.causality - row.analytic) < 1e-8
@@ -916,8 +901,7 @@ class TestSweep:
         assert row.hw_minus_causality == row.hw - row.causality
 
     def test_row_count_and_order(self):
-        cfg = OptimizerConfig(restarts=2, seed=3)
-        rows = sweep_shifted_depol([0.0, 0.1], [0.0, 0.5, 1.0], cfg, workers=1)
+        rows = sweep_shifted_depol([0.0, 0.1], [0.0, 0.5, 1.0])
         assert len(rows) == 6
         assert [(r.p, r.gamma) for r in rows] == [
             (0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.1, 0.0), (0.1, 0.5), (0.1, 1.0),

@@ -29,8 +29,7 @@ from causalcap.channels import (
 from causalcap.cli import MAX_SWEEP_POINTS, main
 from test_bounds import hw_ceiling, padded
 from test_channels import noisy_kraus
-
-FAST = ["--restarts", "4"]
+from test_verify import break_suite
 
 
 def run(capsys, argv):
@@ -156,7 +155,7 @@ class TestSweep:
             capsys,
             ["sweep", "--p-min", "0", "--p-max", "0.25", "--p-steps", "6",
              "--gamma-min", "0", "--gamma-max", "1", "--gamma-steps", "6",
-             "--out", str(out_path), "--seed", "1"] + FAST,
+             "--out", str(out_path)],
         )
         assert code == 0
         lines = out_path.read_text().splitlines()
@@ -173,8 +172,7 @@ class TestSweep:
                 assert diff > 0
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
-        args = ["sweep", "--p-steps", "2", "--gamma-steps", "2",
-                "--seed", "9", "--restarts", "2"]
+        args = ["sweep", "--p-steps", "2", "--gamma-steps", "2"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(capsys, args + ["--out", str(a)])[0] == 0
         assert run(capsys, args + ["--out", str(b)])[0] == 0
@@ -183,7 +181,7 @@ class TestSweep:
     def test_unwritable_path_exit4(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
-            ["sweep", "--p-steps", "1", "--gamma-steps", "1", "--restarts", "1",
+            ["sweep", "--p-steps", "1", "--gamma-steps", "1",
              "--out", str(tmp_path / "missing_dir" / "x.csv")],
         )
         assert code == 4
@@ -199,6 +197,13 @@ class TestVerify:
     def test_lemmas_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "lemmas", "--cases", "20", "--seed", "2"])
         assert code == 0
+
+    def test_failing_case_exit1(self, capsys, monkeypatch):
+        break_suite(monkeypatch, "pdm")
+        code, out, err = run(capsys, ["verify", "--suite", "pdm", "--cases", "3"])
+        assert code == 1
+        assert "FAIL: 0/3 cases" in out
+        assert err == ""
 
     def test_zero_cases_exit2(self, capsys):
         code, out, err = run(capsys, ["verify", "--suite", "all", "--cases", "0"])
