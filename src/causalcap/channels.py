@@ -1,11 +1,12 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
 :class:`QuantumChannel` validates itself on one read-only stacked copy of its Kraus operators,
-stored as the tuple of its rows, so every channel, however built, has passed the same checks.
-The Choi matrix J (normalized to trace 1, i.e. the channel acting on one half of a maximally
-entangled state) is built from that stack by :func:`choi_from_kraus`, the one conversion, so
-the two cannot disagree and a saved channel reloads with a bit-identical J. Channels are
-immutable after construction, as no caller holds their arrays, and safe to share across threads.
+the array ``kraus`` of shape (k, d_out, d_in), so every channel, however built, has passed the
+same checks, and every channel operation is one array expression on that stack. The Choi
+matrix J (normalized to trace 1, i.e. the channel acting on one half of a maximally entangled
+state) is built from that stack by :func:`choi_from_kraus`, the one conversion, so the two
+cannot disagree and a saved channel reloads with a bit-identical J. Channels are immutable
+after construction, as no caller holds their arrays, and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -53,14 +54,14 @@ class QuantumChannel:
     Validates itself, in order: each Kraus operator is a 2-D matrix, there is one at least,
     all share a shape, entries are finite, the qubit counts are integers of at least 1 that
     match the shape, entries have magnitude at most 1, and the list is trace preserving.
-    ``kraus`` (matrices, or a stack (k, d_out, d_in)) is copied once into a read-only stack
-    and stored as the tuple of its rows; ``choi``, built from that stack, and the dimensions
-    are not arguments. Channels compare and hash by identity; compare ``choi`` for value equality.
+    ``kraus`` (matrices, or a stack (k, d_out, d_in)) is copied once into the read-only stack
+    (k, d_out, d_in) it is stored as; ``choi``, built from that stack, and the dimensions are
+    not arguments. Channels compare and hash by identity; compare ``choi`` for value equality.
     """
 
     qubits_in: int
     qubits_out: int
-    kraus: tuple
+    kraus: np.ndarray
     label: str = "channel"
     choi: np.ndarray = field(init=False)
     dim_in: int = field(init=False)
@@ -96,7 +97,7 @@ class QuantumChannel:
             raise ValueError(
                 f"Kraus list is not trace preserving (completeness residual {residual:.3e})"
             )
-        self.__dict__.update(qubits_in=qubits_in, qubits_out=qubits_out, kraus=tuple(ops),
+        self.__dict__.update(qubits_in=qubits_in, qubits_out=qubits_out, kraus=ops,
                              choi=j, dim_in=cols, dim_out=rows)  # frozen: set past __setattr__
 
 
@@ -125,10 +126,7 @@ def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (c.dim_in, c.dim_in):
         raise ValueError(f"state shape {rho.shape} does not match channel input {c.dim_in}")
-    out = np.zeros((c.dim_out, c.dim_out), dtype=complex)
-    for a in c.kraus:
-        out += a @ rho @ a.conj().T
-    return out
+    return (c.kraus @ rho @ c.kraus.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def compose(d: QuantumChannel, c: QuantumChannel) -> QuantumChannel:
@@ -138,13 +136,15 @@ def compose(d: QuantumChannel, c: QuantumChannel) -> QuantumChannel:
             f"cannot compose: {c.label} outputs {c.qubits_out} qubits, "
             f"{d.label} expects {d.qubits_in}"
         )
-    ops = [dj @ ak for dj in d.kraus for ak in c.kraus]
+    ops = (d.kraus[:, None] @ c.kraus).reshape(-1, d.dim_out, c.dim_in)  # D_j A_k, k fastest
     return from_kraus(ops, c.qubits_in, d.qubits_out, label=f"{d.label}∘{c.label}")
 
 
 def tensor(c: QuantumChannel, d: QuantumChannel) -> QuantumChannel:
     """Parallel use of two channels; qubit counts add."""
-    ops = [np.kron(a, b) for a in c.kraus for b in d.kraus]
+    # kron(A_j, B_k) for each pair, k fastest: axes (j, k, row_a, row_b, col_a, col_b)
+    ops = c.kraus[:, None, :, None, :, None] * d.kraus[:, None, :, None, :]
+    ops = ops.reshape(-1, c.dim_out * d.dim_out, c.dim_in * d.dim_in)
     return from_kraus(ops, c.qubits_in + d.qubits_in, c.qubits_out + d.qubits_out,
                       label=f"{c.label}⊗{d.label}")
 
@@ -154,9 +154,7 @@ def conjugate(c: QuantumChannel) -> QuantumChannel:
 
     Satisfies transpose(N(X)) = N_conj(transpose(X)) for every input X.
     """
-    return from_kraus(
-        [a.conj() for a in c.kraus], c.qubits_in, c.qubits_out, label=f"{c.label}*"
-    )
+    return from_kraus(c.kraus.conj(), c.qubits_in, c.qubits_out, label=f"{c.label}*")
 
 
 def check_shifted_depolarizing(p, gamma) -> None:
@@ -258,8 +256,8 @@ def random_channel(qubits_in: int, qubits_out: int, env_qubits: int = 1,
         )
     rng = np.random.default_rng(seed)
     v, _ = np.linalg.qr(random_complex(dim_out * dim_env, dim_in, rng))
-    # system-major row ordering: row (s, e) sits at s*dim_env + e
-    ops = [v[e::dim_env, :] for e in range(dim_env)]
+    # system-major row ordering: row (s, e) sits at s*dim_env + e, so A_e = v[e::dim_env]
+    ops = v.reshape(dim_out, dim_env, dim_in).swapaxes(0, 1)
     return from_kraus(
         ops, qubits_in, qubits_out,
         label=f"random({qubits_in}->{qubits_out},env={env_qubits},seed={seed})",
@@ -272,10 +270,7 @@ def channel_to_dict(c: QuantumChannel) -> dict:
         "label": c.label,
         "qubits_in": c.qubits_in,
         "qubits_out": c.qubits_out,
-        "kraus": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in a]
-            for a in c.kraus
-        ],
+        "kraus": np.stack([c.kraus.real, c.kraus.imag], axis=-1).tolist(),
     }
 
 

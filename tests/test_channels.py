@@ -27,6 +27,7 @@ from causalcap.channels import (
     tp_residual,
 )
 from causalcap.linalg import CPTP_ATOL, I2, PAULI_Z, random_complex, random_density
+from causalcap.verify import entanglement_fidelity
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -39,6 +40,13 @@ DEPHASE = from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z], label="dephase
 def phi_plus_projector():
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return np.outer(v, v.conj())
+
+
+def saved(c, tmp_path):
+    """Path of ``c`` saved to a channel file in ``tmp_path``."""
+    path = tmp_path / "chan.json"
+    save_channel(c, path)
+    return path
 
 
 def input_marginal(j, dim_in, dim_out):
@@ -170,13 +178,6 @@ class TestDirectConstructor:
         a[:] = PAULI_X
         assert np.array_equal(c.kraus[0], I2) and np.array_equal(c.choi, IDENT.choi)
 
-    def test_kraus_is_a_tuple_of_read_only_arrays(self):
-        c = QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z])
-        assert type(c.kraus) is tuple and len(c.kraus) == 2
-        for m in (*c.kraus, c.choi):
-            with pytest.raises(ValueError, match="read-only"):
-                m[0, 0] = 0.0
-
     @pytest.mark.parametrize("q_in, q_out, stack", [
         (1, 1, shifted_depolarizing_kraus(0.1, 0.3)),
         (2, 2, np.array(random_channel(2, 2).kraus)),
@@ -186,17 +187,6 @@ class TestDirectConstructor:
         from_list = QuantumChannel(q_in, q_out, list(stack))
         assert np.array(from_stack.kraus).tobytes() == np.array(from_list.kraus).tobytes()
         assert from_stack.choi.tobytes() == from_list.choi.tobytes()
-
-    @pytest.mark.parametrize("make", [
-        lambda: QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
-        lambda: shifted_depolarizing(0.1, 0.3),
-        lambda: random_channel(2, 1, env_qubits=2, seed=0),
-    ], ids=["list", "shifted", "random"])
-    def test_operators_are_views_of_one_array(self, make):
-        c = make()
-        base = c.kraus[0].base
-        assert isinstance(base, np.ndarray) and base.shape == (len(c.kraus), c.dim_out, c.dim_in)
-        assert all(a.base is base for a in c.kraus)
 
     def test_the_callers_stack_cannot_change_the_channel(self):
         stack = shifted_depolarizing_kraus(0.1, 0.3)
@@ -220,15 +210,24 @@ class TestImmutable:
         assert np.array_equal(c.kraus[0], I2) and np.array_equal(c.choi, IDENT.choi)
 
     @pytest.mark.parametrize("make", [
-        lambda: random_channel(1, 2, env_qubits=1, seed=0),  # its operators are views of one array
-        lambda: shifted_depolarizing(0.1, 0.3),
-        lambda: tensor(IDENT, DEPHASE),
-        lambda: conjugate(DEPHASE),
-    ], ids=["random", "shifted", "tensor", "conjugate"])
-    def test_stored_arrays_are_read_only(self, make):
-        c = make()
-        assert type(c.kraus) is tuple
-        for m in (*c.kraus, c.choi):
+        lambda tmp: QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
+        lambda tmp: QuantumChannel(1, 1, shifted_depolarizing_kraus(0.1, 0.3)),
+        lambda tmp: from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
+        lambda tmp: named_channel("amplitude-damping", eta=0.3),
+        lambda tmp: shifted_depolarizing(0.1, 0.3),
+        lambda tmp: random_channel(2, 1, env_qubits=2, seed=0),  # strided rows of one isometry
+        lambda tmp: compose(DEPHASE, random_channel(1, 1, env_qubits=2, seed=1)),
+        lambda tmp: tensor(IDENT, DEPHASE),
+        lambda tmp: conjugate(DEPHASE),
+        lambda tmp: load_channel(saved(random_channel(1, 2, env_qubits=1, seed=0), tmp)),
+    ], ids=["list", "stack", "from_kraus", "named", "shifted", "random", "compose", "tensor",
+            "conjugate", "load_channel"])
+    def test_stored_arrays_are_read_only(self, make, tmp_path):
+        # whatever the constructor, kraus is the channel's own read-only (k, d_out, d_in) array
+        c = make(tmp_path)
+        assert type(c.kraus) is np.ndarray and c.kraus.flags.owndata and c.kraus.dtype == complex
+        assert c.kraus.shape == (len(c.kraus), c.dim_out, c.dim_in)
+        for m in (c.kraus, c.choi):
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 0.0
 
@@ -384,6 +383,31 @@ def test_every_constructor_builds_choi_from_its_kraus_list(seed, p, gamma):
     ]
     for c in made:
         assert np.array_equal(c.choi, from_kraus(c.kraus).choi), c.label
+
+
+@pytest.mark.parametrize("q_in, q_out", [(1, 1), (1, 2), (2, 1), (2, 2)],
+                         ids=["1", "1-2", "2-1", "2"])
+def test_stack_operations_match_the_per_operator_loops(q_in, q_out):
+    # the per-operator loops the stack expressions replaced, kept as references
+    rng = np.random.default_rng(18)
+    for env in (1, 2, 3):
+        c = random_channel(q_in, q_out, env_qubits=env, seed=env)
+        d = random_channel(q_out, q_in, env_qubits=4 - env, seed=10 + env)
+        rho = random_density(c.dim_in, rng)
+        out = np.zeros((c.dim_out, c.dim_out), dtype=complex)
+        for a in c.kraus:
+            out += a @ rho @ a.conj().T
+        assert apply(c, rho).tobytes() == out.tobytes()
+        ops = np.array([dj @ ak for dj in d.kraus for ak in c.kraus])
+        assert compose(d, c).kraus.tobytes() == ops.tobytes()
+        ops = np.array([np.kron(a, b) for a in c.kraus for b in d.kraus])
+        assert tensor(c, d).kraus.tobytes() == ops.tobytes()
+        assert conjugate(c).kraus.tobytes() == np.array([a.conj() for a in c.kraus]).tobytes()
+        rows = [[[[float(z.real), float(z.imag)] for z in row] for row in a] for a in c.kraus]
+        assert json.dumps(channel_to_dict(c)["kraus"]) == json.dumps(rows)
+        if q_in == q_out:
+            loop = float(sum(abs(np.trace(rho @ a)) ** 2 for a in c.kraus))
+            assert abs(entanglement_fidelity(rho, c) - loop) <= 1e-15
 
 
 class TestConjugate:

@@ -4,7 +4,13 @@ import pytest
 from causalcap import bounds as bounds_mod
 from causalcap import pdm as pdm_mod
 from causalcap import verify as verify_mod
-from causalcap.channels import from_kraus, named_channel, shifted_depolarizing
+from causalcap.channels import (
+    compose,
+    from_kraus,
+    named_channel,
+    random_channel,
+    shifted_depolarizing,
+)
 from causalcap.linalg import CPTP_ATOL, HERM_ATOL, I2, PAULI_Z, random_density, random_unitary
 from causalcap.verify import (
     SUITES,
@@ -30,21 +36,33 @@ def shifted(f):
     return lambda *args: f(*args) + 1e-8
 
 
-# suite -> (module, name, replacement built from the original, tolerance the suite applies);
-# each replacement breaks the fact its suite checks just past that tolerance
+def worst_margin(res) -> float:
+    return res.worst_margin
+
+
+def worst_residual(res) -> float:
+    """The worst intertwining residual, which suite_lemmas reports in its note."""
+    return float(res.notes[0].rsplit(" ", 1)[1])
+
+
+# suite -> (module, name, replacement built from the original, tolerance the suite applies,
+# where the suite reports the broken margin); each replacement breaks the fact its suite
+# checks just past that tolerance
 BREAKS = {
-    "pdm": (pdm_mod, "causality_F", shifted, CPTP_ATOL),
-    "lemmas": (pdm_mod, "lemma1_check", lambda f: lambda *args: 2 * HERM_ATOL, HERM_ATOL),
-    "fidelity": (verify_mod, "_entanglement_fidelity_purified", shifted, CPTP_ATOL),
-    "bounds": (bounds_mod, "analytic_shifted_depol", shifted, CPTP_ATOL),
+    "pdm": (pdm_mod, "causality_F", shifted, CPTP_ATOL, worst_margin),
+    "lemmas": (pdm_mod, "lemma1_check", lambda f: lambda *args: 2 * HERM_ATOL, HERM_ATOL,
+               worst_residual),
+    "fidelity": (verify_mod, "_entanglement_fidelity_purified", shifted, CPTP_ATOL, worst_margin),
+    "bounds": (bounds_mod, "analytic_shifted_depol", shifted, CPTP_ATOL, worst_margin),
 }
 
 
-def break_suite(monkeypatch, suite: str) -> float:
-    """Break the fact ``suite`` checks for the rest of the test; return the suite's tolerance."""
-    module, name, broken, tol = BREAKS[suite]
+def break_suite(monkeypatch, suite: str):
+    """Break the fact ``suite`` checks for the rest of the test; return the suite's tolerance
+    and the reader of the broken margin from its result."""
+    module, name, broken, tol, read = BREAKS[suite]
     monkeypatch.setattr(module, name, broken(getattr(module, name)))
-    return tol
+    return tol, read
 
 
 class TestFidelity:
@@ -125,9 +143,14 @@ class TestFvg:
 
 class TestSuites:
     def test_lemma2_identity_case(self):
-        # encoding and decoding by the identity leave the measure unchanged
-        res = lemma2_suite(seed=1, cases=5)
-        assert res.passed
+        # encoding and decoding by the identity leave the measure unchanged, to the last bit
+        for qubits in (1, 2):
+            ident = named_channel("identity", qubits=qubits)
+            for seed in range(10):
+                chan = random_channel(qubits, qubits, env_qubits=1 + seed % 3, seed=seed)
+                coded = compose(ident, compose(chan, ident))
+                f = [pdm_mod.causality_F(pdm_mod.pdm_from_channel(c)) for c in (coded, chan)]
+                assert f[0] == f[1], chan.label
 
     def test_lemma2_rejects_zero_cases(self):
         with pytest.raises(ValueError):
@@ -151,10 +174,10 @@ class TestSuites:
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_a_broken_fact_fails_its_suite(self, suite, monkeypatch):
-        tol = break_suite(monkeypatch, suite)
+        tol, read = break_suite(monkeypatch, suite)
         res = SUITES[suite](seed=0, cases=3)
         assert res.failures > 0 and not res.passed
-        assert res.worst_margin > tol
+        assert read(res) > tol
 
     def test_run_suites_order(self):
         results = run_suites(["pdm", "fidelity"], seed=0, cases=5)
