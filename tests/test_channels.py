@@ -188,6 +188,18 @@ class TestDirectConstructor:
         assert np.array(from_stack.kraus).tobytes() == np.array(from_list.kraus).tobytes()
         assert from_stack.choi.tobytes() == from_list.choi.tobytes()
 
+    @pytest.mark.parametrize("make", [
+        lambda: QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
+        lambda: shifted_depolarizing(0.1, 0.3),
+        lambda: random_channel(2, 1, env_qubits=2, seed=0),
+    ], ids=["list", "shifted", "random"])
+    def test_operators_are_views_of_one_array(self, make):
+        # each operator read from kraus is a view of the channel's one stack, not a copy
+        c = make()
+        base = c.kraus[0].base
+        assert base is c.kraus and base.shape == (len(c.kraus), c.dim_out, c.dim_in)
+        assert all(a.base is base for a in c.kraus)
+
     def test_the_callers_stack_cannot_change_the_channel(self):
         stack = shifted_depolarizing_kraus(0.1, 0.3)
         c = QuantumChannel(1, 1, stack)
