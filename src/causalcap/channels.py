@@ -1,12 +1,12 @@
 """Quantum channels in Kraus form, with Choi-matrix algebra.
 
-:class:`QuantumChannel` validates itself on one read-only stacked copy of its Kraus operators,
-the array ``kraus`` of shape (k, d_out, d_in), so every channel, however built, has passed the
-same checks, and every channel operation is one array expression on that stack. The Choi
-matrix J (normalized to trace 1, i.e. the channel acting on one half of a maximally entangled
-state) is built from that stack by :func:`choi_from_kraus`, the one conversion, so the two
-cannot disagree and a saved channel reloads with a bit-identical J. Channels are immutable
-after construction, as no caller holds their arrays, and safe to share across threads.
+:class:`QuantumChannel` makes one read-only copy of its Kraus operators, the stack ``kraus`` of
+shape (k, d_out, d_in), and checks it whole: its shape, then one max|entry| for both the finite
+and the magnitude checks. Every channel, however built, has passed the same checks, and every
+channel operation is one array expression on that stack. The Choi matrix J (trace 1: the channel
+on half of a maximally entangled state) is built from it by :func:`choi_from_kraus`, the one
+conversion, so the two cannot disagree and a saved channel reloads with a bit-identical J.
+Channels are immutable after construction, as no caller holds their arrays, and thread-safe.
 """
 
 from __future__ import annotations
@@ -68,14 +68,20 @@ class QuantumChannel:
     dim_out: int = field(init=False)
 
     def __post_init__(self):
-        mats = [as_matrix(a) for a in self.kraus]  # views where the input is complex already
-        if not mats:
-            raise ValueError("a channel needs at least one Kraus operator")
-        rows, cols = mats[0].shape
-        if any(a.shape != (rows, cols) for a in mats):
-            raise ValueError("Kraus operators must share a common shape")
-        ops = np.array(mats)  # the one copy: the caller keeps none
-        if not np.isfinite(ops).all():
+        try:
+            ops = np.array(self.kraus, dtype=complex)  # the one copy: the caller keeps none
+        except (TypeError, ValueError):  # ragged operators, or an iterator
+            ops = None
+        if ops is None or ops.ndim != 3 or not len(ops):  # per operator, for the message
+            mats = [as_matrix(a) for a in self.kraus]
+            if not mats:
+                raise ValueError("a channel needs at least one Kraus operator")
+            if any(a.shape != mats[0].shape for a in mats):
+                raise ValueError("Kraus operators must share a common shape")
+            ops = np.array(mats)  # an iterator's operators, which passed both checks
+        _, rows, cols = ops.shape
+        peak = np.abs(ops).max(initial=0.0)  # also inf where a finite entry's modulus overflows
+        if not peak < np.inf and not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite (found NaN or infinity)")
         qubits_in, qubits_out = _qubit_count(self.qubits_in), _qubit_count(self.qubits_out)
         if min(qubits_in, qubits_out) < 1:
@@ -84,10 +90,9 @@ class QuantumChannel:
         q_in, q_out = max(cols.bit_length() - 1, 0), max(rows.bit_length() - 1, 0)
         if (1 << q_in, 1 << q_out, q_in, q_out) != (cols, rows, qubits_in, qubits_out):
             raise ValueError(
-                f"Kraus shape {mats[0].shape} does not match {qubits_in}->{qubits_out} qubits"
+                f"Kraus shape {(rows, cols)} does not match {qubits_in}->{qubits_out} qubits"
             )
-        # sum_k A_k^dag A_k = I bounds every entry by 1; a larger one could overflow J
-        if not np.abs(ops).max() <= 1.0 + CPTP_ATOL:
+        if not peak <= 1.0 + CPTP_ATOL:  # TP bounds every |entry| by 1; more could overflow J
             raise ValueError("Kraus entries must have magnitude at most 1")
         ops.setflags(write=False)
         j = choi_from_kraus(ops)
@@ -106,8 +111,9 @@ def tp_residual(j: np.ndarray, dim_in: int) -> float:
     ``trace`` of J as (d_in, d_out, d_in, d_out); for J built from Kraus operators A_k it is
     max|sum_k A_k^dag A_k - I|."""
     dim_out = j.shape[0] // dim_in
-    marginal = j.reshape(dim_in, dim_out, dim_in, dim_out).trace(axis1=1, axis2=3)
-    return float(np.max(np.abs(dim_in * marginal - np.eye(dim_in))))
+    defect = dim_in * j.reshape(dim_in, dim_out, dim_in, dim_out).trace(axis1=1, axis2=3)
+    defect.flat[:: dim_in + 1] -= 1.0  # minus I, in place
+    return float(np.abs(defect).max())
 
 
 def from_kraus(ops: Sequence[np.ndarray], qubits_in: int | None = None,

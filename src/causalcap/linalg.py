@@ -59,10 +59,11 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (found NaN or infinity)")
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    adjoint = a.conj().T
+    defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if defect > HERM_ATOL:
         raise ValueError(f"matrix is not Hermitian (max defect {defect:.3e} > {HERM_ATOL:.0e})")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + adjoint)
 
 
 def require_state(rho: np.ndarray) -> np.ndarray:

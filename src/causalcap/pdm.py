@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _qubit_count
 from .linalg import (
     CPTP_ATOL,
     I2,
@@ -44,19 +44,20 @@ class PseudoDensityMatrix:
     trace_norm: float = field(init=False)
 
     def __post_init__(self):
+        l_in, l_out = _qubit_count(self.l_in), _qubit_count(self.l_out)
+        if min(l_in, l_out) < 1:
+            raise ValueError(f"qubit counts must be at least 1, got {l_in}+{l_out}")
         norm = trace_norm(self.matrix)
         m = as_matrix(self.matrix)
-        if m.shape != (2 ** (self.l_in + self.l_out),) * 2:
-            raise ValueError(
-                f"matrix shape {m.shape} does not match {self.l_in}+{self.l_out} qubits"
-            )
-        tr = float(np.trace(m).real)
+        q = max(m.shape[0].bit_length() - 1, 0)  # bit lengths, never 2**l: no huge power
+        if (1 << q, q) != (m.shape[0], l_in + l_out):  # m is square: trace_norm checked
+            raise ValueError(f"matrix shape {m.shape} does not match {l_in}+{l_out} qubits")
+        tr = float(m.trace().real)
         if abs(tr - 1.0) > CPTP_ATOL:
             raise ValueError(f"pseudo-density matrix trace {tr!r} is not 1")
         m = 0.5 * (m + m.conj().T)  # the matrix trace_norm took; a channel's R is unchanged
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "trace_norm", norm)
+        self.__dict__.update(matrix=m, l_in=l_in, l_out=l_out, trace_norm=norm)  # frozen
 
 
 def swap_matrix(l: int) -> np.ndarray:

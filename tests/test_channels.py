@@ -35,6 +35,25 @@ IDENT = from_kraus([I2], label="identity")
 # the two ways to a 1->1 channel: from_kraus reads the counts from the shape, the type is given them
 ENTRY_POINTS = (from_kraus, lambda ops: QuantumChannel(1, 1, ops))
 DEPHASE = from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z], label="dephase")
+# malformed Kraus operators of a 1->1 channel, each with the message it raises
+MALFORMED = {
+    "none": ([], "a channel needs at least one Kraus operator"),
+    "1-d": ([np.ones(2), np.ones(2)], r"expected a 2-d matrix, got shape \(2,\)"),
+    "ragged": ([I2, np.eye(4, 2)], "Kraus operators must share a common shape"),
+    "0x0": ([np.zeros((0, 0))], r"Kraus shape \(0, 0\) does not match 1->1 qubits"),
+    "nan": ([np.diag([np.nan, 1.0])], r"must be finite \(found NaN or infinity\)"),
+    "inf": ([np.diag([1.0, -np.inf])], r"must be finite \(found NaN or infinity\)"),
+    "magnitude": ([np.diag([1e308, 1.0])], "must have magnitude at most 1"),
+    # finite parts whose modulus overflows to inf: a magnitude fault, not a finiteness one
+    "modulus-overflow": ([np.diag([1.5e308 + 1.5e308j, 1.0])], "must have magnitude at most 1"),
+    "not-tp": ([0.5 * I2], "not trace preserving"),
+}
+# the forms the operators may come in (a stack cannot be ragged)
+FORMS = {
+    "list": list,
+    "stack": lambda ops: np.array(ops) if ops else np.zeros((0, 2, 2)),
+    "generator": lambda ops: (a for a in ops),
+}
 
 
 def phi_plus_projector():
@@ -146,6 +165,14 @@ class TestFromKraus:
             with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \("):
                 build([I2, op])
 
+    @pytest.mark.parametrize("case, form", [(case, form) for case in MALFORMED for form in FORMS
+                                            if (case, form) != ("ragged", "stack")])
+    def test_malformed_operators_raise_one_message_in_every_form(self, case, form):
+        ops, message = MALFORMED[case]
+        for build in (lambda o: from_kraus(o, 1, 1), lambda o: QuantumChannel(1, 1, o)):
+            with pytest.raises(ValueError, match=message):
+                build(FORMS[form](ops))
+
     @pytest.mark.parametrize("build, shown", [
         (lambda: from_kraus([I2], 1.0, 1.0), "1.0"),
         (lambda: QuantumChannel(1, 1.0, [I2]), "1.0"),
@@ -187,6 +214,22 @@ class TestDirectConstructor:
         from_list = QuantumChannel(q_in, q_out, list(stack))
         assert np.array(from_stack.kraus).tobytes() == np.array(from_list.kraus).tobytes()
         assert from_stack.choi.tobytes() == from_list.choi.tobytes()
+
+    @pytest.mark.parametrize("q_in, q_out, ops", [
+        (1, 1, [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])]),
+        (1, 1, list(shifted_depolarizing_kraus(0.1, 0.3))),
+        (2, 1, list(random_channel(2, 1, env_qubits=2).kraus)),
+    ], ids=["real", "shifted", "random"])
+    def test_a_generator_builds_the_channel_its_list_builds(self, q_in, q_out, ops):
+        from_list = QuantumChannel(q_in, q_out, ops)
+        # the one copy holds the entries that one copy per operator holds
+        per_operator = np.array([np.asarray(a, dtype=complex) for a in ops])
+        assert from_list.kraus.tobytes() == per_operator.tobytes()
+        for c in (from_kraus((a for a in ops), q_in, q_out), from_kraus(a for a in ops),
+                  QuantumChannel(q_in, q_out, iter(ops))):
+            assert (c.qubits_in, c.qubits_out) == (q_in, q_out)
+            assert c.kraus.tobytes() == from_list.kraus.tobytes()
+            assert c.choi.tobytes() == from_list.choi.tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda: QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),

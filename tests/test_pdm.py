@@ -8,17 +8,21 @@ import pytest
 
 from causalcap import bounds, linalg, pdm
 from causalcap.channels import (
+    choi_from_kraus,
     from_kraus,
     named_channel,
     random_channel,
     shifted_depolarizing,
+    tp_residual,
 )
 from causalcap.linalg import (
     CPTP_ATOL,
     I2,
     partial_transpose,
+    random_complex,
     random_density,
     random_unitary,
+    require_hermitian,
     trace_norm,
 )
 from causalcap.pdm import (
@@ -239,6 +243,21 @@ class TestValidatedOnce:
         with pytest.raises(ValueError, match=message):
             PseudoDensityMatrix(matrix, l, l)
 
+    @pytest.mark.parametrize("l_in, l_out, message", [
+        (1.0, 1, r"qubit counts must be integers, got 1\.0$"),
+        (1, 2.0, r"qubit counts must be integers, got 2\.0$"),
+        (0, 2, r"qubit counts must be at least 1, got 0\+2$"),
+        # fails at once: no 2**(10**12) is formed
+        (1, 10**12, r"shape \(4, 4\) does not match 1\+1000000000000 qubits$"),
+    ], ids=["float-in", "float-out", "zero", "huge"])
+    def test_qubit_counts_are_integers_of_at_least_one(self, l_in, l_out, message):
+        with pytest.raises(ValueError, match=message):
+            PseudoDensityMatrix(swap_matrix(1) / 2, l_in, l_out)
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        r = PseudoDensityMatrix(swap_matrix(1) / 2, np.int64(1), np.int32(1))
+        assert (type(r.l_in), type(r.l_out)) == (int, int)
+
     def test_a_supplied_matrix_is_copied_symmetrized_and_normed(self):
         m = swap_matrix(1) / 2
         m[0, 1] += 1e-12j  # drift within HERM_ATOL
@@ -304,3 +323,40 @@ class TestLemma1:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="does not match"):
             lemma1_check(I2, 1, 2)
+
+
+def pinned_channels():
+    """The paper's 26x21 grid, and seeded random 1->1, 1->2, 2->1 and 2->2 channels."""
+    grid = [shifted_depolarizing(p, g) for p in np.linspace(0.0, 0.25, 26)
+            for g in np.linspace(0.0, 1.0, 21)]
+    rand = [random_channel(*q, env_qubits=e, seed=s) for q in [(1, 1), (1, 2), (2, 1), (2, 2)]
+            for e in (1, 2, 3) for s in range(3)]
+    return grid + rand
+
+
+class TestReductionsBitForBit:
+    """Each check's reduction against the NumPy expression it replaced, to the last bit."""
+
+    def test_tp_residual_matches_the_identity_matrix_formula(self):
+        for c in pinned_channels():
+            for scale in (1.0, 0.9):  # trace preserving, and not
+                j = choi_from_kraus(scale * c.kraus)
+                marginal = j.reshape(c.dim_in, c.dim_out, c.dim_in, c.dim_out)
+                marginal = marginal.trace(axis1=1, axis2=3)
+                old = float(np.max(np.abs(c.dim_in * marginal - np.eye(c.dim_in))))
+                assert tp_residual(j, c.dim_in).hex() == old.hex(), c.label
+
+    def test_hermitian_check_and_pdm_trace_match_the_wrapper_forms(self):
+        rng = np.random.default_rng(30)
+        for c in pinned_channels():
+            r = pdm_from_channel(c).matrix
+            drift = r + 1e-12 * random_complex(*r.shape, rng)  # within HERM_ATOL
+            old = 0.5 * (drift + drift.conj().T)
+            assert require_hermitian(drift).tobytes() == old.tobytes(), c.label
+            assert float(drift.trace().real).hex() == float(np.trace(drift).real).hex()
+
+    def test_log2_inf_norm_matches_the_largest_absolute_eigenvalue(self):
+        for c in pinned_channels():
+            old = math.log2(np.max(np.abs(np.linalg.eigvalsh(pdm_from_channel(c).matrix))))
+            new = bounds.maxrains_surrogate(c).diagnostics["log2_inf_norm"]
+            assert new.hex() == old.hex(), c.label
