@@ -3,12 +3,13 @@
 Four routes are implemented: the optimization-free causality bound (trace norm of the channel
 PDM), the closed-form expression for shifted depolarizing channels, the Holevo-Werner comparison
 bound as a certified bracket on a concave problem over the input marginal (in closed form with
-no eigensolve where W = d R has the phase-covariant pattern of every named channel; else by a
-fixed-point solve, on 1-qubit inputs in floats but for one eigensolve per bracket), and a
-max-Rains surrogate from the partially transposed Choi matrix. All read one operator on any
-qubit counts, the PDM R: :func:`pdm.pdm_from_channel` builds it and its trace norm once per
-channel and holds them weakly for all bounds; the sweep builds no channels but stacks its
-family's Kraus operators into R by a channel's arithmetic. Values are qubits per use.
+no eigensolve where W = d R has the phase-covariant pattern of every named channel; else by the
+Anderson-accelerated fixed point sigma <- T(sigma), on 1-qubit inputs in floats but for one
+eigensolve per bracket), and a max-Rains surrogate from the partially transposed Choi matrix.
+All read one operator on any qubit counts, the PDM R: :func:`pdm.pdm_from_channel` builds it and
+its trace norm once per channel and holds them weakly for all bounds; the sweep builds no
+channels but stacks its family's Kraus operators into R by a channel's arithmetic. Values are
+qubits per use.
 """
 
 from __future__ import annotations
@@ -104,14 +105,14 @@ _OFF_PATTERN = (1, 2, 3, 4, 7, 8, 11, 12, 13, 14)
 
 
 def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
-    """Lower end f(sigma) = ||M||_1, lambda_max(G), G and image T(sigma) for one (dim, dim) W.
+    """Lower end f(sigma) = ||M||_1, upper end lambda_max(G) and image T(sigma) for one W.
 
     M = (A x I) W (A x I), A = ``root`` = sqrt(sigma), from two products on the input index
     (W is Hermitian: the second takes the first's conjugate transpose); G = A^-1 Tr_out|M| A^-1.
     Y = (A^-1 x I)|M|(A^-1 x I) >= +-W for any Hermitian A, so lambda_max(G) = ||Tr_out Y||_inf
     is an upper end; A^-1 scales the eps ||M|| error of the eigensolve of M to a relative error
-    of up to eps / lambda_min(sigma). T(sigma) = Tr_out|M| / ||M||_1. At d = 2 A^-1 and K =
-    Tr_out|M| are Pauli 4-tuples, T(sigma) a Bloch vector and G (K, lambda_min, lambda_max).
+    of up to eps / lambda_min(sigma). T(sigma) = Tr_out|M| / ||M||_1. W is (dim, dim). At d = 2
+    A^-1 and K = Tr_out|M| are Pauli 4-tuples, and T(sigma) is a Bloch vector.
     """
     d, dim = root.shape[0], w.shape[0]
     x = (root @ w.reshape(d, -1)).reshape(dim, dim)
@@ -121,18 +122,18 @@ def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
     lower = sum(abs_mu.tolist())
     if d > 2:
         g = inv_root @ marginal @ inv_root
-        return lower, float(np.linalg.eigvalsh(g)[-1]), g, marginal / lower
+        return lower, float(np.linalg.eigvalsh(g)[-1]), marginal / lower
     (p, _), (q, r) = marginal.tolist()
     (b0, *b), k = inv_root, ((p.real + r.real) / 2, q.real, q.imag, (p.real - r.real) / 2)
     # G = (g0, g) = ((b0^2 + |b|^2) k0 + 2 b0 b.k, 2 (b0 k0 + b.k) b + (b0^2 - |b|^2) k)
     bk, bb = b[0] * k[1] + b[1] * k[2] + b[2] * k[3], b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
     c, e, g0 = 2.0 * (b0 * k[0] + bk), b0 * b0 - bb, (b0 * b0 + bb) * k[0] + 2.0 * b0 * bk
     h = math.hypot(c * b[0] + e * k[1], c * b[1] + e * k[2], c * b[2] + e * k[3])  # G >= 0
-    return lower, g0 + h, (k, g0 - h, g0 + h), [k[1] / lower, k[2] / lower, k[3] / lower]
+    return lower, g0 + h, [k[1] / lower, k[2] / lower, k[3] / lower]
 
 
 def _evaluate(w, sigma):
-    """(sigma, sqrt(sigma), lower, lambda_max(G), G, T(sigma)) at one sigma, or None.
+    """(sigma, sqrt(sigma), lower, lambda_max(G), T(sigma)) at one sigma, or None.
 
     None unless lambda_min(sigma) > ``_FLOOR`` (a NaN or a non-positive trace fails too), so
     that no sigma^(-1/2) is formed from a singular sigma. At d = 2 sigma is its Bloch vector s,
@@ -154,25 +155,6 @@ def _evaluate(w, sigma):
     vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)
     root, inv_root = (vecs * sqrt_vals) @ vh, (vecs / sqrt_vals) @ vh
     return (sigma, root, *_bracket(w, root, inv_root))
-
-
-def _power(root, g_vals, g_vecs, squarings: int):
-    """normalise(sqrt(sigma) (G / lambda_max G)^(2**squarings) sqrt(sigma)), G = eigh's pairs.
-
-    At d = 2 g_vals = (sigma, K, l-, l+), l-+ G's eigenvalues: sqrt(sigma) G sqrt(sigma) = K, so
-    G's top eigenprojector P has sqrt(sigma) P sqrt(sigma) = (K - l- sigma) / (l+ - l-).
-    """
-    if g_vecs is None:
-        sigma, k, low, high = g_vals
-        rho = (max(low, 0.0) / high) ** (2**squarings)
-        c = (1.0 - rho) / (high - low) if high > low else 0.0  # G = lambda I: the power is I
-        return [((rho - c * low) * x + c * y) / (rho - c * low + 2.0 * c * k[0])
-                for x, y in zip(sigma, k[1:])]
-    ratio = np.maximum(g_vals, 0.0) / g_vals[-1]
-    for _ in range(squarings):
-        ratio = ratio * ratio
-    sigma = root @ ((g_vecs * ratio) @ g_vecs.conj().T) @ root
-    return sigma / sigma.trace().real
 
 
 def _extrapolate(fs, gs, latest: int):
@@ -215,10 +197,9 @@ def _solve_hw(w: np.ndarray, d: int):
 
     Maximises the concave f(sigma) from sigma = I/d. Each step first tries the Anderson
     extrapolation of the last min(``ANDERSON_DEPTH``, d^2 - 1) + 1 pairs (sigma, T(sigma) =
-    Tr_out|M| / ||M||_1), kept if its bracket is narrower than the iterate's; else a power step,
-    whose exponent doubles while the bracket narrows and is retaken at 1 (the plain fixed point)
-    when it widens. At d = 2 the only eigensolve is a trial's, of M, and the rest is plain
-    floats; for d > 2 a trial also solves sigma, and a power step G. A trial counts only if its
+    Tr_out|M| / ||M||_1), kept if its bracket is narrower than the iterate's; else the plain
+    fixed-point step sigma <- T(sigma). At d = 2 the only eigensolve is a trial's, of M, and the
+    rest is plain floats; for d > 2 a trial also solves sigma and G. A trial counts only if its
     eigenvalues exceed eps / ``CPTP_ATOL``, for the rounding of :func:`_bracket`'s upper end.
     The solve stops at a log2 bracket of at most ``CPTP_ATOL``, after ``MAX_ITERS`` steps, or
     when no trial counts. Returns log2 of the best lower and smallest upper end, sqrt(sigma) of
@@ -226,34 +207,26 @@ def _solve_hw(w: np.ndarray, d: int):
     """
     slots = min(ANDERSON_DEPTH, d * d - 1) + 1
     sigma, root = np.eye(d) / d, np.eye(d, dtype=complex) / math.sqrt(d)
-    lower, g_max, g, image = _bracket(w, root, root * d if d > 2 else (2**0.5, 0.0, 0.0, 0.0))
+    lower, g_max, image = _bracket(w, root, root * d if d > 2 else (2**0.5, 0.0, 0.0, 0.0))
     upper, best_lower, best_root = g_max, lower, root
     # ring buffer of residuals T(sigma) - sigma and images T(sigma): step t in slot t % slots
     fs, gs = np.empty((slots, 2 * d * d)), np.empty((slots, d, d), dtype=complex)
     if d == 2:  # Bloch vectors (see _evaluate)
         sigma, fs, gs = [0.0, 0.0, 0.0], [None] * slots, [None] * slots
-    evaluations, accelerated, squarings, t = 1, 0, 0, 0
+    evaluations, accelerated, t = 1, 0, 0
     while t < MAX_ITERS and math.log2(upper) - math.log2(best_lower) > CPTP_ATOL:
         fs[t % slots] = ([a - b for a, b in zip(image, sigma)] if d == 2
                          else (image - sigma).reshape(-1).view(float))
-        gs[t % slots], width, won = image, g_max - lower, False
+        gs[t % slots], won = image, False
         if t:
             trial = _evaluate(w, _extrapolate(fs[: t + 1], gs[: t + 1], t % slots))
-            won = trial is not None and trial[3] - trial[2] < width
+            won = trial is not None and trial[3] - trial[2] < g_max - lower
             evaluations, accelerated = evaluations + 1, accelerated + won
         if not won:
-            g_eig = ((sigma, *g), None) if d == 2 else np.linalg.eigh(g)  # shared when retaken
-            trial = _evaluate(w, _power(root, *g_eig, squarings))
-            narrowed = trial is not None and trial[3] - trial[2] < width
-            if not narrowed and squarings:  # retaken at exponent 1
-                trial = _evaluate(w, _power(root, *g_eig, 0))
-                evaluations += 1
-            evaluations += 1
-            # alpha stops at 2**52, the scale set by the 2**-53 spacing of doubles below 1
-            squarings = min(squarings + 1, 52) if narrowed else 0
-            if trial is None:  # no trial counts, and the ends stay; else a power step stands
+            trial, evaluations = _evaluate(w, image), evaluations + 1
+            if trial is None:  # no trial counts, and the ends stay; else the step stands
                 break
-        sigma, root, lower, g_max, g, image = trial
+        sigma, root, lower, g_max, image = trial
         t += 1
         if lower > best_lower:
             best_lower, best_root = lower, root

@@ -65,6 +65,7 @@ def swap_matrix(l: int) -> np.ndarray:
 
     It exchanges the two l-qubit registers: |x, y> -> |y, x>.
     """
+    l = _qubit_count(l)
     if l < 1:
         raise ValueError("need at least one qubit pair")
     d = 2**l
@@ -139,8 +140,9 @@ def lemma1_check(k_map: np.ndarray, k: int, m: int) -> float:
     For K from k qubits to m qubits, compares (I x K) S_k (I x K^dag)
     against (K^dag x I) S_m (K x I); both sides live on k+m qubits.
     """
-    k_map = as_matrix(k_map)
-    if k_map.shape != (2**m, 2**k):
+    k_map, k, m = as_matrix(k_map), _qubit_count(k), _qubit_count(m)
+    q_out, q_in = (max(n.bit_length() - 1, 0) for n in k_map.shape)  # bit lengths, no 2**k
+    if (1 << q_out, 1 << q_in, q_out, q_in) != (*k_map.shape, m, k):
         raise ValueError(f"map shape {k_map.shape} does not match {k}->{m} qubits")
     eye_k = np.eye(2**k, dtype=complex)
     eye_m = np.eye(2**m, dtype=complex)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import causalcap
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "hw_fingerprint.py"
 
@@ -25,8 +27,10 @@ def test_digests_match_the_recorded_fingerprint():
     running = _script_module().build()
     if recorded["build"] != running:
         pytest.skip(f"digests recorded with {recorded['build']}; this build is {running}")
+    # the script checks the causalcap under test, which need not be this checkout's
+    src = Path(causalcap.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(ROOT / "src"), os.environ.get("PYTHONPATH"),
+        str(src), os.environ.get("PYTHONPATH"),
     ])))
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "--check"],

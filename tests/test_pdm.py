@@ -72,6 +72,10 @@ class TestSwapMatrix:
         with pytest.raises(ValueError, match="need at least one qubit pair"):
             swap_matrix(0)
 
+    def test_rejects_a_float_count(self):
+        with pytest.raises(ValueError, match=r"qubit counts must be integers, got 1\.0$"):
+            swap_matrix(1.0)
+
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_trace(self, l):
         assert np.isclose(np.trace(swap_matrix(l)) / 2**l, 1.0)
@@ -323,6 +327,17 @@ class TestLemma1:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="does not match"):
             lemma1_check(I2, 1, 2)
+
+    @pytest.mark.parametrize("k, m, message", [
+        (1.0, 1, r"qubit counts must be integers, got 1\.0$"),
+        (1, 2.0, r"qubit counts must be integers, got 2\.0$"),
+        # fails at once: no 2**(10**18) is formed
+        (10**18, 1, r"shape \(2, 2\) does not match 1000000000000000000->1 qubits$"),
+        (1, 10**18, r"shape \(2, 2\) does not match 1->1000000000000000000 qubits$"),
+    ], ids=["float-in", "float-out", "huge-in", "huge-out"])
+    def test_qubit_counts_are_integers_checked_by_bit_length(self, k, m, message):
+        with pytest.raises(ValueError, match=message):
+            lemma1_check(I2, k, m)
 
 
 def pinned_channels():
