@@ -7,7 +7,7 @@ no eigensolve where W = d R has the phase-covariant pattern of every named chann
 Anderson-accelerated fixed point sigma <- T(sigma), on 1-qubit inputs in floats but for one
 eigensolve per bracket), and a max-Rains surrogate from the partially transposed Choi matrix.
 All read one operator on any qubit counts, the PDM R: :func:`pdm.pdm_from_channel` builds it and
-its trace norm once per channel and holds them weakly for all bounds; the sweep builds no
+its trace norm once per channel and keeps them on the channel for all bounds; the sweep builds no
 channels but stacks its family's Kraus operators into R by a channel's arithmetic. Values are
 qubits per use.
 """

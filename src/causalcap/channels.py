@@ -12,6 +12,7 @@ Channels are immutable after construction, as no caller holds their arrays, and 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -34,9 +35,11 @@ def choi_from_kraus(ops) -> np.ndarray:
     ops = np.asarray(ops)
     *lead, k, rows, cols = ops.shape
     # (I x A)|Phi+> has component A[y, x]/sqrt(d) at index (x, y)
-    vecs = ops.swapaxes(-1, -2).reshape(*lead, k, rows * cols) / np.sqrt(cols)
+    vecs = ops.swapaxes(-1, -2).reshape(*lead, k, rows * cols) / math.sqrt(cols)
     j = vecs.swapaxes(-1, -2) @ vecs.conj()
-    return 0.5 * (j + j.conj().swapaxes(-1, -2))
+    j += j.conj().swapaxes(-1, -2)  # safe in place: NumPy copies an operand overlapping j
+    j *= 0.5
+    return j
 
 
 def _qubit_count(q) -> int:
@@ -111,7 +114,8 @@ def tp_residual(j: np.ndarray, dim_in: int) -> float:
     ``trace`` of J as (d_in, d_out, d_in, d_out); for J built from Kraus operators A_k it is
     max|sum_k A_k^dag A_k - I|."""
     dim_out = j.shape[0] // dim_in
-    defect = dim_in * j.reshape(dim_in, dim_out, dim_in, dim_out).trace(axis1=1, axis2=3)
+    defect = j.reshape(dim_in, dim_out, dim_in, dim_out).trace(axis1=1, axis2=3)
+    defect *= dim_in  # in place: trace made a new array
     defect.flat[:: dim_in + 1] -= 1.0  # minus I, in place
     return float(np.abs(defect).max())
 
@@ -165,7 +169,8 @@ def conjugate(c: QuantumChannel) -> QuantumChannel:
 
 def check_shifted_depolarizing(p, gamma) -> None:
     """Reject the first point (p, gamma), in order, outside [0, 1/4] x [0, 1] (NaN included)."""
-    for p_i, gamma_i in zip(np.ravel(p).tolist(), np.ravel(gamma).tolist(), strict=True):
+    points = zip(np.asarray(p).ravel().tolist(), np.asarray(gamma).ravel().tolist(), strict=True)
+    for p_i, gamma_i in points:
         if not 0.0 <= p_i <= 0.25:
             raise ValueError(f"p={p_i!r} outside [0, 1/4]")
         if not 0.0 <= gamma_i <= 1.0:
@@ -179,7 +184,7 @@ def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
     check_shifted_depolarizing(p, gamma)
     up, down = np.sqrt(2.0 * p * (1.0 + gamma)), np.sqrt(2.0 * p * (1.0 - gamma))
     # complex, as a channel makes every list: a real stack takes another BLAS kernel for J
-    ops = np.zeros(np.shape(p) + (5, 2, 2), dtype=complex)
+    ops = np.zeros(np.asarray(p).shape + (5, 2, 2), dtype=complex)
     ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(1.0 - 4.0 * p)
     ops[..., 1, 0, 0], ops[..., 2, 0, 1], ops[..., 3, 1, 0], ops[..., 4, 1, 1] = up, up, down, down
     return ops

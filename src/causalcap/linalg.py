@@ -63,7 +63,9 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if defect > HERM_ATOL:
         raise ValueError(f"matrix is not Hermitian (max defect {defect:.3e} > {HERM_ATOL:.0e})")
-    return 0.5 * (a + adjoint)
+    s = a + adjoint  # a new array, never the caller's: halved in place
+    s *= 0.5
+    return s
 
 
 def require_state(rho: np.ndarray) -> np.ndarray:
@@ -81,7 +83,7 @@ def require_state(rho: np.ndarray) -> np.ndarray:
 def trace_norm(a: np.ndarray) -> float:
     """Sum of absolute eigenvalues, for Hermitian input only."""
     m = require_hermitian(a)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
 def random_complex(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

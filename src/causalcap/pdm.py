@@ -5,20 +5,20 @@ density matrix, may carry negative eigenvalues; those witness temporal
 correlations between the two ends of a process. The causality measure is
 the base-2 logarithm of its trace norm.
 
-A channel's PDM R is built once and kept in a table that holds the channel
-weakly (an entry dies with its channel). Building it validates R and takes
-its trace norm in one pass; every bound read from one channel shares both.
+A channel's PDM R is built once and kept on the channel itself, under a
+private key of its instance dict, so R lives exactly as long as its channel.
+Building it validates R and takes its trace norm in one pass; every bound
+read from one channel shares both.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QuantumChannel, _qubit_count
+from .channels import MAX_FILE_QUBITS, QuantumChannel, _qubit_count
 from .linalg import (
     CPTP_ATOL,
     I2,
@@ -55,19 +55,22 @@ class PseudoDensityMatrix:
         tr = float(m.trace().real)
         if abs(tr - 1.0) > CPTP_ATOL:
             raise ValueError(f"pseudo-density matrix trace {tr!r} is not 1")
-        m = 0.5 * (m + m.conj().T)  # the matrix trace_norm took; a channel's R is unchanged
+        m = m + m.conj().T  # the matrix trace_norm took; a channel's R is unchanged
+        m *= 0.5  # in place on the new sum, never on the caller's matrix
         m.setflags(write=False)
         self.__dict__.update(matrix=m, l_in=l_in, l_out=l_out, trace_norm=norm)  # frozen
 
 
 def swap_matrix(l: int) -> np.ndarray:
-    """SWAP^(x l) on 2l qubits, pairing qubit i with qubit l+i.
+    """SWAP^(x l) on 2l qubits (at most ``MAX_FILE_QUBITS``), pairing qubit i with qubit l+i.
 
     It exchanges the two l-qubit registers: |x, y> -> |y, x>.
     """
     l = _qubit_count(l)
     if l < 1:
         raise ValueError("need at least one qubit pair")
+    if 2 * l > MAX_FILE_QUBITS:  # before 2**l: the package's largest operator is 256x256
+        raise ValueError(f"SWAP on l={l} pairs exceeds {MAX_FILE_QUBITS} qubits")
     d = 2**l
     swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
     return swap.reshape(d * d, d * d)
@@ -91,21 +94,18 @@ def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
     return PseudoDensityMatrix(k @ r + r @ k, l_in=1, l_out=1)
 
 
-# channel -> its PDM; an entry dies with its channel
-_PDMS = weakref.WeakKeyDictionary()
-
-
 def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
     """PDM of a channel probed with a maximally mixed earlier-time register.
 
     R = (I x N)(SWAP / d) is the Choi matrix transposed on its reference
     factor, since SWAP / d = T_A(|Phi+><Phi+|) and T_A commutes with I x N.
-    It is built on the first call for a channel; later calls return the same R.
+    It is built on the first call for a channel and kept in the channel's instance dict, as
+    the channel keeps its derived fields; later calls return the same R.
     """
-    r = _PDMS.get(c)
+    r = c.__dict__.get("_pdm")
     if r is None:
         t_a = partial_transpose(c.choi, (c.dim_in, c.dim_out), 0)
-        r = _PDMS[c] = PseudoDensityMatrix(t_a, l_in=c.qubits_in, l_out=c.qubits_out)
+        r = c.__dict__["_pdm"] = PseudoDensityMatrix(t_a, l_in=c.qubits_in, l_out=c.qubits_out)
     return r
 
 

@@ -13,6 +13,7 @@ from causalcap.channels import (
     apply,
     channel_from_dict,
     channel_to_dict,
+    check_shifted_depolarizing,
     choi_from_kraus,
     compose,
     conjugate,
@@ -545,6 +546,37 @@ class TestShiftedDepolarizing:
     def test_range_checks(self, p, gamma):
         with pytest.raises(ValueError):
             shifted_depolarizing(p, gamma)
+
+    @pytest.mark.parametrize("p, gamma, shape", [
+        (0.1, 0.3, (5, 2, 2)),
+        (0, 1, (5, 2, 2)),
+        (np.float64(0.25), np.float64(0.0), (5, 2, 2)),
+        (np.array(0.1), np.array(0.3), (5, 2, 2)),
+        ([0.0, 0.1, 0.25], [1.0, 0.3, 0.0], None),
+        (np.array([0.0, 0.1, 0.25]), np.array([1.0, 0.3, 0.0]), (3, 5, 2, 2)),
+    ], ids=["float", "int", "float64", "0-d", "list", "1-d"])
+    def test_points_of_every_scalar_and_array_kind_are_accepted(self, p, gamma, shape):
+        assert check_shifted_depolarizing(p, gamma) is None
+        if shape is None:  # a list passes the check; the builder's arithmetic takes arrays
+            return
+        ops = shifted_depolarizing_kraus(p, gamma)
+        assert ops.shape == shape and ops.dtype == complex
+        points = [(float(a), float(b)) for a, b in zip(np.ravel(p), np.ravel(gamma))]
+        for stack, point in zip(ops.reshape(-1, 5, 2, 2), points, strict=True):
+            assert stack.tobytes() == shifted_depolarizing_kraus(*point).tobytes(), point
+
+    @pytest.mark.parametrize("p, gamma, message", [
+        (float("nan"), 0.3, r"^p=nan outside \[0, 1/4\]$"),
+        (0.1, np.nan, r"^gamma=nan outside \[0, 1\]$"),
+        (np.float64(0.3), 0.0, r"^p=0\.3 outside \[0, 1/4\]$"),
+        (np.array([0.1, 0.2, -1.0]), np.array([0.0, 1.5, 0.0]), r"^gamma=1\.5 outside \[0, 1\]$"),
+        ([0.1, 0.2], [0.3], r"^zip\(\) argument 2 is shorter than argument 1$"),
+        (np.array([0.1]), np.array([0.3, 0.4]), r"^zip\(\) argument 2 is longer than argument 1$"),
+    ], ids=["nan-p", "nan-gamma", "out-of-range", "first-bad-point", "short", "long"])
+    def test_the_first_bad_point_is_named_by_check_and_builder(self, p, gamma, message):
+        for function in (check_shifted_depolarizing, shifted_depolarizing_kraus):
+            with pytest.raises(ValueError, match=message):
+                function(p, gamma)
 
 
 class TestNamedChannel:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import time
 import weakref
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 
 from causalcap import bounds, linalg, pdm
 from causalcap.channels import (
+    channel_to_dict,
     choi_from_kraus,
     from_kraus,
     named_channel,
     random_channel,
+    save_channel,
     shifted_depolarizing,
+    shifted_depolarizing_kraus,
     tp_residual,
 )
 from causalcap.linalg import (
@@ -76,7 +80,13 @@ class TestSwapMatrix:
         with pytest.raises(ValueError, match=r"qubit counts must be integers, got 1\.0$"):
             swap_matrix(1.0)
 
-    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_rejects_more_pairs_than_a_channel_file_holds_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^SWAP on l=100000000 pairs exceeds 8 qubits$"):
+            swap_matrix(10**8)  # forming 2**l first took 1.3 s, then np.eye failed
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_trace(self, l):
         assert np.isclose(np.trace(swap_matrix(l)) / 2**l, 1.0)
 
@@ -186,6 +196,16 @@ class TestOnePdmPerChannel:
         assert ref() is None
         assert r.trace_norm >= 1.0  # the PDM outlives its channel
 
+    def test_the_cached_pdm_leaks_into_nothing(self, tmp_path):
+        c = random_channel(1, 2, env_qubits=1, seed=6)
+        save_channel(c, tmp_path / "before.json")
+        before = channel_to_dict(c), dataclasses.fields(c), repr(c)
+        r = pdm_from_channel(c)
+        save_channel(c, tmp_path / "after.json")
+        assert (channel_to_dict(c), dataclasses.fields(c), repr(c)) == before
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        assert pdm_from_channel(c) is r
+
     def test_compare_bounds_builds_r_and_its_norm_once(self, monkeypatch):
         calls = {"partial_transpose": 0, "trace_norm": 0}
 
@@ -267,6 +287,7 @@ class TestValidatedOnce:
         m[0, 1] += 1e-12j  # drift within HERM_ATOL
         r = PseudoDensityMatrix(m, 1, 1)
         assert m.flags.writeable and not r.matrix.flags.writeable
+        assert not np.shares_memory(r.matrix, m)
         assert np.array_equal(r.matrix, r.matrix.conj().T)
         assert np.max(np.abs(r.matrix - m)) <= 1e-12
         assert r.trace_norm == trace_norm(m)
@@ -367,8 +388,34 @@ class TestReductionsBitForBit:
             r = pdm_from_channel(c).matrix
             drift = r + 1e-12 * random_complex(*r.shape, rng)  # within HERM_ATOL
             old = 0.5 * (drift + drift.conj().T)
-            assert require_hermitian(drift).tobytes() == old.tobytes(), c.label
+            new = require_hermitian(drift)
+            assert new.tobytes() == old.tobytes(), c.label
+            assert not np.shares_memory(new, drift)  # halved in place, but never the input
             assert float(drift.trace().real).hex() == float(np.trace(drift).real).hex()
+
+    def test_choi_matches_the_sqrt_and_symmetrization_it_replaced(self):
+        def old_choi(ops):
+            *lead, k, rows, cols = ops.shape
+            vecs = ops.swapaxes(-1, -2).reshape(*lead, k, rows * cols) / np.sqrt(cols)
+            j = vecs.swapaxes(-1, -2) @ vecs.conj()
+            return 0.5 * (j + j.conj().swapaxes(-1, -2))
+
+        for c in pinned_channels():
+            assert choi_from_kraus(c.kraus).tobytes() == old_choi(c.kraus).tobytes(), c.label
+            assert c.choi.tobytes() == old_choi(c.kraus).tobytes(), c.label
+        p, g = np.meshgrid(np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.0, 21), indexing="ij")
+        stack = shifted_depolarizing_kraus(p.ravel(), g.ravel())  # the sweep's (546, 5, 2, 2)
+        assert choi_from_kraus(stack).tobytes() == old_choi(stack).tobytes()
+
+    def test_trace_norm_and_stored_pdm_match_the_forms_they_replaced(self):
+        for c in pinned_channels():
+            t_a = partial_transpose(c.choi, (c.dim_in, c.dim_out), 0)
+            old_matrix = 0.5 * (t_a + t_a.conj().T)
+            old_norm = float(np.sum(np.abs(np.linalg.eigvalsh(old_matrix))))
+            r = pdm_from_channel(c)
+            assert r.matrix.tobytes() == old_matrix.tobytes(), c.label
+            assert trace_norm(t_a).hex() == old_norm.hex(), c.label
+            assert r.trace_norm.hex() == old_norm.hex(), c.label
 
     def test_log2_inf_norm_matches_the_largest_absolute_eigenvalue(self):
         for c in pinned_channels():
