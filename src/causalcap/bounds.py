@@ -48,7 +48,7 @@ class OptimizerConfig:
             raise ValueError("restarts must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)  # by identity, as channels and PDMs: best_input is an array
 class BoundReport:
     """One bound evaluation with method tag and optimizer diagnostics."""
 

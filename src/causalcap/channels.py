@@ -180,11 +180,14 @@ def check_shifted_depolarizing(p, gamma) -> None:
 def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
     """Kraus operators sqrt(1-4p) I, sqrt(2p(1+gamma)) |0><x| and sqrt(2p(1-gamma)) |1><x|
     (x = 0, 1) of rho -> (1-4p) rho + 4p (I + gamma Z)/2, points checked first: a complex
-    stack (5, 2, 2) for floats p and gamma, (n, 5, 2, 2) for arrays of n points."""
+    stack (5, 2, 2) for floats p and gamma, p.shape + (5, 2, 2) for arrays or lists of points."""
     check_shifted_depolarizing(p, gamma)
-    up, down = np.sqrt(2.0 * p * (1.0 + gamma)), np.sqrt(2.0 * p * (1.0 - gamma))
+    p = np.asarray(p, dtype=float)
     # complex, as a channel makes every list: a real stack takes another BLAS kernel for J
-    ops = np.zeros(np.asarray(p).shape + (5, 2, 2), dtype=complex)
+    ops = np.zeros(p.shape + (5, 2, 2), dtype=complex)
+    # [()] reads one point as scalars, on which NumPy's arithmetic is faster than on 0-d arrays
+    p, gamma = p[()], np.asarray(gamma, dtype=float).reshape(p.shape)[()]
+    up, down = np.sqrt(2.0 * p * (1.0 + gamma)), np.sqrt(2.0 * p * (1.0 - gamma))
     ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(1.0 - 4.0 * p)
     ops[..., 1, 0, 0], ops[..., 2, 0, 1], ops[..., 3, 1, 0], ops[..., 4, 1, 1] = up, up, down, down
     return ops

@@ -31,7 +31,7 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class PseudoDensityMatrix:
-    """Hermitian unit-trace operator over (earlier time x later time).
+    """Hermitian unit-trace operator over (earlier time x later time), on 2 qubits or more.
 
     ``matrix`` is a symmetrized read-only copy. ``trace_norm`` = ||R||_1 is not an argument:
     the one call that rejects a non-finite, non-square or non-Hermitian matrix computes it.
@@ -39,26 +39,20 @@ class PseudoDensityMatrix:
     """
 
     matrix: np.ndarray
-    l_in: int
-    l_out: int
     trace_norm: float = field(init=False)
 
     def __post_init__(self):
-        l_in, l_out = _qubit_count(self.l_in), _qubit_count(self.l_out)
-        if min(l_in, l_out) < 1:
-            raise ValueError(f"qubit counts must be at least 1, got {l_in}+{l_out}")
         norm = trace_norm(self.matrix)
         m = as_matrix(self.matrix)
-        q = max(m.shape[0].bit_length() - 1, 0)  # bit lengths, never 2**l: no huge power
-        if (1 << q, q) != (m.shape[0], l_in + l_out):  # m is square: trace_norm checked
-            raise ValueError(f"matrix shape {m.shape} does not match {l_in}+{l_out} qubits")
+        if m.shape[0] < 4 or m.shape[0] & (m.shape[0] - 1):  # square (checked): 2**n, n >= 2
+            raise ValueError(f"matrix shape {m.shape} is not that of 2 or more qubits")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > CPTP_ATOL:
             raise ValueError(f"pseudo-density matrix trace {tr!r} is not 1")
         m = m + m.conj().T  # the matrix trace_norm took; a channel's R is unchanged
         m *= 0.5  # in place on the new sum, never on the caller's matrix
         m.setflags(write=False)
-        self.__dict__.update(matrix=m, l_in=l_in, l_out=l_out, trace_norm=norm)  # frozen
+        self.__dict__.update(matrix=m, trace_norm=norm)  # frozen
 
 
 def swap_matrix(l: int) -> np.ndarray:
@@ -91,7 +85,7 @@ def pdm_two_point(rho: np.ndarray, c: QuantumChannel) -> PseudoDensityMatrix:
         raise ValueError(f"{c.label} is not a single-qubit channel")
     r = pdm_from_channel(c).matrix
     k = np.kron(rho, I2)
-    return PseudoDensityMatrix(k @ r + r @ k, l_in=1, l_out=1)
+    return PseudoDensityMatrix(k @ r + r @ k)
 
 
 def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
@@ -105,7 +99,7 @@ def pdm_from_channel(c: QuantumChannel) -> PseudoDensityMatrix:
     r = c.__dict__.get("_pdm")
     if r is None:
         t_a = partial_transpose(c.choi, (c.dim_in, c.dim_out), 0)
-        r = c.__dict__["_pdm"] = PseudoDensityMatrix(t_a, l_in=c.qubits_in, l_out=c.qubits_out)
+        r = c.__dict__["_pdm"] = PseudoDensityMatrix(t_a)
     return r
 
 
@@ -134,16 +128,16 @@ def log_negativity(state: np.ndarray, dims) -> float:
     return math.log2(trace_norm(partial_transpose(require_state(state), dims, 1)))
 
 
-def lemma1_check(k_map: np.ndarray, k: int, m: int) -> float:
+def lemma1_check(k_map: np.ndarray) -> float:
     """Max-entry residual of the swap intertwining identity for a map K.
 
-    For K from k qubits to m qubits, compares (I x K) S_k (I x K^dag)
-    against (K^dag x I) S_m (K x I); both sides live on k+m qubits.
+    For K from k qubits to m qubits, read from its 2**m x 2**k shape, compares
+    (I x K) S_k (I x K^dag) against (K^dag x I) S_m (K x I); both sides live on k+m qubits.
     """
-    k_map, k, m = as_matrix(k_map), _qubit_count(k), _qubit_count(m)
-    q_out, q_in = (max(n.bit_length() - 1, 0) for n in k_map.shape)  # bit lengths, no 2**k
-    if (1 << q_out, 1 << q_in, q_out, q_in) != (*k_map.shape, m, k):
-        raise ValueError(f"map shape {k_map.shape} does not match {k}->{m} qubits")
+    k_map = as_matrix(k_map)
+    m, k = (n.bit_length() - 1 for n in k_map.shape)
+    if min(k, m) < 1 or (1 << m, 1 << k) != k_map.shape:
+        raise ValueError(f"map shape {k_map.shape} is not 2**m x 2**k for m, k >= 1 qubits")
     eye_k = np.eye(2**k, dtype=complex)
     eye_m = np.eye(2**m, dtype=complex)
     lhs = np.kron(eye_k, k_map) @ swap_matrix(k) @ np.kron(eye_k, k_map.conj().T)

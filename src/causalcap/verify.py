@@ -60,8 +60,9 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def entanglement_fidelity(rho: np.ndarray, c: QuantumChannel) -> float:
     """Schumacher entanglement fidelity, sum_k |Tr(rho A_k)|^2."""
     rho = require_state(rho)
-    if rho.shape != (c.dim_in, c.dim_in):
-        raise ValueError(f"state shape {rho.shape} does not match channel input")
+    if rho.shape != c.kraus.shape[1:]:  # Tr(rho A_k) needs each A_k of rho's shape
+        raise ValueError(f"state shape {rho.shape} does not match "
+                         f"a {c.qubits_in}->{c.qubits_out} qubit channel")
     return float(np.sum(np.abs(np.trace(rho @ c.kraus, axis1=1, axis2=2)) ** 2))
 
 
@@ -153,19 +154,19 @@ def _pdm_margins(rng: np.random.Generator) -> list:
     f_r = pdm_mod.causality_F(r)
     # nonnegativity, and exactly zero on separable product PDMs
     sep = np.kron(random_density(2, rng), random_density(2, rng))
-    f_sep = pdm_mod.causality_F(pdm_mod.PseudoDensityMatrix(sep, 1, 1))
+    f_sep = pdm_mod.causality_F(pdm_mod.PseudoDensityMatrix(sep))
     margins = [-f_r, abs(f_sep)]
     # invariance under local change of basis
     u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-    rotated = pdm_mod.PseudoDensityMatrix(u @ r.matrix @ u.conj().T, 1, 1)
+    rotated = pdm_mod.PseudoDensityMatrix(u @ r.matrix @ u.conj().T)
     margins.append(abs(pdm_mod.causality_F(rotated) - f_r))
     # convex mixtures never exceed the worst component
     other = pdm_mod.pdm_from_channel(_random_single_qubit_channel(rng))
     w = float(rng.uniform(0.0, 1.0))
-    mix = pdm_mod.PseudoDensityMatrix(w * r.matrix + (1.0 - w) * other.matrix, 1, 1)
+    mix = pdm_mod.PseudoDensityMatrix(w * r.matrix + (1.0 - w) * other.matrix)
     margins.append(pdm_mod.causality_F(mix) - max(f_r, pdm_mod.causality_F(other)))
     # additivity over tensor products
-    prod = pdm_mod.PseudoDensityMatrix(np.kron(r.matrix, other.matrix), 2, 2)
+    prod = pdm_mod.PseudoDensityMatrix(np.kron(r.matrix, other.matrix))
     margins.append(abs(pdm_mod.causality_F(prod) - f_r - pdm_mod.causality_F(other)))
     return margins
 
@@ -178,7 +179,7 @@ def suite_pdm(seed: int = 0, cases: int = 100) -> SuiteResult:
 def _intertwining_margins(rng: np.random.Generator) -> list:
     k = int(rng.integers(1, 3))
     m = int(rng.integers(k, 3))
-    return [pdm_mod.lemma1_check(random_isometry(2**m, 2**k, rng), k, m)]
+    return [pdm_mod.lemma1_check(random_isometry(2**m, 2**k, rng))]
 
 
 def suite_lemmas(seed: int = 0, cases: int = 50) -> SuiteResult:

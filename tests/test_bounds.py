@@ -674,7 +674,7 @@ class TestPhaseCovariantRoute:
         # entries w03 = w30 couple, so they raise f(sigma) at first order
         w = covariant_w(0.0, 0.5, 1.5, 0.0, 2.0)
         w[0, 3] = w[3, 0] = 1e-10
-        r = PseudoDensityMatrix(w / 2.0, l_in=1, l_out=1)
+        r = PseudoDensityMatrix(w / 2.0)
         monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
         rep = hw_bound(from_kraus([I2], label="stand-in"))
         assert "phase-covariant" in rep.diagnostics["note"]
@@ -687,7 +687,7 @@ class TestPhaseCovariantRoute:
     def test_off_pattern_entries_above_herm_atol_take_the_fixed_point(self, monkeypatch):
         w = covariant_w(0.0, 0.5, 1.5, 0.0, 2.0)
         w[0, 3] = w[3, 0] = 2.0 * HERM_ATOL
-        r = PseudoDensityMatrix(w / 2.0, l_in=1, l_out=1)
+        r = PseudoDensityMatrix(w / 2.0)
         monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
         rep = hw_bound(from_kraus([I2], label="stand-in"))
         assert "phase-covariant" not in rep.diagnostics["note"]
@@ -918,6 +918,18 @@ class TestCompareBounds:
         hw, caus = reports["holevo_werner"], reports["causality"]
         assert hw.value >= caus.value
         assert hw.diagnostics["hw_minus_causality"] >= 0.0
+
+    def test_reports_compare_and_hash_by_identity(self):
+        # an HW report carries its best input, an array, which a value comparison cannot read
+        c = named_channel("amplitude-damping", eta=0.3)
+        diag = {"p": 0.1, "gamma": 0.3}
+        for build in (lambda: hw_bound(c), lambda: causality_bound(c),
+                      lambda: bounds.BoundReport("shifted-depolarizing", "analytic_shifted_depol",
+                                                 analytic_shifted_depol(0.1, 0.3), diag)):
+            rep, again = build(), build()
+            assert rep.value == again.value
+            assert rep == rep and rep != again
+            assert hash(rep) == hash(rep) and len({rep, again}) == 2
 
 
 class TestSweep:

@@ -552,13 +552,14 @@ class TestShiftedDepolarizing:
         (0, 1, (5, 2, 2)),
         (np.float64(0.25), np.float64(0.0), (5, 2, 2)),
         (np.array(0.1), np.array(0.3), (5, 2, 2)),
-        ([0.0, 0.1, 0.25], [1.0, 0.3, 0.0], None),
+        ([0.0, 0.1, 0.25], [1.0, 0.3, 0.0], (3, 5, 2, 2)),
+        (0.1, [0.3], (5, 2, 2)),
+        ([0.1, 0.2], np.array([[0.3], [1.0]]), (2, 5, 2, 2)),
         (np.array([0.0, 0.1, 0.25]), np.array([1.0, 0.3, 0.0]), (3, 5, 2, 2)),
-    ], ids=["float", "int", "float64", "0-d", "list", "1-d"])
+    ], ids=["float", "int", "float64", "0-d", "list", "float-and-list", "list-and-column", "1-d"])
     def test_points_of_every_scalar_and_array_kind_are_accepted(self, p, gamma, shape):
+        # the builder pairs points in the check's order and stacks them in the shape of p
         assert check_shifted_depolarizing(p, gamma) is None
-        if shape is None:  # a list passes the check; the builder's arithmetic takes arrays
-            return
         ops = shifted_depolarizing_kraus(p, gamma)
         assert ops.shape == shape and ops.dtype == complex
         points = [(float(a), float(b)) for a, b in zip(np.ravel(p), np.ravel(gamma))]

@@ -4,6 +4,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +539,26 @@ def test_only_main_maps_exceptions_to_exit_codes():
             if isinstance(node, ast.Name) and node.id in codes:
                 defined = isinstance(node.ctx, ast.Store) and name == "cli.py"
                 assert defined or node in in_main, f"{name}:{node.lineno} names {node.id}"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--channel", "identity", "--method", "causality"], 0),
+    (["verify", "--suite", "pdm", "--cases", "0"], 2),
+], ids=["ok", "usage"])
+def test_exit_codes_reach_the_shell(argv, code):
+    """``python -m causalcap.cli`` exits with the code main returns, through ``entry``."""
+    src = Path(causalcap.__file__).resolve().parents[1]  # the causalcap under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH"),
+    ])))
+    done = subprocess.run([sys.executable, "-m", "causalcap.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    if code == 0:
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["method"] == "causality"
+    else:
+        assert_clean_failure(done.returncode, done.stdout, done.stderr, code)
+        assert done.stderr == "error: cases must be at least 1\n"
 
 
 # --------------------------------------------- exit-code contract, fuzzed in process

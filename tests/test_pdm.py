@@ -168,7 +168,6 @@ class TestPdmFromChannel:
         # every bound reads this R: HW, and the causality bound and max-Rains surrogate by padding
         c = random_channel(*qubits, env_qubits=1, seed=0)
         r = pdm_from_channel(c)
-        assert (r.l_in, r.l_out) == qubits
         assert np.array_equal(r.matrix, partial_transpose(c.choi, (c.dim_in, c.dim_out), 0))
 
 
@@ -183,7 +182,7 @@ class TestOnePdmPerChannel:
     def test_pdms_compare_and_hash_by_identity(self):
         c = random_channel(1, 1, env_qubits=1, seed=4)
         r = pdm_from_channel(c)
-        s = PseudoDensityMatrix(r.matrix, l_in=1, l_out=1)
+        s = PseudoDensityMatrix(r.matrix)
         assert r == r and r != s
         assert hash(r) == hash(r) and len({r, s}) == 2
 
@@ -248,44 +247,30 @@ class TestOnePdmPerChannel:
 class TestValidatedOnce:
     def test_the_norm_is_a_field_set_when_r_is_built(self):
         r = pdm_from_channel(random_channel(1, 1, env_qubits=1, seed=8))
-        assert "trace_norm" in {f.name for f in dataclasses.fields(r)}
+        assert [f.name for f in dataclasses.fields(r)] == ["matrix", "trace_norm"]
         assert vars(r)["trace_norm"] == trace_norm(r.matrix)
 
     @pytest.mark.parametrize(
-        "matrix, l, message",
+        "matrix, message",
         [
-            (np.ones(4), 1, "expected a 2-d matrix"),
-            (np.ones((4, 2)), 1, "expected a square matrix"),
-            (np.diag([np.nan, 1.0, 0.0, 0.0]), 1, "must be finite"),
-            (np.triu(np.ones((4, 4))) / 4, 1, "not Hermitian"),
-            (np.eye(4).tolist(), 2, r"shape \(4, 4\) does not match 2\+2 qubits"),
-            (np.eye(4) / 2, 1, "trace 2.0 is not 1"),
+            (np.ones(4), "expected a 2-d matrix"),
+            (np.ones((4, 2)), "expected a square matrix"),
+            (np.diag([np.nan, 1.0, 0.0, 0.0]), "must be finite"),
+            (np.triu(np.ones((4, 4))) / 4, "not Hermitian"),
+            ((np.eye(6) / 6).tolist(), r"shape \(6, 6\) is not that of 2 or more qubits$"),
+            (np.eye(2) / 2, r"shape \(2, 2\) is not that of 2 or more qubits$"),
+            (np.eye(4) / 2, "trace 2.0 is not 1"),
         ],
-        ids=["1-d", "not-square", "nan", "not-hermitian", "shape-of-a-list", "trace"],
+        ids=["1-d", "not-square", "nan", "not-hermitian", "side-of-a-list", "one-qubit", "trace"],
     )
-    def test_a_supplied_matrix_is_rejected_with_its_message(self, matrix, l, message):
+    def test_a_supplied_matrix_is_rejected_with_its_message(self, matrix, message):
         with pytest.raises(ValueError, match=message):
-            PseudoDensityMatrix(matrix, l, l)
-
-    @pytest.mark.parametrize("l_in, l_out, message", [
-        (1.0, 1, r"qubit counts must be integers, got 1\.0$"),
-        (1, 2.0, r"qubit counts must be integers, got 2\.0$"),
-        (0, 2, r"qubit counts must be at least 1, got 0\+2$"),
-        # fails at once: no 2**(10**12) is formed
-        (1, 10**12, r"shape \(4, 4\) does not match 1\+1000000000000 qubits$"),
-    ], ids=["float-in", "float-out", "zero", "huge"])
-    def test_qubit_counts_are_integers_of_at_least_one(self, l_in, l_out, message):
-        with pytest.raises(ValueError, match=message):
-            PseudoDensityMatrix(swap_matrix(1) / 2, l_in, l_out)
-
-    def test_numpy_integer_counts_are_stored_as_int(self):
-        r = PseudoDensityMatrix(swap_matrix(1) / 2, np.int64(1), np.int32(1))
-        assert (type(r.l_in), type(r.l_out)) == (int, int)
+            PseudoDensityMatrix(matrix)
 
     def test_a_supplied_matrix_is_copied_symmetrized_and_normed(self):
         m = swap_matrix(1) / 2
         m[0, 1] += 1e-12j  # drift within HERM_ATOL
-        r = PseudoDensityMatrix(m, 1, 1)
+        r = PseudoDensityMatrix(m)
         assert m.flags.writeable and not r.matrix.flags.writeable
         assert not np.shares_memory(r.matrix, m)
         assert np.array_equal(r.matrix, r.matrix.conj().T)
@@ -339,26 +324,24 @@ class TestLogNegativity:
 
 class TestLemma1:
     def test_identity_map(self):
-        assert lemma1_check(I2, 1, 1) == 0.0
+        assert lemma1_check(I2) == 0.0
 
     def test_random_unitary(self):
         u = random_unitary(2, np.random.default_rng(1))
-        assert lemma1_check(u, 1, 1) < 1e-10
+        assert lemma1_check(u) < 1e-10
 
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match="does not match"):
-            lemma1_check(I2, 1, 2)
+    def test_counts_are_read_from_the_shape(self):
+        # K from k = 1 to m = 2 qubits is 4 x 2, and the reverse shape of its adjoint
+        k_map = linalg.random_isometry(4, 2, np.random.default_rng(2))
+        assert lemma1_check(k_map) < 1e-10
+        assert lemma1_check(k_map.conj().T) < 1e-10
 
-    @pytest.mark.parametrize("k, m, message", [
-        (1.0, 1, r"qubit counts must be integers, got 1\.0$"),
-        (1, 2.0, r"qubit counts must be integers, got 2\.0$"),
-        # fails at once: no 2**(10**18) is formed
-        (10**18, 1, r"shape \(2, 2\) does not match 1000000000000000000->1 qubits$"),
-        (1, 10**18, r"shape \(2, 2\) does not match 1->1000000000000000000 qubits$"),
-    ], ids=["float-in", "float-out", "huge-in", "huge-out"])
-    def test_qubit_counts_are_integers_checked_by_bit_length(self, k, m, message):
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (1, 2)],
+                             ids=["not-a-power", "one-side", "no-qubit"])
+    def test_shape_check(self, shape):
+        message = rf"^map shape \({shape[0]}, {shape[1]}\) is not 2\*\*m x 2\*\*k for m, k >= 1"
         with pytest.raises(ValueError, match=message):
-            lemma1_check(I2, k, m)
+            lemma1_check(np.ones(shape))
 
 
 def pinned_channels():

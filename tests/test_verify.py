@@ -122,8 +122,17 @@ class TestEntanglementFidelity:
         assert abs(entanglement_fidelity(rho, c) - entanglement_fidelity(rho, c2)) < 1e-9
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^state shape \(4, 4\) does not match a 1->1 qubit"):
             entanglement_fidelity(np.eye(4) / 4, from_kraus([I2]))
+
+    @pytest.mark.parametrize("qubits", [(1, 2), (2, 1)])
+    def test_unequal_qubit_counts_are_named(self, qubits):
+        # the state fits the input, but Tr(rho A_k) needs square Kraus operators
+        c = random_channel(*qubits, env_qubits=1, seed=0)
+        rho = np.eye(c.dim_in) / c.dim_in
+        message = rf"^state shape \({c.dim_in}, {c.dim_in}\) does not match a {qubits[0]}->"
+        with pytest.raises(ValueError, match=message + rf"{qubits[1]} qubit channel$"):
+            entanglement_fidelity(rho, c)
 
 
 class TestFvg:
