@@ -89,6 +89,11 @@ def causality_bound(c: QuantumChannel) -> BoundReport:
 def analytic_shifted_depol(p: float, gamma: float) -> float:
     """Closed-form causality bound for the shifted depolarizing channel."""
     check_shifted_depolarizing(p, gamma)
+    return _analytic(p, gamma)
+
+
+def _analytic(p: float, gamma: float) -> float:
+    """:func:`analytic_shifted_depol` on a checked point."""
     root = math.sqrt(max(1.0 - 8.0 * p + 16.0 * p * p + 4.0 * gamma * gamma * p * p, 0.0))
     return math.log2(1.0 - p + 0.5 * root + 0.5 * abs(2.0 * p - root))
 
@@ -100,8 +105,8 @@ MAX_ITERS = 2000
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 # the least eigenvalue a trial input marginal may have (see _solve_hw)
 _FLOOR = _EPS / CPTP_ATOL
-# the flat indices off the phase-covariant 4x4 pattern: all but w00, w11, w12, w21, w22, w33
-_OFF_PATTERN = (1, 2, 3, 4, 7, 8, 11, 12, 13, 14)
+_NOTE = "certified upper bound; best_input attains the lower end"
+_NOTE_COVARIANT = "certified upper bound (phase-covariant); best_input attains the lower end"
 
 
 def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
@@ -231,7 +236,7 @@ def _solve_hw(w: np.ndarray, d: int):
         if lower > best_lower:
             best_lower, best_root = lower, root
         upper = min(upper, g_max)
-    counts = {"iterations": t, "evaluations": evaluations, "accelerated_steps": accelerated}
+    counts = t, evaluations, accelerated
     # the value lies in [lower, upper]; an upper end below the lower end is rounding
     return np.log2(best_lower), np.log2(max(upper, best_lower)), best_root, counts
 
@@ -284,21 +289,24 @@ def _covariant_ends(w00, w11, w22, w33, a12, s):
 
 
 def _solve_covariant(flat):
-    """Certified bracket for one phase-covariant 4x4 W in plain floats: the closed-form route.
+    """Certified bracket for one phase-covariant 4x4 W = 2R in plain floats: the closed form.
 
-    ``flat`` is W as 16 Python numbers, row-major; None if an entry off the pattern exceeds
-    ``HERM_ATOL``. Some diag(s, 1-s) is optimal (Holevo & Werner, PRA 63, 032312, 2001). An I/2
-    bracket that closes to ``CPTP_ATOL`` is returned as :func:`_solve_hw` returns it after 0
-    steps; else :func:`_sigma_star` picks s*, bracketed too unless within eps / ``CPTP_ATOL`` of
-    0 or 1 (f is flat there). Entries E off the pattern move each end by delta = sum |e_ij|, as
-    ||(sqrt(sigma) x I) E (sqrt(sigma) x I)||_1 <= delta and +-E <= delta I / 2 (zero diagonal).
-    Returns log2 of the lower and upper end, the s of the lower end and the sigma bracketed.
+    ``flat`` is R as 16 Python numbers, row-major; None if an entry of W off the pattern exceeds
+    ``HERM_ATOL``. Only what the bracket reads is doubled, exactly (2 Re z = (2z).real as R's
+    diagonal has imaginary parts +0.0). Some diag(s, 1-s) is optimal (Holevo & Werner, PRA 63,
+    032312, 2001). An I/2 bracket that closes to ``CPTP_ATOL`` is returned as :func:`_solve_hw`
+    returns it after 0 steps; else :func:`_sigma_star` picks s*, bracketed too unless within eps /
+    ``CPTP_ATOL`` of 0 or 1 (f is flat there). Entries E off the pattern move each end by delta =
+    sum |e_ij|, as ||(sqrt(sigma) x I) E (sqrt(sigma) x I)||_1 <= delta and +-E <= delta I / 2 (zero
+    diagonal). Returns log2 of the two ends, the s of the lower end and the sigma bracketed.
     """
-    off = [abs(flat[k]) for k in _OFF_PATTERN]
-    if max(off) > HERM_ATOL:
+    r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33 = flat
+    off = (abs(r01), abs(r02), abs(r03), abs(r10), abs(r13), abs(r20), abs(r23), abs(r30),
+           abs(r31), abs(r32))  # all but r00, r11, r12, r21, r22, r33
+    if 2.0 * max(off) > HERM_ATOL:
         return None
-    w00, w11, w22, w33 = (flat[k].real for k in (0, 5, 10, 15))
-    a12, delta = abs(flat[6]), sum(off)
+    w00, w11, w22, w33 = 2.0 * r00.real, 2.0 * r11.real, 2.0 * r22.real, 2.0 * r33.real
+    a12, delta = 2.0 * abs(r12), 2.0 * sum(off)
     lower, upper = _covariant_ends(w00, w11, w22, w33, a12, 0.5)
     lower, upper, s_lower, evaluations = lower - delta, upper + delta, 0.5, 1
     if math.log2(upper) - math.log2(lower) > CPTP_ATOL:
@@ -317,7 +325,7 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
 
     A pure input with amplitude matrix Psi (reference x system) has output K W K^dag, K =
     Psi x I, W = d R (d = d_in, R the channel PDM; qubit counts may differ), whose trace norm
-    is concave in sigma = Psi^dag Psi. A 1-qubit channel's W, read once as 16 Python numbers,
+    is concave in sigma = Psi^dag Psi. A 1-qubit channel's W, read once from R and doubled,
     takes :func:`_solve_covariant` if its only entries are w00, w11, w22, w33 and w12 = w21*
     (to ``HERM_ATOL``); any other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a
     certified upper bound; ``best_input`` attains ``lower``, or on the closed form at least
@@ -327,19 +335,16 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
     ``cfg`` has no effect (:class:`OptimizerConfig`).
     """
     dim, r = c.dim_in, pdm_mod.pdm_from_channel(c)
-    note = "certified upper bound; best_input attains the lower end"
-    closed = c.qubits_in == c.qubits_out == 1 and _solve_covariant(
-        [2.0 * z for z in r.matrix.ravel().tolist()])  # W = 2R: scaling by 2 is exact
+    closed = c.qubits_in == c.qubits_out == 1 and _solve_covariant(r.matrix.ravel().tolist())
     if closed:
         lower, upper, s, evaluations = closed
         a, b = math.sqrt(s), math.sqrt(1.0 - s)
         rho = np.zeros((4, 4), dtype=complex)  # outer(a|00> + b|11>), imaginary parts +0.0
         rho[0, 0], rho[0, 3], rho[3, 0], rho[3, 3] = a * a, a * b, a * b, b * b
-        counts = {"iterations": 0, "evaluations": evaluations, "accelerated_steps": 0}
-        note = "certified upper bound (phase-covariant); best_input attains the lower end"
+        steps, accelerated, note = 0, 0, _NOTE_COVARIANT
     else:
-        lower, upper, root, counts = _solve_hw(dim * r.matrix, dim)
-        rho = np.outer(root, root.conj())  # np.outer flattens root
+        lower, upper, root, (steps, evaluations, accelerated) = _solve_hw(dim * r.matrix, dim)
+        rho, note = np.outer(root, root.conj()), _NOTE  # np.outer flattens root
     value, low = max(float(upper), pdm_mod.causality_F(r)), float(lower)
     return BoundReport(
         channel_label=c.label,
@@ -347,7 +352,7 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
         value=value,
         diagnostics={
             "restarts": 1,
-            **counts,
+            "iterations": steps, "evaluations": evaluations, "accelerated_steps": accelerated,
             "converged_restarts": int(value - low <= CPTP_ATOL),
             "tolerance": CPTP_ATOL,
             "lower": low,
@@ -399,7 +404,7 @@ def sweep_shifted_depol(
 
     Builds no channels: R = T_A(J), J from :func:`channels.choi_from_kraus` of the stacked
     :func:`channels.shifted_depolarizing_kraus` as for a channel, gives the causality column
-    (one batched eigensolve) and HW (:func:`_solve_covariant` on each row of 2R.tolist(), with
+    (one batched eigensolve) and HW (:func:`_solve_covariant` on each row of R.tolist(), with
     :func:`hw_bound`'s floor), bit for bit as channel-built. ``cfg`` and ``workers`` do nothing.
     """
     points = np.array([(p, g) for p in p_grid for g in gamma_grid], dtype=float).reshape(-1, 2)
@@ -409,8 +414,8 @@ def sweep_shifted_depol(
     r = partial_transpose(j, (2, 2), 0)
     norms = np.abs(np.linalg.eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
     rows = []
-    for (p, g), norm, w in zip(points.tolist(), norms, (2.0 * r).reshape(-1, 16).tolist()):
+    for (p, g), norm, flat in zip(points.tolist(), norms, r.reshape(-1, 16).tolist()):
         caus = pdm_mod.clamp_log2(math.log2(norm))
-        value = max(_solve_covariant(w)[1], caus)  # as in hw_bound
-        rows.append(SweepRow(p, g, caus, analytic_shifted_depol(p, g), value, value - caus))
+        value = max(_solve_covariant(flat)[1], caus)  # as in hw_bound
+        rows.append(SweepRow(p, g, caus, _analytic(p, g), value, value - caus))
     return rows

@@ -190,6 +190,28 @@ class TestHwBound:
         assert diag["iterations"] + 1 <= diag["evaluations"] <= 2 * diag["iterations"] + 1
         assert 0 < diag["accelerated_steps"] <= diag["iterations"]
 
+    def test_diagnostics_of_the_closed_form(self):
+        rep = hw_bound(shifted_depolarizing(0.15, 0.5))
+        diag = rep.diagnostics
+        assert diag["iterations"] == diag["accelerated_steps"] == 0
+        assert diag["evaluations"] == 2  # I/2, then sigma*
+        assert diag["gap"] == rep.value - diag["lower"]
+        assert "phase-covariant" in diag["note"]
+
+    @pytest.mark.parametrize(
+        "chan",
+        [shifted_depolarizing(0.15, 0.5), random_channel(1, 1, env_qubits=2, seed=6)],
+        ids=["closed-form", "fixed-point"],
+    )
+    def test_diagnostics_keep_their_order(self, chan):
+        # the CLI prints them in insertion order, and its fingerprinted output covers only
+        # closed-form channels
+        keys = ["restarts", "iterations", "evaluations", "accelerated_steps",
+                "converged_restarts", "tolerance", "lower", "gap", "note"]
+        assert list(hw_bound(chan).diagnostics) == keys
+        assert list(compare_bounds(chan)["holevo_werner"].diagnostics) == [
+            *keys, "hw_minus_causality"]
+
     def test_unconverged_bracket_is_reported(self, monkeypatch):
         monkeypatch.setattr(bounds, "MAX_ITERS", 2)
         chan = random_channel(1, 1, env_qubits=2, seed=6)
@@ -474,7 +496,7 @@ class TestFixedPointEvaluation:
             assert abs(trial[2] - lower) <= 1e-13 * lower
             assert abs(trial[3] - upper) <= 1e-13 * upper
         assert len(trials) == 40
-        assert counts == {"iterations": 40, "evaluations": 80, "accelerated_steps": 0}
+        assert counts == (40, 80, 0)  # steps, evaluations, accelerated steps
 
 
 def reference_sigma_star(w: np.ndarray) -> np.ndarray:
@@ -552,19 +574,23 @@ def named_channels():
     )
 
 
+# the flat indices off the phase-covariant 4x4 pattern: all but w00, w11, w12, w21, w22, w33
+OFF_PATTERN = (1, 2, 3, 4, 7, 8, 11, 12, 13, 14)
+
+
 def numpy_plumbed_hw(r) -> tuple:
     """(value, diagnostics, best_input) of the closed-form route with NumPy plumbing.
 
-    A reference for :func:`hw_bound`, which reads W once as plain numbers: here W = 2 * R
-    stays an array, the pattern is tested by ``np.abs(w.take(_OFF_PATTERN)).max()``, the
+    A reference for :func:`hw_bound`, which reads R once as plain numbers: here W = 2 * R
+    stays an array, the pattern is tested by ``np.abs(w.take(OFF_PATTERN)).max()``, the
     bracket is taken as the route first took it (s* picked whether or not the I/2 bracket
     closes) and best_input is ``np.outer`` of diag(sqrt(s), sqrt(1-s)).
     """
     w = 2 * r.matrix
-    assert w.shape == (4, 4) and np.abs(w.take(bounds._OFF_PATTERN)).max() <= HERM_ATOL
+    assert w.shape == (4, 4) and np.abs(w.take(OFF_PATTERN)).max() <= HERM_ATOL
     flat = w.ravel().tolist()
     w00, w11, w22, w33 = (flat[k].real for k in (0, 5, 10, 15))
-    a12, delta = abs(flat[6]), sum(abs(flat[k]) for k in bounds._OFF_PATTERN)
+    a12, delta = abs(flat[6]), sum(abs(flat[k]) for k in OFF_PATTERN)
     lower, upper = _covariant_ends(w00, w11, w22, w33, a12, 0.5)
     lower, upper, s_lower, evaluations = lower - delta, upper + delta, 0.5, 1
     s = _sigma_star(w00, w11, w22, w33, a12)

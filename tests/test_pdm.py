@@ -277,6 +277,17 @@ class TestValidatedOnce:
         assert np.max(np.abs(r.matrix - m)) <= 1e-12
         assert r.trace_norm == trace_norm(m)
 
+    def test_the_diagonal_has_imaginary_parts_of_plus_zero(self):
+        # the closed-form HW route doubles Re r_ii, which is (2 r_ii).real bit for bit when
+        # Im r_ii is +0.0
+        drifted = np.diag([0.7, -0.2, 0.6, -0.1]).astype(complex)
+        drifted[0, 3] = drifted[3, 0] = 0.3
+        drifted[np.diag_indices(4)] += [1e-11j, -1e-11j, -1e-11j, 1e-11j]
+        channel_r = pdm_from_channel(random_channel(1, 1, env_qubits=2, seed=6))
+        for r in (channel_r, PseudoDensityMatrix(drifted)):
+            imag = r.matrix.diagonal().imag
+            assert np.all(imag == 0.0) and not np.signbit(imag).any()
+
 
 class TestCausalityMeasure:
     def test_swap_half_is_one(self):
