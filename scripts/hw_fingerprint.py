@@ -28,23 +28,37 @@ The CLI digests are SHA-256 digests of command output: the CSV of the default
 
 prints every digest. With ``--check`` it compares them with those recorded in
 ``scripts/fingerprint.json`` and exits 1, naming each digest that moved, if any
-differs. Digests depend on the LAPACK build, so the file also records the
-numpy version and BLAS it was written with, and ``--check`` says when the build
 differs. With ``--update`` it rewrites the recorded digests and prints
-``name: old → new`` for each that moved; it refuses, exiting 1 before computing
-anything, when the build differs from the recorded one.
+``name: old → new`` for each that moved.
+
+Digests depend on the LAPACK build and on the kernel it runs, so the file also
+records the numpy version, the BLAS and the OpenBLAS kernel they were written
+with, and ``--check`` and ``--update`` refuse, exiting 1 before computing
+anything, when the running build differs from the recorded one. numpy's
+OpenBLAS picks its kernel from the CPU when it loads, and kernels differ in
+their bits: on one SkylakeX CPU the SkylakeX kernel gives 4 of the 9 digests
+other values than the Haswell one, and Sandybridge 7. So the script, run as
+above, pins the Haswell kernel, which every x86-64 CPU with AVX2 runs (asking
+for Zen gets it too), by setting ``OPENBLAS_CORETYPE=Haswell`` before it
+imports numpy. Imported as a module it pins nothing, and ``build()`` reports
+the kernel that the CPU selected.
 """
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+if __name__ == "__main__":  # before numpy loads OpenBLAS, which reads it once
+    os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 import numpy as np
 
@@ -173,10 +187,23 @@ def cli_digests() -> dict[str, str]:
     return {key: hashlib.sha256(out).hexdigest() for key, out in outputs.items()}
 
 
+def openblas_kernel() -> str:
+    """The kernel that numpy's bundled scipy-openblas runs, "unknown" where there is none.
+
+    ``np.show_config()`` reports only the kernel named when the wheel was built."""
+    libs = sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas*"))
+    if not libs:
+        return "unknown"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def build() -> dict[str, str]:
-    """The numpy version and BLAS that the digests were computed with."""
+    """The numpy version, BLAS and OpenBLAS kernel that the digests were computed with."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "kernel": openblas_kernel()}
 
 
 def fingerprints() -> dict[str, str]:
@@ -212,11 +239,8 @@ def recorded() -> dict:
 
 def check(digests: dict[str, str]) -> list[str]:
     """The names of the digests that differ from ``fingerprint.json``, printing each."""
-    expected, running = recorded(), build()
-    if expected["build"] != running:
-        print(f"note: digests recorded with {expected['build']}, running with {running}")
     moved = []
-    for key, want in expected["digests"].items():
+    for key, want in recorded()["digests"].items():
         got = digests.get(key)
         if got != want:
             moved.append(key)
@@ -240,14 +264,15 @@ def main() -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--check", action="store_true",
-        help=f"compare with {EXPECTED.name}; exit 1 naming each digest that moved",
+        help=f"compare with {EXPECTED.name}; exit 1 naming each digest that moved; refused unless "
+             "the build matches",
     )
     mode.add_argument(
         "--update", action="store_true",
         help=f"rewrite the digests in {EXPECTED.name}; refused unless the build matches",
     )
     args = parser.parse_args()
-    if args.update and (expected := recorded()["build"]) != (running := build()):
+    if (args.check or args.update) and (expected := recorded()["build"]) != (running := build()):
         print(f"refused: digests recorded with {expected}, running with {running}")
         return 1
     digests = fingerprints()

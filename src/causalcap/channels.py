@@ -55,18 +55,18 @@ class QuantumChannel:
     """Completely positive trace-preserving map between qubit registers.
 
     Validates itself, in order: each Kraus operator is a 2-D matrix, there is one at least,
-    all share a shape, entries are finite, the qubit counts are integers of at least 1 that
-    match the shape, entries have magnitude at most 1, and the list is trace preserving.
-    ``kraus`` (matrices, or a stack (k, d_out, d_in)) is copied once into the read-only stack
-    (k, d_out, d_in) it is stored as; ``choi``, built from that stack, and the dimensions are
-    not arguments. Channels compare and hash by identity; compare ``choi`` for value equality.
+    all share a shape, entries are finite, the shape is (2**m, 2**n) with m, n >= 1, entries
+    have magnitude at most 1, and the list is trace preserving. ``kraus`` (matrices, or a stack
+    (k, d_out, d_in)) is copied once into the read-only stack (k, d_out, d_in) it is stored as;
+    ``choi``, built from that stack, the dimensions and the qubit counts are read from it, not
+    passed. Channels compare and hash by identity; compare ``choi`` for value equality.
     """
 
-    qubits_in: int
-    qubits_out: int
     kraus: np.ndarray
     label: str = "channel"
     choi: np.ndarray = field(init=False)
+    qubits_in: int = field(init=False)
+    qubits_out: int = field(init=False)
     dim_in: int = field(init=False)
     dim_out: int = field(init=False)
 
@@ -86,15 +86,9 @@ class QuantumChannel:
         peak = np.abs(ops).max(initial=0.0)  # also inf where a finite entry's modulus overflows
         if not peak < np.inf and not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite (found NaN or infinity)")
-        qubits_in, qubits_out = _qubit_count(self.qubits_in), _qubit_count(self.qubits_out)
-        if min(qubits_in, qubits_out) < 1:
-            raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
-        # compare bit lengths, never 2**q, so a huge qubit count fails at once
-        q_in, q_out = max(cols.bit_length() - 1, 0), max(rows.bit_length() - 1, 0)
-        if (1 << q_in, 1 << q_out, q_in, q_out) != (cols, rows, qubits_in, qubits_out):
-            raise ValueError(
-                f"Kraus shape {(rows, cols)} does not match {qubits_in}->{qubits_out} qubits"
-            )
+        qubits_in, qubits_out = cols.bit_length() - 1, rows.bit_length() - 1
+        if min(qubits_in, qubits_out) < 1 or (1 << qubits_in, 1 << qubits_out) != (cols, rows):
+            raise ValueError(f"Kraus shape {(rows, cols)} is not (2**m, 2**n) with m, n >= 1")
         if not peak <= 1.0 + CPTP_ATOL:  # TP bounds every |entry| by 1; more could overflow J
             raise ValueError("Kraus entries must have magnitude at most 1")
         ops.setflags(write=False)
@@ -122,13 +116,18 @@ def tp_residual(j: np.ndarray, dim_in: int) -> float:
 
 def from_kraus(ops: Sequence[np.ndarray], qubits_in: int | None = None,
                qubits_out: int | None = None, label: str = "channel") -> QuantumChannel:
-    """:class:`QuantumChannel` of ``ops``; a count left out is read from the first one's shape."""
-    if qubits_in is None or qubits_out is None:
+    """:class:`QuantumChannel` of ``ops``. Each qubit count a caller declares is checked first,
+    before J is built: an integer of at least 1 that matches the first operator's shape."""
+    if qubits_in is not None or qubits_out is not None:
+        if min(_qubit_count(q) for q in (qubits_in, qubits_out) if q is not None) < 1:
+            raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
         ops = list(ops)  # any iterable, as the type takes
-        rows, cols = as_matrix(ops[0]).shape if ops else (1, 1)  # no ops: the type refuses
-        qubits_in = max(cols.bit_length() - 1, 0) if qubits_in is None else qubits_in
-        qubits_out = max(rows.bit_length() - 1, 0) if qubits_out is None else qubits_out
-    return QuantumChannel(qubits_in, qubits_out, ops, label)
+        shape = as_matrix(ops[0]).shape if ops else ()  # no ops: the type refuses
+        # by bit length, never 2**q, so a huge count fails at once; d & (d - 1) is 0 for 2**m
+        if any(q is not None and (q != d.bit_length() - 1 or d & (d - 1))
+               for q, d in zip((qubits_in, qubits_out), shape[::-1])):
+            raise ValueError(f"Kraus shape {shape} does not match {qubits_in}->{qubits_out} qubits")
+    return QuantumChannel(ops, label)
 
 
 def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -147,7 +146,7 @@ def compose(d: QuantumChannel, c: QuantumChannel) -> QuantumChannel:
             f"{d.label} expects {d.qubits_in}"
         )
     ops = (d.kraus[:, None] @ c.kraus).reshape(-1, d.dim_out, c.dim_in)  # D_j A_k, k fastest
-    return from_kraus(ops, c.qubits_in, d.qubits_out, label=f"{d.label}∘{c.label}")
+    return QuantumChannel(ops, f"{d.label}∘{c.label}")
 
 
 def tensor(c: QuantumChannel, d: QuantumChannel) -> QuantumChannel:
@@ -155,8 +154,7 @@ def tensor(c: QuantumChannel, d: QuantumChannel) -> QuantumChannel:
     # kron(A_j, B_k) for each pair, k fastest: axes (j, k, row_a, row_b, col_a, col_b)
     ops = c.kraus[:, None, :, None, :, None] * d.kraus[:, None, :, None, :]
     ops = ops.reshape(-1, c.dim_out * d.dim_out, c.dim_in * d.dim_in)
-    return from_kraus(ops, c.qubits_in + d.qubits_in, c.qubits_out + d.qubits_out,
-                      label=f"{c.label}⊗{d.label}")
+    return QuantumChannel(ops, f"{c.label}⊗{d.label}")
 
 
 def conjugate(c: QuantumChannel) -> QuantumChannel:
@@ -164,13 +162,16 @@ def conjugate(c: QuantumChannel) -> QuantumChannel:
 
     Satisfies transpose(N(X)) = N_conj(transpose(X)) for every input X.
     """
-    return from_kraus(c.kraus.conj(), c.qubits_in, c.qubits_out, label=f"{c.label}*")
+    return QuantumChannel(c.kraus.conj(), f"{c.label}*")
 
 
 def check_shifted_depolarizing(p, gamma) -> None:
-    """Reject the first point (p, gamma), in order, outside [0, 1/4] x [0, 1] (NaN included)."""
-    points = zip(np.asarray(p).ravel().tolist(), np.asarray(gamma).ravel().tolist(), strict=True)
-    for p_i, gamma_i in points:
+    """Reject unequal counts of p and gamma values, then the first point (p, gamma), in order,
+    outside [0, 1/4] x [0, 1] (NaN included)."""
+    ps, gammas = np.asarray(p).ravel().tolist(), np.asarray(gamma).ravel().tolist()
+    if len(ps) != len(gammas):
+        raise ValueError(f"{len(ps)} values of p but {len(gammas)} of gamma")
+    for p_i, gamma_i in zip(ps, gammas):
         if not 0.0 <= p_i <= 0.25:
             raise ValueError(f"p={p_i!r} outside [0, 1/4]")
         if not 0.0 <= gamma_i <= 1.0:
@@ -196,8 +197,8 @@ def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
 def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2, from its nonzero Kraus operators."""
     ops = shifted_depolarizing_kraus(p, gamma)
-    return from_kraus(ops[ops.any(axis=(1, 2))], 1, 1,
-                      label=f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
+    return QuantumChannel(ops[ops.any(axis=(1, 2))],
+                          f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
 
 
 CHANNEL_NAMES = ("identity", "depolarizing", "shifted-depolarizing", "dephasing",
@@ -213,12 +214,12 @@ def named_channel(name: str, **params) -> QuantumChannel:
             if not 1 <= qubits <= 3:  # before np.eye allocates: sized for 3+3 qubits
                 raise ValueError(f"identity channel needs 1 to 3 qubits, got {qubits}")
             _reject_extra(name, params)
-            return from_kraus([np.eye(2**qubits)], qubits, qubits, label=f"identity({qubits})")
+            return QuantumChannel([np.eye(2**qubits)], f"identity({qubits})")
         if name == "depolarizing":
             p = float(params.pop("p"))
             _reject_extra(name, params)
             ops = shifted_depolarizing_kraus(p, 0.0)
-            return from_kraus(ops[ops.any(axis=(1, 2))], 1, 1, label=f"depolarizing(p={p:g})")
+            return QuantumChannel(ops[ops.any(axis=(1, 2))], f"depolarizing(p={p:g})")
         if name == "shifted-depolarizing":
             p = float(params.pop("p"))
             gamma = float(params.pop("gamma"))
@@ -229,9 +230,9 @@ def named_channel(name: str, **params) -> QuantumChannel:
             _reject_extra(name, params)
             if not 0.0 <= lam <= 1.0:
                 raise ValueError(f"dephasing strength {lam!r} outside [0, 1]")
-            return from_kraus(
+            return QuantumChannel(
                 [np.sqrt(1.0 - lam / 2.0) * I2, np.sqrt(lam / 2.0) * PAULI_Z],
-                1, 1, label=f"dephasing({lam:g})",
+                f"dephasing({lam:g})",
             )
         if name == "amplitude-damping":
             eta = float(params.pop("eta"))
@@ -240,7 +241,7 @@ def named_channel(name: str, **params) -> QuantumChannel:
                 raise ValueError(f"damping eta {eta!r} outside [0, 1]")
             a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
             a1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
-            return from_kraus([a0, a1], 1, 1, label=f"amplitude-damping({eta:g})")
+            return QuantumChannel([a0, a1], f"amplitude-damping({eta:g})")
         raise ValueError(f"unknown channel name {name!r} (known: {', '.join(CHANNEL_NAMES)})")
     except KeyError as exc:  # a params.pop without a default
         raise ValueError(f"channel {name!r} needs parameter {exc.args[0]!r}") from None
@@ -272,9 +273,8 @@ def random_channel(qubits_in: int, qubits_out: int, env_qubits: int = 1,
     v, _ = np.linalg.qr(random_complex(dim_out * dim_env, dim_in, rng))
     # system-major row ordering: row (s, e) sits at s*dim_env + e, so A_e = v[e::dim_env]
     ops = v.reshape(dim_out, dim_env, dim_in).swapaxes(0, 1)
-    return from_kraus(
-        ops, qubits_in, qubits_out,
-        label=f"random({qubits_in}->{qubits_out},env={env_qubits},seed={seed})",
+    return QuantumChannel(
+        ops, f"random({qubits_in}->{qubits_out},env={env_qubits},seed={seed})"
     )
 
 

@@ -22,7 +22,6 @@ from . import pdm as pdm_mod
 from .channels import (
     QuantumChannel,
     compose,
-    from_kraus,
     named_channel,
     random_channel,
     shifted_depolarizing,
@@ -130,7 +129,7 @@ def _cases(name, seed, first, cases, margins, tol=CPTP_ATOL, fixed=()) -> SuiteR
 def _lemma2_margins(rng: np.random.Generator) -> list:
     k = int(rng.integers(1, 3))
     m = int(rng.integers(k, 3))
-    enc = from_kraus([random_isometry(2**m, 2**k, rng)], k, m)
+    enc = QuantumChannel([random_isometry(2**m, 2**k, rng)])
     mid = random_channel(m, m, env_qubits=1, seed=int(rng.integers(2**31)))
     dec = random_channel(m, k, env_qubits=m - k + 1, seed=int(rng.integers(2**31)))
     f_mid = pdm_mod.causality_F(pdm_mod.pdm_from_channel(mid))

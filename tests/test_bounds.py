@@ -645,12 +645,9 @@ class TestPhaseCovariantRoute:
         assert evaluations == {1, 2}  # I/2 alone, and sigma* as well
 
     def test_scalar_sigma_star_matches_vectorised_reference(self):
-        ws = [2.0 * pdm_from_channel(c).matrix for c in named_channels()]
-        rng = np.random.default_rng(15)
-        for scale in (1e-3, 1.0, 10.0):
-            for _ in range(200):
-                d, z = scale * rng.random(4), rng.normal() + 1j * rng.normal()
-                ws.append(covariant_w(*d, z * rng.random() * math.sqrt(d[1] * d[2] + 0.1)))
+        seeded = seeded_covariant_ws()
+        assert len(seeded) == 600
+        ws = [2.0 * pdm_from_channel(c).matrix for c in named_channels()] + seeded
         ws += [
             2.0 * pdm_from_channel(shifted_depolarizing(0.1, 0.0)).matrix,  # gamma = 0: double root
             covariant_w(0.3, 1.0, 1.0, 0.7, 1.0),  # alpha == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -33,21 +34,26 @@ from causalcap.verify import entanglement_fidelity
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 IDENT = from_kraus([I2], label="identity")
-# the two ways to a 1->1 channel: from_kraus reads the counts from the shape, the type is given them
-ENTRY_POINTS = (from_kraus, lambda ops: QuantumChannel(1, 1, ops))
 DEPHASE = from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z], label="dephase")
-# malformed Kraus operators of a 1->1 channel, each with the message it raises
+# malformed Kraus operators, each with the message it raises whether or not 1->1 is declared
 MALFORMED = {
     "none": ([], "a channel needs at least one Kraus operator"),
     "1-d": ([np.ones(2), np.ones(2)], r"expected a 2-d matrix, got shape \(2,\)"),
     "ragged": ([I2, np.eye(4, 2)], "Kraus operators must share a common shape"),
-    "0x0": ([np.zeros((0, 0))], r"Kraus shape \(0, 0\) does not match 1->1 qubits"),
     "nan": ([np.diag([np.nan, 1.0])], r"must be finite \(found NaN or infinity\)"),
     "inf": ([np.diag([1.0, -np.inf])], r"must be finite \(found NaN or infinity\)"),
     "magnitude": ([np.diag([1e308, 1.0])], "must have magnitude at most 1"),
     # finite parts whose modulus overflows to inf: a magnitude fault, not a finiteness one
     "modulus-overflow": ([np.diag([1.5e308 + 1.5e308j, 1.0])], "must have magnitude at most 1"),
     "not-tp": ([0.5 * I2], "not trace preserving"),
+}
+# Kraus operators of a shape (rows, cols) that no map between qubit registers has
+NOT_QUBIT_SHAPES = {
+    "0x0": ([np.zeros((0, 0))], (0, 0)),
+    "1x1": ([np.eye(1)], (1, 1)),
+    "3x3": ([np.eye(3)], (3, 3)),
+    "prepare": ([np.array([[1.0], [0.0]])], (2, 1)),  # prepares |0>
+    "trace": ([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])], (1, 2)),
 }
 # the forms the operators may come in (a stack cannot be ragged)
 FORMS = {
@@ -102,86 +108,83 @@ class TestFromKraus:
         rho = (I2 + PAULI_X) / 2
         assert np.allclose(apply(DEPHASE, rho), I2 / 2)
 
-    # Each rejection test below runs both ways to a channel, from_kraus(ops, ...) and
-    # QuantumChannel(qubits_in, qubits_out, ops), and expects one message from both.
+    # QuantumChannel(ops) and from_kraus(ops) are one path: each rejection test below without
+    # declared counts runs once
 
     def test_rejects_incomplete(self):
-        for build in ENTRY_POINTS:
-            with pytest.raises(ValueError, match="not trace preserving"):
-                build([0.5 * I2])
+        with pytest.raises(ValueError, match="not trace preserving"):
+            QuantumChannel([0.5 * I2])
 
     def test_rejects_empty(self):
-        for build in ENTRY_POINTS:
-            with pytest.raises(ValueError):
-                build([])
+        with pytest.raises(ValueError):
+            QuantumChannel([])
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_rejects_non_finite(self, entry):
         bad = I2.copy()
         bad[0, 1] = entry
-        for build in ENTRY_POINTS:
-            with pytest.raises(ValueError, match="finite"):
-                build([bad])
+        with pytest.raises(ValueError, match="finite"):
+            QuantumChannel([bad])
 
     def test_rejects_overflowing_entry(self):
         # J of this list overflows to inf/NaN; the entry bound rejects it first
         bad = I2.copy()
         bad[0, 0] = 1e308
-        for build in ENTRY_POINTS:
-            with pytest.raises(ValueError, match="magnitude"):
-                build([bad])
+        with pytest.raises(ValueError, match="magnitude"):
+            QuantumChannel([bad])
 
     def test_rejects_huge_qubit_count_without_computing_its_dimension(self):
-        for build in (from_kraus, lambda ops, *qubits: QuantumChannel(*qubits, ops)):
-            with pytest.raises(ValueError, match="does not match"):
-                build([I2], 10**400, 1)
+        message = r"^Kraus shape \(2, 2\) does not match 10{400}->1 qubits$"
+        with pytest.raises(ValueError, match=message):
+            from_kraus([I2], 10**400, 1)
 
     def test_rejects_operators_of_different_shapes(self):
-        for build in ENTRY_POINTS:
-            with pytest.raises(ValueError, match="Kraus operators must share a common shape"):
-                build([I2, np.eye(4, 2, dtype=complex)])
+        with pytest.raises(ValueError, match="Kraus operators must share a common shape"):
+            QuantumChannel([I2, np.eye(4, 2, dtype=complex)])
 
-    @pytest.mark.parametrize(
-        "ops, qubits, shown",
-        [
-            ([np.eye(1)], (None, None), "0->0"),  # the counts read from a 1x1 shape
-            ([np.eye(1)], (0, 0), "0->0"),
-            ([np.array([[1.0], [0.0]])], (None, None), "0->1"),  # prepares |0>
-            ([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])], (None, None), "1->0"),  # trace
-            ([I2], (-1, 1), "-1->1"),
-        ],
-        ids=["1x1", "0-0", "0-1", "1-0", "negative"],
-    )
-    def test_rejects_qubit_counts_below_one(self, ops, qubits, shown):
-        with pytest.raises(ValueError, match=f"qubit counts must be at least 1, got {shown}$"):
+    @pytest.mark.parametrize("ops, qubits, shown", [
+        ([np.eye(1)], (0, 0), "0->0"),
+        ([I2], (-1, 1), "-1->1"),
+        ([I2], (None, 0), "None->0"),  # a count left out is shown as left out
+    ], ids=["0-0", "negative", "out-only"])
+    def test_rejects_declared_qubit_counts_below_one(self, ops, qubits, shown):
+        with pytest.raises(ValueError, match=f"^qubit counts must be at least 1, got {shown}$"):
             from_kraus(ops, *qubits)
-        # the type is given the counts that from_kraus reads from the shape
-        with pytest.raises(ValueError, match=f"qubit counts must be at least 1, got {shown}$"):
-            QuantumChannel(*map(int, shown.split("->")), ops)
 
     @pytest.mark.parametrize("op", [np.ones(2), np.ones((2, 2, 1)), np.array(1.0)],
                              ids=["1-d", "3-d", "0-d"])
     def test_rejects_an_operator_that_is_not_2d(self, op):
-        for build in ENTRY_POINTS:
-            with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \("):
-                build([I2, op])
+        with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \("):
+            QuantumChannel([I2, op])
 
     @pytest.mark.parametrize("case, form", [(case, form) for case in MALFORMED for form in FORMS
                                             if (case, form) != ("ragged", "stack")])
     def test_malformed_operators_raise_one_message_in_every_form(self, case, form):
         ops, message = MALFORMED[case]
-        for build in (lambda o: from_kraus(o, 1, 1), lambda o: QuantumChannel(1, 1, o)):
+        for build in (QuantumChannel, from_kraus, lambda o: from_kraus(o, 1, 1)):
             with pytest.raises(ValueError, match=message):
                 build(FORMS[form](ops))
 
+    @pytest.mark.parametrize("case, form", [(case, form) for case in NOT_QUBIT_SHAPES
+                                            for form in FORMS])
+    def test_a_shape_no_qubit_map_has_is_named_without_counts(self, case, form):
+        ops, (rows, cols) = NOT_QUBIT_SHAPES[case]
+        for build in (QuantumChannel, from_kraus):
+            with pytest.raises(ValueError, match=rf"^Kraus shape \({rows}, {cols}\) is not "
+                                                 r"\(2\*\*m, 2\*\*n\) with m, n >= 1$"):
+                build(FORMS[form](ops))
+        # declared counts are compared with the first operator's shape before the type runs
+        with pytest.raises(ValueError,
+                           match=rf"^Kraus shape \({rows}, {cols}\) does not match 1->1 qubits$"):
+            from_kraus(FORMS[form](ops), 1, 1)
+
     @pytest.mark.parametrize("build, shown", [
         (lambda: from_kraus([I2], 1.0, 1.0), "1.0"),
-        (lambda: QuantumChannel(1, 1.0, [I2]), "1.0"),
-        (lambda: QuantumChannel(None, 1, [I2]), "None"),
+        (lambda: from_kraus([I2], qubits_out=2.0), "2.0"),
         (lambda: random_channel(1.0, 1), "1.0"),
         (lambda: random_channel(1, 1, env_qubits=1.5), "1.5"),
         (lambda: named_channel("identity", qubits=2.7), "2.7"),
-    ], ids=["from_kraus", "type", "type-none", "random", "random-env", "identity"])
+    ], ids=["from_kraus", "from_kraus-out", "random", "random-env", "identity"])
     def test_rejects_qubit_counts_that_are_not_integers(self, build, shown):
         with pytest.raises(ValueError, match=f"must be integers, got {re.escape(shown)}$"):
             build()
@@ -193,16 +196,24 @@ class TestFromKraus:
 
 
 class TestDirectConstructor:
-    """QuantumChannel(q_in, q_out, ops) makes the checks and copies that from_kraus makes."""
+    """QuantumChannel(ops) reads the qubit counts from the shape and makes the one copy."""
+
+    def test_takes_only_its_operators_and_label(self):
+        init = [f.name for f in dataclasses.fields(QuantumChannel) if f.init]
+        assert init == ["kraus", "label"]
+        # |x> -> |x>|0>: an isometry from 1 qubit into 2
+        c = QuantumChannel([np.eye(4, 2)[[0, 2, 1, 3]]], "append")
+        assert (c.qubits_in, c.qubits_out, c.dim_in, c.dim_out) == (1, 2, 2, 4)
+        assert type(c.qubits_in) is int and c.label == "append"
 
     def test_rejects_a_map_that_is_not_trace_preserving(self):
         ket0_bra0, ket1_bra0 = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="not trace preserving"):
-            QuantumChannel(1, 1, (ket0_bra0, ket1_bra0))
+            QuantumChannel((ket0_bra0, ket1_bra0))
 
     def test_the_callers_array_cannot_change_the_channel(self):
         a = np.eye(2, dtype=complex)
-        c = QuantumChannel(1, 1, [a])
+        c = QuantumChannel([a])
         a[:] = PAULI_X
         assert np.array_equal(c.kraus[0], I2) and np.array_equal(c.choi, IDENT.choi)
 
@@ -211,8 +222,9 @@ class TestDirectConstructor:
         (2, 2, np.array(random_channel(2, 2).kraus)),
     ], ids=["shifted", "random"])
     def test_a_stack_builds_the_channel_its_list_builds(self, q_in, q_out, stack):
-        from_stack = QuantumChannel(q_in, q_out, stack)
-        from_list = QuantumChannel(q_in, q_out, list(stack))
+        from_stack = QuantumChannel(stack)
+        from_list = QuantumChannel(list(stack))
+        assert (from_stack.qubits_in, from_stack.qubits_out) == (q_in, q_out)
         assert np.array(from_stack.kraus).tobytes() == np.array(from_list.kraus).tobytes()
         assert from_stack.choi.tobytes() == from_list.choi.tobytes()
 
@@ -222,18 +234,18 @@ class TestDirectConstructor:
         (2, 1, list(random_channel(2, 1, env_qubits=2).kraus)),
     ], ids=["real", "shifted", "random"])
     def test_a_generator_builds_the_channel_its_list_builds(self, q_in, q_out, ops):
-        from_list = QuantumChannel(q_in, q_out, ops)
+        from_list = QuantumChannel(ops)
         # the one copy holds the entries that one copy per operator holds
         per_operator = np.array([np.asarray(a, dtype=complex) for a in ops])
         assert from_list.kraus.tobytes() == per_operator.tobytes()
         for c in (from_kraus((a for a in ops), q_in, q_out), from_kraus(a for a in ops),
-                  QuantumChannel(q_in, q_out, iter(ops))):
+                  QuantumChannel(iter(ops))):
             assert (c.qubits_in, c.qubits_out) == (q_in, q_out)
             assert c.kraus.tobytes() == from_list.kraus.tobytes()
             assert c.choi.tobytes() == from_list.choi.tobytes()
 
     @pytest.mark.parametrize("make", [
-        lambda: QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
+        lambda: QuantumChannel([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
         lambda: shifted_depolarizing(0.1, 0.3),
         lambda: random_channel(2, 1, env_qubits=2, seed=0),
     ], ids=["list", "shifted", "random"])
@@ -246,14 +258,14 @@ class TestDirectConstructor:
 
     def test_the_callers_stack_cannot_change_the_channel(self):
         stack = shifted_depolarizing_kraus(0.1, 0.3)
-        c = QuantumChannel(1, 1, stack)
+        c = QuantumChannel(stack)
         stack[:] = PAULI_X
         assert np.array_equal(np.array(c.kraus), shifted_depolarizing_kraus(0.1, 0.3))
         assert np.array_equal(c.choi, choi_from_kraus(shifted_depolarizing_kraus(0.1, 0.3)))
 
     def test_an_empty_stack_is_refused(self):
         with pytest.raises(ValueError, match="needs at least one Kraus operator"):
-            QuantumChannel(1, 1, np.zeros((0, 2, 2)))
+            QuantumChannel(np.zeros((0, 2, 2)))
 
 
 class TestImmutable:
@@ -266,8 +278,8 @@ class TestImmutable:
         assert np.array_equal(c.kraus[0], I2) and np.array_equal(c.choi, IDENT.choi)
 
     @pytest.mark.parametrize("make", [
-        lambda tmp: QuantumChannel(1, 1, [np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
-        lambda tmp: QuantumChannel(1, 1, shifted_depolarizing_kraus(0.1, 0.3)),
+        lambda tmp: QuantumChannel([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
+        lambda tmp: QuantumChannel(shifted_depolarizing_kraus(0.1, 0.3)),
         lambda tmp: from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z]),
         lambda tmp: named_channel("amplitude-damping", eta=0.3),
         lambda tmp: shifted_depolarizing(0.1, 0.3),
@@ -571,9 +583,12 @@ class TestShiftedDepolarizing:
         (0.1, np.nan, r"^gamma=nan outside \[0, 1\]$"),
         (np.float64(0.3), 0.0, r"^p=0\.3 outside \[0, 1/4\]$"),
         (np.array([0.1, 0.2, -1.0]), np.array([0.0, 1.5, 0.0]), r"^gamma=1\.5 outside \[0, 1\]$"),
-        ([0.1, 0.2], [0.3], r"^zip\(\) argument 2 is shorter than argument 1$"),
-        (np.array([0.1]), np.array([0.3, 0.4]), r"^zip\(\) argument 2 is longer than argument 1$"),
-    ], ids=["nan-p", "nan-gamma", "out-of-range", "first-bad-point", "short", "long"])
+        ([0.1, 0.2], [0.3], r"^2 values of p but 1 of gamma$"),
+        (np.array([0.1]), np.array([0.3, 0.4]), r"^1 values of p but 2 of gamma$"),
+        (0.1, [0.2, 0.3], r"^1 values of p but 2 of gamma$"),
+        ([0.1, 0.2], 0.3, r"^2 values of p but 1 of gamma$"),
+    ], ids=["nan-p", "nan-gamma", "out-of-range", "first-bad-point", "short", "long",
+            "scalar-p", "scalar-gamma"])
     def test_the_first_bad_point_is_named_by_check_and_builder(self, p, gamma, message):
         for function in (check_shifted_depolarizing, shifted_depolarizing_kraus):
             with pytest.raises(ValueError, match=message):

@@ -23,10 +23,6 @@ def _script_module():
 
 
 def test_digests_match_the_recorded_fingerprint():
-    recorded = json.loads((ROOT / "scripts" / "fingerprint.json").read_text(encoding="utf-8"))
-    running = _script_module().build()
-    if recorded["build"] != running:
-        pytest.skip(f"digests recorded with {recorded['build']}; this build is {running}")
     # the script checks the causalcap under test, which need not be this checkout's
     src = Path(causalcap.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
@@ -36,6 +32,9 @@ def test_digests_match_the_recorded_fingerprint():
         [sys.executable, str(SCRIPT), "--check"],
         env=env, capture_output=True, text=True, timeout=300,
     )
+    # only the script's own process runs the OpenBLAS kernel it pins, so it decides the skip
+    if done.stdout.startswith("refused:"):
+        pytest.skip(done.stdout.strip())
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith("check: ok")
 
@@ -52,14 +51,15 @@ def test_update_rewrites_the_digests_and_names_each_that_moved(tmp_path, monkeyp
     }
 
 
-def test_update_is_refused_for_another_build(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("mode", ["--check", "--update"])
+def test_check_and_update_are_refused_for_another_build(mode, tmp_path, monkeypatch, capsys):
     module = _script_module()
     path = tmp_path / "fingerprint.json"
     text = json.dumps({"build": {"numpy": "0.0", "blas": "none"}, "digests": {"a": "1"}})
     path.write_text(text)
     monkeypatch.setattr(module, "EXPECTED", path)
     monkeypatch.setattr(module, "fingerprints", lambda: pytest.fail("digests were computed"))
-    monkeypatch.setattr(sys, "argv", ["hw_fingerprint.py", "--update"])
+    monkeypatch.setattr(sys, "argv", ["hw_fingerprint.py", mode])
     assert module.main() == 1
     assert capsys.readouterr().out.startswith("refused: digests recorded with")
     assert path.read_text() == text
