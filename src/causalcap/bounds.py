@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, eigvalsh_lo as _eigvalsh_lo
 
 from . import pdm as pdm_mod
 from .channels import (
@@ -109,25 +110,31 @@ _NOTE = "certified upper bound; best_input attains the lower end"
 _NOTE_COVARIANT = "certified upper bound (phase-covariant); best_input attains the lower end"
 
 
+def _unconverged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
     """Lower end f(sigma) = ||M||_1, upper end lambda_max(G) and image T(sigma) for one W.
 
     M = (A x I) W (A x I), A = ``root`` = sqrt(sigma), from two products on the input index
     (W is Hermitian: the second takes the first's conjugate transpose); G = A^-1 Tr_out|M| A^-1.
     Y = (A^-1 x I)|M|(A^-1 x I) >= +-W for any Hermitian A, so lambda_max(G) = ||Tr_out Y||_inf
-    is an upper end; A^-1 scales the eps ||M|| error of the eigensolve of M to a relative error
-    of up to eps / lambda_min(sigma). T(sigma) = Tr_out|M| / ||M||_1. W is (dim, dim). At d = 2
-    A^-1 and K = Tr_out|M| are Pauli 4-tuples, and T(sigma) is a Bloch vector.
+    is an upper end; A^-1 scales the eps ||M|| error of M's eigensolve (see :func:`_solve_hw`)
+    to a relative error of up to eps / lambda_min(sigma). T(sigma) = Tr_out|M| / ||M||_1. W is
+    (dim, dim). At d = 2 A^-1 and K = Tr_out|M| are Pauli 4-tuples, T(sigma) a Bloch vector.
     """
     d, dim = root.shape[0], w.shape[0]
     x = (root @ w.reshape(d, -1)).reshape(dim, dim)
-    mu, u = np.linalg.eigh((root @ x.conj().T.reshape(d, -1)).reshape(dim, dim))
+    m = (root @ x.conj().T.reshape(d, -1)).reshape(dim, dim)
+    mu, u = _eigh_lo(m, signature="D->dD" if m.dtype.kind == "c" else "d->dd")
     abs_mu = np.abs(mu)
     marginal = (u * abs_mu).reshape(d, -1) @ u.reshape(d, -1).conj().T
     lower = sum(abs_mu.tolist())
     if d > 2:
         g = inv_root @ marginal @ inv_root
-        return lower, float(np.linalg.eigvalsh(g)[-1]), marginal / lower
+        top = _eigvalsh_lo(g, signature="D->d" if g.dtype.kind == "c" else "d->d")[-1]
+        return lower, float(top), marginal / lower
     (p, _), (q, r) = marginal.tolist()
     (b0, *b), k = inv_root, ((p.real + r.real) / 2, q.real, q.imag, (p.real - r.real) / 2)
     # G = (g0, g) = ((b0^2 + |b|^2) k0 + 2 b0 b.k, 2 (b0 k0 + b.k) b + (b0^2 - |b|^2) k)
@@ -154,7 +161,7 @@ def _evaluate(w, sigma):
         q, x, y, z = (0.5 + r) / t, sigma[0] / t, sigma[1] / t, sigma[2] / t
         root = np.array([[q + z, complex(x, -y)], [complex(x, y), q - z]])
         return (sigma, root, *_bracket(w, root, (q / r, -x / r, -y / r, -z / r)))
-    vals, vecs = np.linalg.eigh(sigma)
+    vals, vecs = _eigh_lo(sigma, signature="D->dD" if sigma.dtype.kind == "c" else "d->dd")
     if not vals[0] > _FLOOR:
         return None
     vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)
@@ -197,27 +204,28 @@ def _extrapolate(fs, gs, latest: int):
     return cand / (trace if trace > 0.0 else 1.0)
 
 
+@np.errstate(call=_unconverged, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _solve_hw(w: np.ndarray, d: int):
     """Certified bracket on ||Theta o N||_dia for one W = d R: the fixed-point route.
 
     Maximises the concave f(sigma) from sigma = I/d. Each step first tries the Anderson
     extrapolation of the last min(``ANDERSON_DEPTH``, d^2 - 1) + 1 pairs (sigma, T(sigma) =
     Tr_out|M| / ||M||_1), kept if its bracket is narrower than the iterate's; else the plain
-    fixed-point step sigma <- T(sigma). At d = 2 the only eigensolve is a trial's, of M, and the
-    rest is plain floats; for d > 2 a trial also solves sigma and G. A trial counts only if its
-    eigenvalues exceed eps / ``CPTP_ATOL``, for the rounding of :func:`_bracket`'s upper end.
-    The solve stops at a log2 bracket of at most ``CPTP_ATOL``, after ``MAX_ITERS`` steps, or
-    when no trial counts. Returns log2 of the best lower and smallest upper end, sqrt(sigma) of
-    the best lower end, and the step, bracket evaluation and extrapolation counts.
+    fixed-point step sigma <- T(sigma). A trial solves M, and for d > 2 sigma and G, by LAPACK's
+    gufuncs that np.linalg wraps, called directly under its error state held once per solve (the
+    same bits, less set-up per call). A trial counts if its eigenvalues exceed eps / ``CPTP_ATOL``,
+    as :func:`_bracket`'s upper end rounds. It stops at a log2 bracket of at most ``CPTP_ATOL``,
+    after ``MAX_ITERS`` steps, or when no trial counts. Returns log2 of the best lower and least
+    upper end, sqrt(sigma) at the best lower end, and the step, evaluation and extrapolation counts.
     """
-    slots = min(ANDERSON_DEPTH, d * d - 1) + 1
-    sigma, root = np.eye(d) / d, np.eye(d, dtype=complex) / math.sqrt(d)
+    slots, root = min(ANDERSON_DEPTH, d * d - 1) + 1, np.eye(d, dtype=complex) / math.sqrt(d)
+    # ring buffer of residuals T(sigma) - sigma and images T(sigma): step t in slot t % slots
+    sigma, fs, gs = [0.0, 0.0, 0.0], [None] * slots, [None] * slots  # d = 2: Bloch vectors
+    if d > 2:
+        sigma, fs = np.eye(d) / d, np.empty((slots, 2 * d * d))
+        gs = np.empty((slots, d, d), dtype=complex)
     lower, g_max, image = _bracket(w, root, root * d if d > 2 else (2**0.5, 0.0, 0.0, 0.0))
     upper, best_lower, best_root = g_max, lower, root
-    # ring buffer of residuals T(sigma) - sigma and images T(sigma): step t in slot t % slots
-    fs, gs = np.empty((slots, 2 * d * d)), np.empty((slots, d, d), dtype=complex)
-    if d == 2:  # Bloch vectors (see _evaluate)
-        sigma, fs, gs = [0.0, 0.0, 0.0], [None] * slots, [None] * slots
     evaluations, accelerated, t = 1, 0, 0
     while t < MAX_ITERS and math.log2(upper) - math.log2(best_lower) > CPTP_ATOL:
         fs[t % slots] = ([a - b for a, b in zip(image, sigma)] if d == 2

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,11 +42,18 @@ def choi_from_kraus(ops) -> np.ndarray:
 
 
 def _qubit_count(q) -> int:
-    """``q`` as an int (NumPy integers pass); anything else is a ValueError naming it."""
-    try:
-        return operator.index(q)
-    except TypeError:
-        raise ValueError(f"qubit counts must be integers, got {q!r}") from None
+    """``q`` as an int (NumPy integers pass, bool does not); anything else is a ValueError."""
+    if isinstance(q, (int, np.integer)) and not isinstance(q, bool):
+        return int(q)
+    raise ValueError(f"qubit counts must be integers, got {q!r}")
+
+
+def _qubit_counts(qubits_in, qubits_out, optional: bool = False) -> list:
+    """The declared counts as ints of at least 1; with ``optional`` a None count is left out."""
+    counts = [q if q is None and optional else _qubit_count(q) for q in (qubits_in, qubits_out)]
+    if min((q for q in counts if q is not None), default=1) < 1:
+        raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +125,7 @@ def from_kraus(ops: Sequence[np.ndarray], qubits_in: int | None = None,
     """:class:`QuantumChannel` of ``ops``. Each qubit count a caller declares is checked first,
     before J is built: an integer of at least 1 that matches the first operator's shape."""
     if qubits_in is not None or qubits_out is not None:
-        if min(_qubit_count(q) for q in (qubits_in, qubits_out) if q is not None) < 1:
-            raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
+        qubits_in, qubits_out = _qubit_counts(qubits_in, qubits_out, optional=True)
         ops = list(ops)  # any iterable, as the type takes
         shape = as_matrix(ops[0]).shape if ops else ()  # no ops: the type refuses
         # by bit length, never 2**q, so a huge count fails at once; d & (d - 1) is 0 for 2**m
@@ -259,9 +264,8 @@ def random_channel(qubits_in: int, qubits_out: int, env_qubits: int = 1,
     The isometry is an orthonormalized random complex matrix; the
     environment is traced out. Deterministic per seed.
     """
-    qubits_in, qubits_out, env_qubits = map(_qubit_count, (qubits_in, qubits_out, env_qubits))
-    if min(qubits_in, qubits_out) < 1:  # before 2**q, which a negative count makes a float
-        raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
+    qubits_in, qubits_out = _qubit_counts(qubits_in, qubits_out)  # before 2**q is formed
+    env_qubits = _qubit_count(env_qubits)
     if env_qubits < 1:
         raise ValueError("env_qubits must be at least 1")
     dim_in, dim_out, dim_env = 2**qubits_in, 2**qubits_out, 2**env_qubits
@@ -292,14 +296,12 @@ def channel_from_dict(data: dict) -> QuantumChannel:
     """Parse the channel JSON schema, naming the violated invariant on failure."""
     try:
         label = str(data["label"])
-        qubits_in, qubits_out = data["qubits_in"], data["qubits_out"]
+        qubits_in, qubits_out = _qubit_counts(data["qubits_in"], data["qubits_out"])
         raw = data["kraus"]
     except (KeyError, TypeError) as exc:
         raise ChannelFormatError(f"malformed channel description: {exc}") from exc
-    if not all(type(q) is int and q >= 1 for q in (qubits_in, qubits_out)):
-        raise ChannelFormatError(
-            f"qubit counts must be positive integers, got {qubits_in!r} and {qubits_out!r}"
-        )
+    except ValueError as exc:  # a qubit count that is not an integer of at least 1
+        raise ChannelFormatError(str(exc)) from exc
     if qubits_in + qubits_out > MAX_FILE_QUBITS:  # before an entry is read or J allocated
         raise ChannelFormatError(
             f"{qubits_in}->{qubits_out} qubits: a channel file may have at most "

@@ -122,14 +122,21 @@ class TestAnalytic:
 
 
 def count_eigensolves(monkeypatch) -> list:
-    """Patch np.linalg.eigh and eigvalsh to record (name, shape) per call; return the record."""
+    """Record (name, shape) per Hermitian eigensolve; return the record.
+
+    Counts both np.linalg's eigh and eigvalsh (as "eigh", "eigvalsh") and the LAPACK gufuncs
+    the fixed-point loop calls directly (as "eigh_lo", "eigvalsh_lo"), which np.linalg's own
+    calls do not go through.
+    """
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+    for owner, attr, name in [(np.linalg, "eigh", "eigh"), (np.linalg, "eigvalsh", "eigvalsh"),
+                              (bounds, "_eigh_lo", "eigh_lo"),
+                              (bounds, "_eigvalsh_lo", "eigvalsh_lo")]:
+        def counted(a, _solve=getattr(owner, attr), _name=name, **kwargs):
             calls.append((_name, a.shape))
             return _solve(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
@@ -267,14 +274,10 @@ class TestHwBound:
         ],
     )
     def test_trajectory_and_eigensolves_are_pinned(self, chan, counts, monkeypatch):
-        eigh, calls = np.linalg.eigh, []
-
-        def counted(a):
-            calls.append(a.shape)
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        record = count_eigensolves(monkeypatch)
         diag = hw_bound(chan).diagnostics
+        calls = [shape for name, shape in record if name == "eigh_lo"]
+        assert not any(name == "eigh" for name, _ in record)  # the loop calls the kernel
         trajectory = (diag["iterations"], diag["evaluations"], diag["accelerated_steps"])
         assert (*trajectory, len(calls)) == counts
         # each evaluation solves M, unless its sigma is rejected at the floor. Every step but
@@ -295,10 +298,13 @@ class TestHwBound:
     )
     def test_closed_form_makes_no_eigensolve(self, chan, monkeypatch):
         causality_bound(chan)  # builds the PDM and its trace norm
-        calls = count_eigensolves(monkeypatch)
+        calls = count_eigensolves(monkeypatch)  # np.linalg and the kernels alike
         rep = hw_bound(chan)
         assert "phase-covariant" in rep.diagnostics["note"]
         assert calls == []
+        # the counter sees both: a fixed-point channel's PDM norm, then its solve's brackets
+        hw_bound(random_channel(1, 1, env_qubits=2, seed=0))
+        assert {name for name, _ in calls} == {"eigvalsh", "eigh_lo"}
 
     @pytest.mark.parametrize(
         "qubits_out, seed, floor_rejections",
@@ -334,7 +340,7 @@ class TestHwBound:
         assert diag["iterations"] > 0 and diag["gap"] <= CPTP_ATOL
         assert sum(rejected) == floor_rejections
         assert len(brackets) == diag["evaluations"] - sum(rejected)  # the start is a bracket
-        assert calls == [("eigh", (dim, dim))] * len(brackets)
+        assert calls == [("eigh_lo", (dim, dim))] * len(brackets)
 
     def test_sweep_makes_one_eigensolve(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)
@@ -497,6 +503,54 @@ class TestFixedPointEvaluation:
             assert abs(trial[3] - upper) <= 1e-13 * upper
         assert len(trials) == 40
         assert counts == (40, 80, 0)  # steps, evaluations, accelerated steps
+
+
+class TestEigensolverKernels:
+    """The fixed-point loop calls LAPACK's eigh_lo and eigvalsh_lo gufuncs directly.
+
+    They are np.linalg's private kernels: these tests pin the contract the loop relies on, that
+    they return np.linalg.eigh's and eigvalsh's arrays bit for bit, and that a solve raises and
+    restores the error state as np.linalg does.
+    """
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_kernels_match_np_linalg_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(25):
+            a = random_complex(n, n, rng)
+            for h, sig in ((a + a.conj().T, "D"), (a.real + a.real.T, "d")):
+                vals, vecs = bounds._eigh_lo(h, signature=f"{sig}->d{sig}")
+                ref_vals, ref_vecs = np.linalg.eigh(h)
+                top = bounds._eigvalsh_lo(h, signature=f"{sig}->d")
+                for ours, ref in ((vals, ref_vals), (vecs, ref_vecs), (top, np.linalg.eigvalsh(h))):
+                    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+                    assert ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_unconverged_solve_raises_as_np_linalg(self, d):
+        w, before = np.full((2 * d, 2 * d), np.nan, dtype=complex), (np.geterr(), np.geterrcall())
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            bounds._solve_hw(w, d)
+        assert (np.geterr(), np.geterrcall()) == before
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            np.linalg.eigh(w)
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_a_solve_holds_np_linalg_error_state_and_restores_it(self, qubits, monkeypatch):
+        chan = random_channel(qubits, qubits, env_qubits=2, seed=0)
+        d, states, evaluate = chan.dim_in, [], bounds._evaluate
+
+        def recorded(w, sigma):
+            states.append((np.geterr(), np.geterrcall()))
+            return evaluate(w, sigma)
+
+        monkeypatch.setattr(bounds, "_evaluate", recorded)
+        before = np.geterr(), np.geterrcall()
+        counts = bounds._solve_hw(d * pdm_from_channel(chan).matrix, d)[3]
+        assert (np.geterr(), np.geterrcall()) == before
+        assert len(states) == counts[1] - 1  # every trial, the first bracket aside
+        inside = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}
+        assert all(err == inside and call is bounds._unconverged for err, call in states)
 
 
 def reference_sigma_star(w: np.ndarray) -> np.ndarray:

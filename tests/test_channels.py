@@ -184,10 +184,32 @@ class TestFromKraus:
         (lambda: random_channel(1.0, 1), "1.0"),
         (lambda: random_channel(1, 1, env_qubits=1.5), "1.5"),
         (lambda: named_channel("identity", qubits=2.7), "2.7"),
-    ], ids=["from_kraus", "from_kraus-out", "random", "random-env", "identity"])
+        (lambda: from_kraus([I2], True, 1), "True"),
+        (lambda: random_channel(1, 1, env_qubits=True), "True"),
+        (lambda: named_channel("identity", qubits=False), "False"),
+    ], ids=["from_kraus", "from_kraus-out", "random", "random-env", "identity",
+            "from_kraus-bool", "random-env-bool", "identity-bool"])
     def test_rejects_qubit_counts_that_are_not_integers(self, build, shown):
         with pytest.raises(ValueError, match=f"must be integers, got {re.escape(shown)}$"):
             build()
+
+    @pytest.mark.parametrize("count, message", [
+        (True, "must be integers, got True"),
+        (1.5, r"must be integers, got 1\.5"),
+        (None, "must be integers, got None"),
+        (0, "must be at least 1, got 0->1"),
+    ], ids=["bool", "float", "none", "zero"])
+    def test_every_builder_that_takes_counts_applies_one_rule(self, count, message):
+        # from_kraus leaves a None count out; the file parser and random_channel need both
+        builders = [lambda: random_channel(count, 1)]
+        builders += [lambda: from_kraus([I2], count, 1)] if count is not None else []
+        for build in builders:
+            with pytest.raises(ValueError, match=f"^qubit counts {message}$"):
+                build()
+        data = channel_to_dict(DEPHASE)
+        data["qubits_in"] = count
+        with pytest.raises(ChannelFormatError, match=f"^qubit counts {message}$"):
+            channel_from_dict(data)
 
     def test_numpy_integer_counts_are_stored_as_int(self):
         c = random_channel(np.int64(1), np.int32(2), env_qubits=np.uint8(1))
