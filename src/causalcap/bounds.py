@@ -126,14 +126,12 @@ def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
     """
     d, dim = root.shape[0], w.shape[0]
     x = (root @ w.reshape(d, -1)).reshape(dim, dim)
-    m = (root @ x.conj().T.reshape(d, -1)).reshape(dim, dim)
-    mu, u = _eigh_lo(m, signature="D->dD" if m.dtype.kind == "c" else "d->dd")
+    mu, u = _eigh_lo((root @ x.conj().T.reshape(d, -1)).reshape(dim, dim), signature="D->dD")
     abs_mu = np.abs(mu)
     marginal = (u * abs_mu).reshape(d, -1) @ u.reshape(d, -1).conj().T
     lower = sum(abs_mu.tolist())
     if d > 2:
-        g = inv_root @ marginal @ inv_root
-        top = _eigvalsh_lo(g, signature="D->d" if g.dtype.kind == "c" else "d->d")[-1]
+        top = _eigvalsh_lo(inv_root @ marginal @ inv_root, signature="D->d")[-1]
         return lower, float(top), marginal / lower
     (p, _), (q, r) = marginal.tolist()
     (b0, *b), k = inv_root, ((p.real + r.real) / 2, q.real, q.imag, (p.real - r.real) / 2)
@@ -161,7 +159,7 @@ def _evaluate(w, sigma):
         q, x, y, z = (0.5 + r) / t, sigma[0] / t, sigma[1] / t, sigma[2] / t
         root = np.array([[q + z, complex(x, -y)], [complex(x, y), q - z]])
         return (sigma, root, *_bracket(w, root, (q / r, -x / r, -y / r, -z / r)))
-    vals, vecs = _eigh_lo(sigma, signature="D->dD" if sigma.dtype.kind == "c" else "d->dd")
+    vals, vecs = _eigh_lo(sigma, signature="D->dD")
     if not vals[0] > _FLOOR:
         return None
     vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)

@@ -518,13 +518,13 @@ class TestEigensolverKernels:
         rng = np.random.default_rng(100 + n)
         for _ in range(25):
             a = random_complex(n, n, rng)
-            for h, sig in ((a + a.conj().T, "D"), (a.real + a.real.T, "d")):
-                vals, vecs = bounds._eigh_lo(h, signature=f"{sig}->d{sig}")
-                ref_vals, ref_vecs = np.linalg.eigh(h)
-                top = bounds._eigvalsh_lo(h, signature=f"{sig}->d")
-                for ours, ref in ((vals, ref_vals), (vecs, ref_vecs), (top, np.linalg.eigvalsh(h))):
-                    assert ours.dtype == ref.dtype and ours.shape == ref.shape
-                    assert ours.tobytes() == ref.tobytes()
+            h = a + a.conj().T
+            vals, vecs = bounds._eigh_lo(h, signature="D->dD")
+            ref_vals, ref_vecs = np.linalg.eigh(h)
+            top = bounds._eigvalsh_lo(h, signature="D->d")
+            for ours, ref in ((vals, ref_vals), (vecs, ref_vecs), (top, np.linalg.eigvalsh(h))):
+                assert ours.dtype == ref.dtype and ours.shape == ref.shape
+                assert ours.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_unconverged_solve_raises_as_np_linalg(self, d):
