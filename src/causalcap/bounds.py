@@ -24,11 +24,12 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, eigvalsh_lo as _eigv
 from . import pdm as pdm_mod
 from .channels import (
     QuantumChannel,
+    check_one_point,
     check_shifted_depolarizing,
     choi_from_kraus,
     shifted_depolarizing_kraus,
 )
-from .linalg import CPTP_ATOL, HERM_ATOL, partial_transpose, trace_norm  # noqa: F401
+from .linalg import CPTP_ATOL, partial_transpose, trace_norm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,10 @@ def causality_bound(c: QuantumChannel) -> BoundReport:
 
 
 def analytic_shifted_depol(p: float, gamma: float) -> float:
-    """Closed-form causality bound for the shifted depolarizing channel."""
+    """Closed-form causality bound for the shifted depolarizing channel at one point."""
+    check_one_point(p, gamma)
     check_shifted_depolarizing(p, gamma)
-    return _analytic(p, gamma)
+    return _analytic(float(p), float(gamma))  # in doubles, as the channel is built
 
 
 def _analytic(p: float, gamma: float) -> float:
@@ -297,31 +299,28 @@ def _covariant_ends(w00, w11, w22, w33, a12, s):
 def _solve_covariant(flat):
     """Certified bracket for one phase-covariant 4x4 W = 2R in plain floats: the closed form.
 
-    ``flat`` is R as 16 Python numbers, row-major; None if an entry of W off the pattern exceeds
-    ``HERM_ATOL``. Only what the bracket reads is doubled, exactly (2 Re z = (2z).real as R's
+    ``flat`` is R as 16 Python numbers, row-major; None unless every entry off the pattern is
+    exactly zero. Only what the bracket reads is doubled, exactly (2 Re z = (2z).real as R's
     diagonal has imaginary parts +0.0). Some diag(s, 1-s) is optimal (Holevo & Werner, PRA 63,
     032312, 2001). An I/2 bracket that closes to ``CPTP_ATOL`` is returned as :func:`_solve_hw`
     returns it after 0 steps; else :func:`_sigma_star` picks s*, bracketed too unless within eps /
-    ``CPTP_ATOL`` of 0 or 1 (f is flat there). Entries E off the pattern move each end by delta =
-    sum |e_ij|, as ||(sqrt(sigma) x I) E (sqrt(sigma) x I)||_1 <= delta and +-E <= delta I / 2 (zero
-    diagonal). Returns log2 of the two ends, the s of the lower end and the sigma bracketed.
+    ``CPTP_ATOL`` of 0 or 1 (f is flat there). Returns log2 of the two ends, the s of the lower
+    end and the sigma bracketed.
     """
     r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33 = flat
-    off = (abs(r01), abs(r02), abs(r03), abs(r10), abs(r13), abs(r20), abs(r23), abs(r30),
-           abs(r31), abs(r32))  # all but r00, r11, r12, r21, r22, r33
-    if 2.0 * max(off) > HERM_ATOL:
+    if any((r01, r02, r03, r10, r13, r20, r23, r30, r31, r32)):  # off the pattern
         return None
     w00, w11, w22, w33 = 2.0 * r00.real, 2.0 * r11.real, 2.0 * r22.real, 2.0 * r33.real
-    a12, delta = 2.0 * abs(r12), 2.0 * sum(off)
+    a12 = 2.0 * abs(r12)
     lower, upper = _covariant_ends(w00, w11, w22, w33, a12, 0.5)
-    lower, upper, s_lower, evaluations = lower - delta, upper + delta, 0.5, 1
+    s_lower, evaluations = 0.5, 1
     if math.log2(upper) - math.log2(lower) > CPTP_ATOL:
         s = _sigma_star(w00, w11, w22, w33, a12)
         if _FLOOR < s < 1.0 - _FLOOR:
             lower_s, upper_s = _covariant_ends(w00, w11, w22, w33, a12, s)
-            if lower_s - delta > lower:
-                lower, s_lower = lower_s - delta, s
-            upper, evaluations = min(upper, upper_s + delta), 2
+            if lower_s > lower:
+                lower, s_lower = lower_s, s
+            upper, evaluations = min(upper, upper_s), 2
     # the value lies in [lower, upper]; an upper end below the lower end is rounding
     return math.log2(lower), math.log2(max(upper, lower)), s_lower, evaluations
 
@@ -332,12 +331,11 @@ def hw_bound(c: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()) -> Bou
     A pure input with amplitude matrix Psi (reference x system) has output K W K^dag, K =
     Psi x I, W = d R (d = d_in, R the channel PDM; qubit counts may differ), whose trace norm
     is concave in sigma = Psi^dag Psi. A 1-qubit channel's W, read once from R and doubled,
-    takes :func:`_solve_covariant` if its only entries are w00, w11, w22, w33 and w12 = w21*
-    (to ``HERM_ATOL``); any other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a
-    certified upper bound; ``best_input`` attains ``lower``, or on the closed form at least
-    ``lower``. Both routes evaluate sigma = I/d, so ``value`` <= log2 lambda_max(Tr_out|W|), on
-    the closed form plus delta (about 3e-15 at most); and sigma = I/d attains ||R||_1, so
-    rounding below the causality bound F(R) >= 0, below zero included, is raised to F(R).
+    takes :func:`_solve_covariant` if its only nonzero entries are w00, w11, w22, w33 and w12 =
+    w21*, exactly; any other W :func:`_solve_hw`; ``note`` names the route. ``value`` is a
+    certified upper bound; ``best_input`` attains ``lower``. Both routes evaluate sigma = I/d,
+    so ``value`` <= log2 lambda_max(Tr_out|W|); and sigma = I/d attains ||R||_1, so rounding
+    below the causality bound F(R) >= 0, below zero included, is raised to F(R).
     ``cfg`` has no effect (:class:`OptimizerConfig`).
     """
     dim, r = c.dim_in, pdm_mod.pdm_from_channel(c)

@@ -183,6 +183,12 @@ def check_shifted_depolarizing(p, gamma) -> None:
             raise ValueError(f"gamma={gamma_i!r} outside [0, 1]")
 
 
+def check_one_point(p, gamma) -> None:
+    """Reject a p or gamma that is not one value: a float, a NumPy scalar or a 0-d array."""
+    if np.asarray(p).ndim or np.asarray(gamma).ndim:
+        raise ValueError(f"not one point: p has shape {np.shape(p)}, gamma {np.shape(gamma)}")
+
+
 def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
     """Kraus operators sqrt(1-4p) I, sqrt(2p(1+gamma)) |0><x| and sqrt(2p(1-gamma)) |1><x|
     (x = 0, 1) of rho -> (1-4p) rho + 4p (I + gamma Z)/2, points checked first: a complex
@@ -201,6 +207,7 @@ def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
 
 def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2, from its nonzero Kraus operators."""
+    check_one_point(p, gamma)
     ops = shifted_depolarizing_kraus(p, gamma)
     return QuantumChannel(ops[ops.any(axis=(1, 2))],
                           f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
@@ -312,6 +319,8 @@ def channel_from_dict(data: dict) -> QuantumChannel:
             np.array([[complex(re, im) for re, im in row] for row in a], dtype=complex)
             for a in raw
         ]
+        if any(type(x) is bool for a in raw for row in a for pair in row for x in pair):
+            raise TypeError("JSON true and false are not numbers")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ChannelFormatError(f"kraus entries must be [re, im] pairs: {exc}") from exc
     try:

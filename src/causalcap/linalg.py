@@ -15,7 +15,7 @@ import numpy as np
 
 # Tolerances: every numerical threshold of the package, in one table.
 # HERM_ATOL: max-entry distance at which two matrices count as equal: a matrix and its
-#   adjoint (then symmetrized), the sides of the swap identity, W and its phase-covariant part.
+#   adjoint (then symmetrized), and the sides of the swap identity.
 HERM_ATOL = 1e-10
 # CPTP_ATOL: the trace defect and most negative eigenvalue of a density or Choi matrix,
 #   a channel's TP residual max|d_in Tr_out J - I|, the margin of the verify suites, and

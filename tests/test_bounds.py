@@ -25,15 +25,24 @@ from causalcap.bounds import (
 )
 from causalcap.channels import (
     QuantumChannel,
+    choi_from_kraus,
     compose,
     conjugate,
     from_kraus,
     named_channel,
     random_channel,
     shifted_depolarizing,
+    shifted_depolarizing_kraus,
     tensor,
 )
-from causalcap.linalg import CPTP_ATOL, HERM_ATOL, I2, random_complex, random_unitary
+from causalcap.linalg import (
+    CPTP_ATOL,
+    HERM_ATOL,
+    I2,
+    partial_transpose,
+    random_complex,
+    random_unitary,
+)
 from causalcap.pdm import PseudoDensityMatrix, pdm_from_channel
 
 # best value found by a 256-restart reference run, stable across seeds
@@ -119,6 +128,26 @@ class TestAnalytic:
     def test_range_check(self):
         with pytest.raises(ValueError):
             analytic_shifted_depol(0.3, 0.0)
+
+    @pytest.mark.parametrize("p, gamma, shapes", [
+        (np.array([0.1, 0.2]), 0.3, r"\(2,\), gamma \(\)"),
+        ([0.1], [0.2], r"\(1,\), gamma \(1,\)"),
+        (np.array([0.1]), np.array([0.2]), r"\(1,\), gamma \(1,\)"),
+        (0.1, np.array([[0.2]]), r"\(\), gamma \(1, 1\)"),
+        (np.array(0.1), np.array(0.2), None),
+        (np.float64(0.1), np.float64(0.2), None),
+        (np.float32(0.1), np.float32(0.2), None),
+    ], ids=["array", "lists", "1-element-arrays", "column-gamma", "0-d", "float64", "float32"])
+    def test_one_point_functions_take_one_point(self, p, gamma, shapes):
+        if shapes is None:  # one value each: as the same values in floats
+            point = float(p), float(gamma)
+            assert analytic_shifted_depol(p, gamma) == analytic_shifted_depol(*point)
+            assert np.array_equal(shifted_depolarizing(p, gamma).choi,
+                                  shifted_depolarizing(*point).choi)
+            return
+        for function in (analytic_shifted_depol, shifted_depolarizing):
+            with pytest.raises(ValueError, match=f"^not one point: p has shape {shapes}$"):
+                function(p, gamma)
 
 
 def count_eigensolves(monkeypatch) -> list:
@@ -636,23 +665,23 @@ def numpy_plumbed_hw(r) -> tuple:
     """(value, diagnostics, best_input) of the closed-form route with NumPy plumbing.
 
     A reference for :func:`hw_bound`, which reads R once as plain numbers: here W = 2 * R
-    stays an array, the pattern is tested by ``np.abs(w.take(OFF_PATTERN)).max()``, the
+    stays an array, the pattern is tested by ``np.count_nonzero(w.take(OFF_PATTERN))``, the
     bracket is taken as the route first took it (s* picked whether or not the I/2 bracket
     closes) and best_input is ``np.outer`` of diag(sqrt(s), sqrt(1-s)).
     """
     w = 2 * r.matrix
-    assert w.shape == (4, 4) and np.abs(w.take(OFF_PATTERN)).max() <= HERM_ATOL
+    assert w.shape == (4, 4) and not np.count_nonzero(w.take(OFF_PATTERN))
     flat = w.ravel().tolist()
     w00, w11, w22, w33 = (flat[k].real for k in (0, 5, 10, 15))
-    a12, delta = abs(flat[6]), sum(abs(flat[k]) for k in OFF_PATTERN)
+    a12 = abs(flat[6])
     lower, upper = _covariant_ends(w00, w11, w22, w33, a12, 0.5)
-    lower, upper, s_lower, evaluations = lower - delta, upper + delta, 0.5, 1
+    s_lower, evaluations = 0.5, 1
     s = _sigma_star(w00, w11, w22, w33, a12)
     if math.log2(upper) - math.log2(lower) > CPTP_ATOL and bounds._FLOOR < s < 1.0 - bounds._FLOOR:
         lower_s, upper_s = _covariant_ends(w00, w11, w22, w33, a12, s)
-        if lower_s - delta > lower:
-            lower, s_lower = lower_s - delta, s
-        upper, evaluations = min(upper, upper_s + delta), 2
+        if lower_s > lower:
+            lower, s_lower = lower_s, s
+        upper, evaluations = min(upper, upper_s), 2
     amp = np.diag([math.sqrt(s_lower), math.sqrt(1.0 - s_lower)]).astype(complex).reshape(-1)
     value = max(math.log2(max(upper, lower)), pdm_mod.causality_F(r))
     low = math.log2(lower)
@@ -665,12 +694,25 @@ def numpy_plumbed_hw(r) -> tuple:
     return value, diagnostics, np.outer(amp, amp.conj())
 
 
-def with_off_pattern(w, rng) -> np.ndarray:
-    """W plus a Hermitian E on the entries off the pattern, each |e_ij| below ``HERM_ATOL``."""
-    e = np.zeros((4, 4), dtype=complex)
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)):
-        e[i, j] = HERM_ATOL * rng.random() * np.exp(2j * np.pi * rng.random())
-    return w + e + e.conj().T
+def generalized_amplitude_damping(eta, n) -> QuantumChannel:
+    """Amplitude damping eta towards |0> with weight n and towards |1> with weight 1 - n."""
+    a, b = math.sqrt(1.0 - eta), math.sqrt(eta)
+    ops = [[[1.0, 0.0], [0.0, a]], [[0.0, b], [0.0, 0.0]], [[a, 0.0], [0.0, 1.0]],
+           [[0.0, 0.0], [b, 0.0]]]
+    weights = 2 * [math.sqrt(n)] + 2 * [math.sqrt(1.0 - n)]
+    return from_kraus([w * np.array(op) for w, op in zip(weights, ops)], label=f"gad({eta},{n})")
+
+
+def pauli_depolarizing(q) -> QuantumChannel:
+    """rho -> (1 - q) rho + q I / 2, from the four Pauli Kraus operators."""
+    paulis = [I2, [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    weights = [math.sqrt(1.0 - 0.75 * q)] + 3 * [math.sqrt(q / 4.0)]
+    return from_kraus([w * np.array(s) for w, s in zip(weights, paulis)], label=f"pauli({q})")
+
+
+def phase_rotation(phi) -> QuantumChannel:
+    """The unitary channel of diag(1, e^(i phi))."""
+    return from_kraus([np.diag([1.0, np.exp(1j * phi)])], label=f"rz({phi:.3f})")
 
 
 def exact(value, diagnostics, best_input) -> tuple:
@@ -687,10 +729,8 @@ class TestPhaseCovariantRoute:
             want = numpy_plumbed_hw(pdm_from_channel(chan))
             assert exact(rep.value, rep.diagnostics, rep.best_input) == exact(*want), chan.label
             evaluations.add(rep.diagnostics["evaluations"])
-        stand_in, rng = from_kraus([I2], label="stand-in"), np.random.default_rng(20)
-        ws = seeded_covariant_ws()
-        ws += [with_off_pattern(w, rng) for w in ws]  # delta is 0 on the named channels
-        for w in ws:  # their trace is not 2: a stand-in carries R = W / 2
+        stand_in = from_kraus([I2], label="stand-in")
+        for w in seeded_covariant_ws():  # their trace is not 2: a stand-in carries R = W / 2
             r = SimpleNamespace(matrix=w / 2.0, trace_norm=np.abs(np.linalg.eigvalsh(w)).sum() / 2)
             monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
             rep = hw_bound(stand_in)
@@ -746,24 +786,35 @@ class TestPhaseCovariantRoute:
         slack = 1e-14 + 2.0 * np.finfo(float).eps / min(s, 1.0 - s)
         assert np.all(np.abs(ours[:, 1] - ref[:, 1]) <= slack * ref[:, 1])
 
-    def test_off_pattern_entries_widen_the_bracket(self, monkeypatch):
-        # the covariant part has a 2-dimensional kernel (w00 = w33 = 0) that the off-pattern
-        # entries w03 = w30 couple, so they raise f(sigma) at first order
-        w = covariant_w(0.0, 0.5, 1.5, 0.0, 2.0)
-        w[0, 3] = w[3, 0] = 1e-10
-        r = PseudoDensityMatrix(w / 2.0)
-        monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
-        rep = hw_bound(from_kraus([I2], label="stand-in"))
-        assert "phase-covariant" in rep.diagnostics["note"]
-        s = _sigma_star(0.0, 0.5, 1.5, 0.0, 2.0)
-        assert 0.4 < s < 0.45  # f(s*) exceeds f(1/2) by 1%, so the causality floor is below
-        for f in bracket_ends([w, w], [0.5, s])[:, 0]:
-            assert rep.value >= math.log2(f)
-        assert rep.diagnostics["lower"] <= math.log2(bracket_ends([w], [s])[0, 0])
+    def test_covariant_channels_that_are_not_named_take_the_closed_form(self):
+        # each W has the pattern exactly, with no rounding off it, so no allowance is needed
+        rng = np.random.default_rng(38)
+        named = [named_channel("amplitude-damping", eta=e) for e in (0.0, 0.3, 0.7, 1.0)]
+        named += [named_channel("dephasing", strength=0.4), named_channel("depolarizing", p=0.2)]
+        named += [shifted_depolarizing(p, g) for p, g in rng.uniform((0, 0), (0.25, 1), (6, 2))]
+        chans = [pauli_depolarizing(q) for q in np.linspace(0.0, 4.0 / 3.0, 101)]
+        chans += [generalized_amplitude_damping(e, n) for e in np.linspace(0.0, 1.0, 11)
+                  for n in np.linspace(0.0, 1.0, 21)]
+        chans += [compose(a, b) for a in named for b in named]
+        for chan, phi in zip(named, rng.uniform(0.0, 2.0 * np.pi, len(named))):
+            chans += [conjugate(chan), compose(phase_rotation(phi), chan),
+                      compose(chan, phase_rotation(phi)), compose(conjugate(chan), chan)]
+        for chan in chans:
+            assert not np.count_nonzero(pdm_from_channel(chan).matrix.take(OFF_PATTERN))
+            rep = hw_bound(chan)
+            assert "phase-covariant" in rep.diagnostics["note"], chan.label
+            assert rep.diagnostics["iterations"] == 0, chan.label
+        # the sweep's batched R, on seeded random points: _solve_covariant takes every row
+        points = rng.uniform((0.0, 0.0), (0.25, 1.0), (10_000, 2))
+        r = partial_transpose(choi_from_kraus(shifted_depolarizing_kraus(*points.T)), (2, 2), 0)
+        assert not np.count_nonzero(r.reshape(-1, 16)[:, OFF_PATTERN])
+        assert all(bounds._solve_covariant(flat) for flat in r.reshape(-1, 16).tolist())
 
-    def test_off_pattern_entries_above_herm_atol_take_the_fixed_point(self, monkeypatch):
+    @pytest.mark.parametrize("entry", [1e-300, 2.0 * HERM_ATOL])
+    def test_any_off_pattern_entry_takes_the_fixed_point_and_closes(self, monkeypatch, entry):
+        # the covariant part has a 2-dimensional kernel (w00 = w33 = 0) that w03 = w30 couple
         w = covariant_w(0.0, 0.5, 1.5, 0.0, 2.0)
-        w[0, 3] = w[3, 0] = 2.0 * HERM_ATOL
+        w[0, 3] = w[3, 0] = entry
         r = PseudoDensityMatrix(w / 2.0)
         monkeypatch.setattr(pdm_mod, "pdm_from_channel", lambda c: r)
         rep = hw_bound(from_kraus([I2], label="stand-in"))
@@ -801,8 +852,9 @@ class TestHwInvariances:
     through another HW route with a known answer."""
 
     def test_unitary_frames(self):
-        # U o N o V takes a phase-covariant N off the closed form onto the 1-qubit fixed point,
-        # except the fully depolarizing channel, which commutes with every unitary
+        # U o N o V takes a phase-covariant N off the closed form onto the 1-qubit fixed point;
+        # the fully depolarizing channel commutes with every unitary, but its framed R keeps
+        # the pattern only where the frame's rounding leaves every entry off it exactly zero
         rng = np.random.default_rng(27)
         chans = default_grid_channels()
         chans += [named_channel("amplitude-damping", eta=e) for e in np.linspace(0.0, 1.0, 41)]
@@ -813,11 +865,13 @@ class TestHwInvariances:
             shifted_depolarizing(0.1, 0.5),
         ]
         for chan in chans:
-            one, other = hw_brackets(chan, framed(chan, rng))
+            frame = framed(chan, rng)
+            one, other = hw_brackets(chan, frame)
             assert "phase-covariant" in one.diagnostics["note"], chan.label
             assert one.diagnostics["gap"] <= CPTP_ATOL, chan.label
-            fully_depolarizing = np.allclose(chan.choi, np.eye(4) / 4)
-            assert ("phase-covariant" in other.diagnostics["note"]) == fully_depolarizing
+            on_pattern = not np.count_nonzero(pdm_from_channel(frame).matrix.take(OFF_PATTERN))
+            assert on_pattern <= np.allclose(chan.choi, np.eye(4) / 4), chan.label
+            assert ("phase-covariant" in other.diagnostics["note"]) == on_pattern, chan.label
 
     def test_pads(self):
         # N o Tr_1 is 2 -> 1, on the array route at d = 4; N x |0><0| is 1 -> 2, on the float

@@ -743,6 +743,15 @@ class TestChannelFile:
         with pytest.raises(ChannelFormatError, match=f"^{message}$"):
             channel_from_dict(data)
 
+    @pytest.mark.parametrize("column, entry", [(0, [True, False]), (0, [1.0, False]),
+                                               (1, [False, 0.0])])
+    def test_rejects_boolean_entry(self, column, entry):
+        # each would read as the number it equals, and the file as the identity channel
+        data = channel_to_dict(named_channel("identity"))
+        data["kraus"][0][0][column] = entry
+        with pytest.raises(ChannelFormatError, match="^kraus entries must be .* not numbers$"):
+            channel_from_dict(data)
+
     def test_rejects_entry_too_large_for_a_float(self):
         data = channel_to_dict(DEPHASE)
         data["kraus"][0][0][0] = [10**400, 0]

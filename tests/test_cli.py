@@ -385,6 +385,13 @@ class TestExitCodes:
         assert_clean_failure(code, out, err, 3)
         assert err == f"error: {message}\n"
 
+    def test_boolean_entry_exit3(self, capsys, tmp_path):
+        doc = ad_doc()
+        doc["kraus"][0][0][0] = [True, False]  # else read as 1.0, and the file loads
+        code, out, err = run(capsys, ["bound", "--channel", str(write_doc(tmp_path, doc))])
+        assert_clean_failure(code, out, err, 3)
+        assert err.endswith(": JSON true and false are not numbers\n")
+
     def test_entry_too_large_for_a_float_exit3(self, capsys, tmp_path):
         doc = ad_doc()
         doc["kraus"][0][0][0] = [10**400, 0]
