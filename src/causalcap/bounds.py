@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, eigvalsh_lo as _eigvalsh_lo
 
 from . import pdm as pdm_mod
 from .channels import (
@@ -29,7 +28,8 @@ from .channels import (
     choi_from_kraus,
     shifted_depolarizing_kraus,
 )
-from .linalg import CPTP_ATOL, partial_transpose, trace_norm  # noqa: F401
+from .linalg import (CPTP_ATOL, eig_errstate, eigh_lo, eigvalsh, eigvalsh_lo,  # noqa: F401
+                     partial_transpose, solve, trace_norm)
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,6 @@ _NOTE = "certified upper bound; best_input attains the lower end"
 _NOTE_COVARIANT = "certified upper bound (phase-covariant); best_input attains the lower end"
 
 
-def _unconverged(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
 def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
     """Lower end f(sigma) = ||M||_1, upper end lambda_max(G) and image T(sigma) for one W.
 
@@ -128,12 +124,12 @@ def _bracket(w: np.ndarray, root: np.ndarray, inv_root):
     """
     d, dim = root.shape[0], w.shape[0]
     x = (root @ w.reshape(d, -1)).reshape(dim, dim)
-    mu, u = _eigh_lo((root @ x.conj().T.reshape(d, -1)).reshape(dim, dim), signature="D->dD")
+    mu, u = eigh_lo((root @ x.conj().T.reshape(d, -1)).reshape(dim, dim), signature="D->dD")
     abs_mu = np.abs(mu)
     marginal = (u * abs_mu).reshape(d, -1) @ u.reshape(d, -1).conj().T
     lower = sum(abs_mu.tolist())
     if d > 2:
-        top = _eigvalsh_lo(inv_root @ marginal @ inv_root, signature="D->d")[-1]
+        top = eigvalsh_lo(inv_root @ marginal @ inv_root, signature="D->d")[-1]
         return lower, float(top), marginal / lower
     (p, _), (q, r) = marginal.tolist()
     (b0, *b), k = inv_root, ((p.real + r.real) / 2, q.real, q.imag, (p.real - r.real) / 2)
@@ -161,7 +157,7 @@ def _evaluate(w, sigma):
         q, x, y, z = (0.5 + r) / t, sigma[0] / t, sigma[1] / t, sigma[2] / t
         root = np.array([[q + z, complex(x, -y)], [complex(x, y), q - z]])
         return (sigma, root, *_bracket(w, root, (q / r, -x / r, -y / r, -z / r)))
-    vals, vecs = _eigh_lo(sigma, signature="D->dD")
+    vals, vecs = eigh_lo(sigma, signature="D->dD")
     if not vals[0] > _FLOOR:
         return None
     vh, sqrt_vals = vecs.conj().T, np.sqrt(vals)
@@ -196,7 +192,7 @@ def _extrapolate(fs, gs, latest: int):
     gram = df @ df.T
     diag = gram.reshape(-1)[:: len(fs) + 1]  # the diagonal, as a writeable view
     diag += 1e-12 * diag + _TINY
-    weights = np.linalg.solve(gram, df @ fs[latest])
+    weights = solve(gram, df @ fs[latest])
     weights[latest] += 1.0 - weights.sum()
     cand = (weights @ gs.reshape(len(gs), -1)).reshape(gs.shape[1:])
     trace = cand.trace().real
@@ -204,16 +200,16 @@ def _extrapolate(fs, gs, latest: int):
     return cand / (trace if trace > 0.0 else 1.0)
 
 
-@np.errstate(call=_unconverged, invalid="call", over="ignore", divide="ignore", under="ignore")
+@eig_errstate
 def _solve_hw(w: np.ndarray, d: int):
     """Certified bracket on ||Theta o N||_dia for one W = d R: the fixed-point route.
 
     Maximises the concave f(sigma) from sigma = I/d. Each step first tries the Anderson
     extrapolation of the last min(``ANDERSON_DEPTH``, d^2 - 1) + 1 pairs (sigma, T(sigma) =
     Tr_out|M| / ||M||_1), kept if its bracket is narrower than the iterate's; else the plain
-    fixed-point step sigma <- T(sigma). A trial solves M, and for d > 2 sigma and G, by LAPACK's
-    gufuncs that np.linalg wraps, called directly under its error state held once per solve (the
-    same bits, less set-up per call). A trial counts if its eigenvalues exceed eps / ``CPTP_ATOL``,
+    fixed-point step sigma <- T(sigma). A trial solves M, and for d > 2 sigma and G, by the raw
+    LAPACK gufuncs of :mod:`linalg`, under ``eig_errstate`` held once per solve, not once per
+    call. A trial counts if its eigenvalues exceed eps / ``CPTP_ATOL``,
     as :func:`_bracket`'s upper end rounds. It stops at a log2 bracket of at most ``CPTP_ATOL``,
     after ``MAX_ITERS`` steps, or when no trial counts. Returns log2 of the best lower and least
     upper end, sqrt(sigma) at the best lower end, and the step, evaluation and extrapolation counts.
@@ -377,7 +373,7 @@ def maxrains_surrogate(c: QuantumChannel) -> BoundReport:
     from one eigensolve of R, which is Hermitian by construction.
     """
     r = pdm_mod.pdm_from_channel(c)
-    spectrum = np.linalg.eigvalsh(r.matrix)  # ascending: max|lambda| is at one end
+    spectrum = eigvalsh(r.matrix)  # ascending: max|lambda| is at one end
     return BoundReport(
         channel_label=c.label,
         method="maxrains_surrogate",
@@ -416,7 +412,7 @@ def sweep_shifted_depol(
         return []
     j = choi_from_kraus(shifted_depolarizing_kraus(*points.T))
     r = partial_transpose(j, (2, 2), 0)
-    norms = np.abs(np.linalg.eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
+    norms = np.abs(eigvalsh(r)).sum(axis=1).tolist()  # R is exactly Hermitian
     rows = []
     for (p, g), norm, flat in zip(points.tolist(), norms, r.reshape(-1, 16).tolist()):
         caus = pdm_mod.clamp_log2(math.log2(norm))

@@ -228,17 +228,16 @@ def named_channel(name: str, **params) -> QuantumChannel:
             _reject_extra(name, params)
             return QuantumChannel([np.eye(2**qubits)], f"identity({qubits})")
         if name == "depolarizing":
-            p = float(params.pop("p"))
+            p = _number(params, "p")
             _reject_extra(name, params)
             ops = shifted_depolarizing_kraus(p, 0.0)
             return QuantumChannel(ops[ops.any(axis=(1, 2))], f"depolarizing(p={p:g})")
         if name == "shifted-depolarizing":
-            p = float(params.pop("p"))
-            gamma = float(params.pop("gamma"))
+            p, gamma = _number(params, "p"), _number(params, "gamma")
             _reject_extra(name, params)
             return shifted_depolarizing(p, gamma)
         if name == "dephasing":
-            lam = float(params.pop("strength", 1.0))
+            lam = _number(params, "strength", 1.0)
             _reject_extra(name, params)
             if not 0.0 <= lam <= 1.0:
                 raise ValueError(f"dephasing strength {lam!r} outside [0, 1]")
@@ -247,7 +246,7 @@ def named_channel(name: str, **params) -> QuantumChannel:
                 f"dephasing({lam:g})",
             )
         if name == "amplitude-damping":
-            eta = float(params.pop("eta"))
+            eta = _number(params, "eta")
             _reject_extra(name, params)
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"damping eta {eta!r} outside [0, 1]")
@@ -257,6 +256,15 @@ def named_channel(name: str, **params) -> QuantumChannel:
         raise ValueError(f"unknown channel name {name!r} (known: {', '.join(CHANNEL_NAMES)})")
     except KeyError as exc:  # a params.pop without a default
         raise ValueError(f"channel {name!r} needs parameter {exc.args[0]!r}") from None
+
+
+def _number(params: dict, key: str, *default) -> float:
+    """Pop ``key`` (else ``default``) as a float; what float() refuses is a ValueError naming it."""
+    value = params.pop(key, *default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"parameter {key!r} must be one real number, got {value!r}") from None
 
 
 def _reject_extra(name: str, params: dict) -> None:

@@ -35,6 +35,7 @@ from .channels import (
     named_channel,
     tp_residual,
 )
+from .linalg import eigvalsh
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -149,7 +150,7 @@ def cmd_verify(args) -> int:
 
 def cmd_channel_info(args) -> int:
     chan = _resolve_channel(args)
-    spectrum = np.linalg.eigvalsh(chan.choi)
+    spectrum = eigvalsh(chan.choi)
     info = {
         "label": chan.label,
         "qubits_in": chan.qubits_in,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, solve1
 
 # Tolerances: every numerical threshold of the package, in one table.
 # HERM_ATOL: max-entry distance at which two matrices count as equal: a matrix and its
@@ -25,6 +26,35 @@ CPTP_ATOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _unconverged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# The one route to np.linalg's LAPACK gufuncs: the signatures it picks for complex input (solve:
+# real), so its bits, with no per-call set-up but its error state, where a LAPACK failure raises.
+eig_errstate = np.errstate(call=_unconverged, invalid="call", over="ignore", divide="ignore",
+                           under="ignore")
+
+
+@eig_errstate
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return eigh_lo(a, signature="D->dD")
+
+
+@eig_errstate
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    return eigvalsh_lo(a, signature="D->d")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return solve1(a, b, signature="dd->d")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -71,7 +101,7 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
 def require_state(rho: np.ndarray) -> np.ndarray:
     """Reject anything but a density matrix; return it symmetrized."""
     rho = require_hermitian(rho)
-    vals = np.linalg.eigvalsh(rho)
+    vals = eigvalsh(rho)
     if vals[0] < -CPTP_ATOL:
         raise ValueError(f"not a state: eigenvalue {vals[0]:.3e}")
     trace = np.trace(rho).real
@@ -83,7 +113,7 @@ def require_state(rho: np.ndarray) -> np.ndarray:
 def trace_norm(a: np.ndarray) -> float:
     """Sum of absolute eigenvalues, for Hermitian input only."""
     m = require_hermitian(a)
-    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+    return float(np.abs(eigvalsh(m)).sum())
 
 
 def random_complex(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,8 @@ from .channels import (
 from .linalg import (
     CPTP_ATOL,
     HERM_ATOL,
+    eigh,
+    eigvalsh,
     random_density,
     random_isometry,
     random_unitary,
@@ -39,7 +41,7 @@ from .linalg import (
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = eigh(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -52,7 +54,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(f"state shapes differ: {rho.shape} vs {sigma.shape}")
     root = _sqrtm_psd(rho)
     inner = root @ sigma @ root
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    vals = eigvalsh(0.5 * (inner + inner.conj().T))
     return float(np.sqrt(np.clip(vals, 0.0, None)).sum())
 
 
@@ -205,7 +207,7 @@ def suite_fidelity(seed: int = 0, cases: int = 100) -> SuiteResult:
 
 def _entanglement_fidelity_purified(rho: np.ndarray, c: QuantumChannel) -> float:
     """Independent route: overlap of a purification with the evolved purification."""
-    vals, vecs = np.linalg.eigh(rho)
+    vals, vecs = eigh(rho)
     dim = rho.shape[0]
     # purification |phi> = sum_i sqrt(l_i) |v_i> x |i>: V sqrt(l) flattened row by row
     phi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1)

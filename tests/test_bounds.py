@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalcap import bounds
+import causalcap
+from causalcap import bounds, linalg
 from causalcap import pdm as pdm_mod
 from causalcap.bounds import (
     MAX_ITERS,
@@ -150,22 +153,37 @@ class TestAnalytic:
                 function(p, gamma)
 
 
+def patch_everywhere(monkeypatch, names, wrap, skip=()):
+    """Replace each linalg function in ``names`` by ``wrap(function, name)`` on every attribute
+    of a src module that holds it, except the (module, name) pairs in ``skip``."""
+    kinds = {id(getattr(linalg, name)): name for name in names}
+    for info in pkgutil.iter_modules(causalcap.__path__):
+        module = importlib.import_module(f"causalcap.{info.name}")
+        for attr, obj in list(vars(module).items()):
+            name = kinds.get(id(obj))
+            if name is not None and (module, name) not in skip:
+                monkeypatch.setattr(module, attr, wrap(obj, name))
+
+
 def count_eigensolves(monkeypatch) -> list:
     """Record (name, shape) per Hermitian eigensolve; return the record.
 
-    Counts both np.linalg's eigh and eigvalsh (as "eigh", "eigvalsh") and the LAPACK gufuncs
-    the fixed-point loop calls directly (as "eigh_lo", "eigvalsh_lo"), which np.linalg's own
-    calls do not go through.
+    Counts linalg's wrappers eigh and eigvalsh wherever src holds them (as "eigh", "eigvalsh"),
+    and the LAPACK gufuncs that the fixed-point loop calls directly (as "eigh_lo",
+    "eigvalsh_lo") wherever src holds them but in linalg, where only the wrappers call them.
     """
     calls = []
-    for owner, attr, name in [(np.linalg, "eigh", "eigh"), (np.linalg, "eigvalsh", "eigvalsh"),
-                              (bounds, "_eigh_lo", "eigh_lo"),
-                              (bounds, "_eigvalsh_lo", "eigvalsh_lo")]:
-        def counted(a, _solve=getattr(owner, attr), _name=name, **kwargs):
-            calls.append((_name, a.shape))
-            return _solve(a, **kwargs)
 
-        monkeypatch.setattr(owner, attr, counted)
+    def counter(solve, name):
+        def counted(a, **kwargs):
+            calls.append((name, a.shape))
+            return solve(a, **kwargs)
+
+        return counted
+
+    kernels = ("eigh_lo", "eigvalsh_lo")
+    patch_everywhere(monkeypatch, ("eigh", "eigvalsh") + kernels, counter,
+                     skip={(linalg, name) for name in kernels})
     return calls
 
 
@@ -327,7 +345,7 @@ class TestHwBound:
     )
     def test_closed_form_makes_no_eigensolve(self, chan, monkeypatch):
         causality_bound(chan)  # builds the PDM and its trace norm
-        calls = count_eigensolves(monkeypatch)  # np.linalg and the kernels alike
+        calls = count_eigensolves(monkeypatch)  # the wrappers and the kernels alike
         rep = hw_bound(chan)
         assert "phase-covariant" in rep.diagnostics["note"]
         assert calls == []
@@ -359,17 +377,34 @@ class TestHwBound:
             return trial
 
         def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.solve called")
+            raise AssertionError("linalg.solve called")
 
         monkeypatch.setattr(bounds, "_bracket", counted_bracket)
         monkeypatch.setattr(bounds, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(bounds, "solve", refuse)
         diag = hw_bound(chan).diagnostics
         dim = 2 * chan.dim_out
         assert diag["iterations"] > 0 and diag["gap"] <= CPTP_ATOL
         assert sum(rejected) == floor_rejections
         assert len(brackets) == diag["evaluations"] - sum(rejected)  # the start is a bracket
         assert calls == [("eigh_lo", (dim, dim))] * len(brackets)
+
+    def test_each_extrapolation_on_a_larger_input_makes_one_solve(self, monkeypatch):
+        # 29 steps, every one after the first tries one extrapolation: one Gram solve each
+        chan, shapes = random_channel(2, 2, env_qubits=2, seed=0), []
+
+        def counter(solve, name):
+            def counted(a, b):
+                shapes.append((a.shape, b.shape))
+                return solve(a, b)
+
+            return counted
+
+        patch_everywhere(monkeypatch, ("solve",), counter)
+        diag = hw_bound(chan).diagnostics
+        assert (diag["iterations"], diag["accelerated_steps"]) == (29, 28)
+        assert len(shapes) == 28
+        assert all(a == (k, k) and 2 <= k <= 6 for a, (k,) in shapes)  # k pairs mixed
 
     def test_sweep_makes_one_eigensolve(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)
@@ -534,26 +569,8 @@ class TestFixedPointEvaluation:
         assert counts == (40, 80, 0)  # steps, evaluations, accelerated steps
 
 
-class TestEigensolverKernels:
-    """The fixed-point loop calls LAPACK's eigh_lo and eigvalsh_lo gufuncs directly.
-
-    They are np.linalg's private kernels: these tests pin the contract the loop relies on, that
-    they return np.linalg.eigh's and eigvalsh's arrays bit for bit, and that a solve raises and
-    restores the error state as np.linalg does.
-    """
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 16])
-    def test_kernels_match_np_linalg_bit_for_bit(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(25):
-            a = random_complex(n, n, rng)
-            h = a + a.conj().T
-            vals, vecs = bounds._eigh_lo(h, signature="D->dD")
-            ref_vals, ref_vecs = np.linalg.eigh(h)
-            top = bounds._eigvalsh_lo(h, signature="D->d")
-            for ours, ref in ((vals, ref_vals), (vecs, ref_vecs), (top, np.linalg.eigvalsh(h))):
-                assert ours.dtype == ref.dtype and ours.shape == ref.shape
-                assert ours.tobytes() == ref.tobytes()
+class TestFixedPointErrorState:
+    """A solve holds linalg's eigensolver error state once, around its direct kernel calls."""
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_unconverged_solve_raises_as_np_linalg(self, d):
@@ -579,7 +596,7 @@ class TestEigensolverKernels:
         assert (np.geterr(), np.geterrcall()) == before
         assert len(states) == counts[1] - 1  # every trial, the first bracket aside
         inside = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}
-        assert all(err == inside and call is bounds._unconverged for err, call in states)
+        assert all(err == inside and call is linalg._unconverged for err, call in states)
 
 
 def reference_sigma_star(w: np.ndarray) -> np.ndarray:

@@ -653,6 +653,24 @@ class TestNamedChannel:
         with pytest.raises(ValueError, match=f"needs parameter '{missing}'"):
             named_channel(name, **params)
 
+    @pytest.mark.parametrize("value", [np.array([0.1]), [0.1], np.array([[0.1]]), 0.1j, "x"],
+                             ids=["array", "list", "2-d-array", "complex", "string"])
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("depolarizing", {}, "p"),
+            ("shifted-depolarizing", {"gamma": 0.2}, "p"),
+            ("shifted-depolarizing", {"p": 0.1}, "gamma"),
+            ("amplitude-damping", {}, "eta"),
+            ("dephasing", {}, "strength"),
+        ],
+    )
+    def test_a_parameter_that_is_not_one_number_is_a_value_error_naming_it(
+        self, name, params, key, value
+    ):
+        with pytest.raises(ValueError, match=f"^parameter '{key}' must be one real number, got "):
+            named_channel(name, **params, **{key: value})
+
 
 def test_channels_compare_and_hash_by_identity():
     c = shifted_depolarizing(0.1, 0.2)

@@ -7,12 +7,15 @@ import pytest
 
 import causalcap
 from causalcap.linalg import (
+    eigh,
+    eigvalsh,
     partial_transpose,
     random_complex,
     random_density,
     random_isometry,
     random_unitary,
     require_state,
+    solve,
     trace_norm,
 )
 
@@ -142,6 +145,74 @@ class TestRequireState:
             require_state(bad.astype(complex))
 
 
+def assert_same_bits(ours, ref):
+    """Two tuples of arrays agree in dtype, shape and every byte."""
+    assert len(ours) == len(ref)
+    for x, y in zip(ours, ref):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def error_state():
+    return np.geterr(), np.geterrcall()
+
+
+class TestEigensolverKernels:
+    """eigh, eigvalsh and solve call LAPACK's gufuncs, np.linalg's private kernels, directly.
+
+    These tests pin the contract every caller relies on: the wrappers return np.linalg's arrays
+    bit for bit, raise its LinAlgError where LAPACK fails, and restore the error state.
+    """
+
+    @staticmethod
+    def assert_eigensolves_as_np_linalg(h):
+        assert_same_bits(eigh(h), np.linalg.eigh(h))
+        assert_same_bits((eigvalsh(h),), (np.linalg.eigvalsh(h),))
+
+    def test_sizes_2_to_64_match_np_linalg_bit_for_bit(self):
+        rng = np.random.default_rng(100)
+        for n in range(2, 65):
+            for _ in range(3):
+                self.assert_eigensolves_as_np_linalg(random_hermitian(n, rng))
+
+    def test_a_stack_matches_np_linalg_bit_for_bit(self):
+        # the sweep's batch: one 4x4 R per point of the 26x21 grid
+        g = random_complex(546 * 4, 4, np.random.default_rng(101)).reshape(546, 4, 4)
+        self.assert_eigensolves_as_np_linalg(g + g.conj().swapaxes(1, 2))
+
+    def test_empty_matrix_matches_np_linalg(self):
+        self.assert_eigensolves_as_np_linalg(np.zeros((0, 0), dtype=complex))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    def test_solve_matches_np_linalg_bit_for_bit(self, k):
+        rng = np.random.default_rng(200 + k)
+        for _ in range(25):
+            f = rng.standard_normal((k, 8))
+            gram, rhs = f @ f.T, rng.standard_normal(k)  # as the Anderson step's Gram system
+            assert_same_bits((solve(gram, rhs),), (np.linalg.solve(gram, rhs),))
+
+    @pytest.mark.parametrize("function", [eigh, eigvalsh])
+    def test_unconverged_eigensolve_raises_as_np_linalg(self, function):
+        nan, before = np.full((4, 4), np.nan, dtype=complex), error_state()
+        with np.errstate(all="ignore"):  # the wrapper sets its own state, as np.linalg does
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                function(nan)
+        assert error_state() == before
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            getattr(np.linalg, function.__name__)(nan)
+
+    def test_singular_solve_raises_as_np_linalg(self):
+        zero, ones, before = np.zeros((3, 3)), np.ones(3), error_state()
+        for function in (solve, np.linalg.solve):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                function(zero, ones)
+        assert error_state() == before
+
+    def test_error_state_is_restored_after_a_solve(self):
+        before, h = error_state(), random_hermitian(4, np.random.default_rng(102))
+        eigh(h), eigvalsh(h), solve(np.eye(2), np.ones(2))
+        assert error_state() == before
+
+
 def numeric_literal(node) -> bool:
     """A number written out (1e-9, -1e-9, 10**-9), not an expression naming a constant."""
     parts = list(ast.walk(node))
@@ -223,3 +294,27 @@ def test_every_public_src_definition_is_used():
         and not re.search(rf"\b{name}\b", outside)
     )
     assert not dead, dead
+
+
+def test_every_hermitian_eigensolve_goes_through_linalg():
+    """No src module but linalg reaches np.linalg.eigh or eigvalsh, or imports numpy's private
+    numpy.linalg._umath_linalg: linalg's wrappers are the package's one route to the kernels."""
+    bypasses, private = [], set()
+    for path in sorted(Path(causalcap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imported = []
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            if any("_umath_linalg" in name for name in imported):
+                private.add(path.stem)
+            if path.stem != "linalg" and (
+                any(name in ("numpy.linalg.eigh", "numpy.linalg.eigvalsh") for name in imported)
+                or isinstance(node, ast.Attribute)
+                and node.attr in ("eigh", "eigvalsh")
+                and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")
+            ):
+                bypasses.append(f"{path.stem}:{node.lineno}")
+    assert private == {"linalg"}  # the one import, which the walk must see
+    assert not bypasses, bypasses
