@@ -29,7 +29,7 @@ from .channels import (
     shifted_depolarizing_kraus,
 )
 from .linalg import (CPTP_ATOL, eig_errstate, eigh_lo, eigvalsh, eigvalsh_lo,  # noqa: F401
-                     partial_transpose, solve, trace_norm)
+                     partial_transpose, solve1, trace_norm)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,9 @@ def _extrapolate(fs, gs, latest: int):
 
     Minimises the residual over affine combinations of the pairs (Walker & Ni, SIAM J. Numer.
     Anal. 49, 1715, 2011) in the real Frobenius inner product, and returns the same combination
-    of the images, trace-normalised. Differences are from the pair ``latest``, whose zero row
-    gets coefficient 0; a Levenberg-Marquardt ridge keeps the Gram system nonsingular.
+    of the images, trace-normalised. Differences are from the pair ``latest``, whose zero row gets
+    coefficient 0; a Levenberg-Marquardt ridge keeps the Gram system, solved by the raw ``solve1``
+    inside :func:`_solve_hw`'s ``eig_errstate``, nonsingular.
     """
     if isinstance(fs, list):  # d = 2, Bloch vectors: LDL^T in floats on 3 differences, 0-padded
         def dot(x, y):
@@ -192,7 +193,7 @@ def _extrapolate(fs, gs, latest: int):
     gram = df @ df.T
     diag = gram.reshape(-1)[:: len(fs) + 1]  # the diagonal, as a writeable view
     diag += 1e-12 * diag + _TINY
-    weights = solve(gram, df @ fs[latest])
+    weights = solve1(gram, df @ fs[latest], signature="dd->d")
     weights[latest] += 1.0 - weights.sum()
     cand = (weights @ gs.reshape(len(gs), -1)).reshape(gs.shape[1:])
     trace = cand.trace().real

@@ -32,14 +32,9 @@ def _unconverged(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-# The one route to np.linalg's LAPACK gufuncs: the signatures it picks for complex input (solve:
-# real), so its bits, with no per-call set-up but its error state, where a LAPACK failure raises.
-eig_errstate = np.errstate(call=_unconverged, invalid="call", over="ignore", divide="ignore",
-                           under="ignore")
+# The one route to np.linalg's LAPACK gufuncs: the signatures it picks, so its bits, and its error
+# state, in which a LAPACK failure raises; bounds calls the gufuncs raw inside this state.
+eig_errstate = np.errstate(call=_unconverged, all="ignore", invalid="call")
 
 
 @eig_errstate
@@ -50,11 +45,6 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @eig_errstate
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     return eigvalsh_lo(a, signature="D->d")
-
-
-@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return solve1(a, b, signature="dd->d")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -72,7 +62,10 @@ def partial_transpose(a: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = dims if len(dims) == 2 else (0, 0)  # another count fails the check below
+    if d1 is True or d2 is True or not (isinstance(d1, (int, np.integer))  # bool is an int
+                                        and isinstance(d2, (int, np.integer)) and d1 > 0 < d2):
+        raise ValueError(f"dims must be two positive integers, got {dims!r}")
     if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"dims {dims} do not match matrix shape {a.shape}")
     if subsystem not in (0, 1):

@@ -377,11 +377,11 @@ class TestHwBound:
             return trial
 
         def refuse(*args, **kwargs):
-            raise AssertionError("linalg.solve called")
+            raise AssertionError("solve1 called")
 
         monkeypatch.setattr(bounds, "_bracket", counted_bracket)
         monkeypatch.setattr(bounds, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(bounds, "solve", refuse)
+        monkeypatch.setattr(bounds, "solve1", refuse)
         diag = hw_bound(chan).diagnostics
         dim = 2 * chan.dim_out
         assert diag["iterations"] > 0 and diag["gap"] <= CPTP_ATOL
@@ -390,21 +390,24 @@ class TestHwBound:
         assert calls == [("eigh_lo", (dim, dim))] * len(brackets)
 
     def test_each_extrapolation_on_a_larger_input_makes_one_solve(self, monkeypatch):
-        # 29 steps, every one after the first tries one extrapolation: one Gram solve each
+        # 29 steps, every one after the first tries one extrapolation: one Gram solve each, by
+        # the raw solve1 gufunc inside the solve's error state
         chan, shapes = random_channel(2, 2, env_qubits=2, seed=0), []
 
         def counter(solve, name):
-            def counted(a, b):
-                shapes.append((a.shape, b.shape))
-                return solve(a, b)
+            def counted(a, b, **kwargs):
+                shapes.append((a.shape, b.shape, kwargs, np.geterrcall()))
+                return solve(a, b, **kwargs)
 
             return counted
 
-        patch_everywhere(monkeypatch, ("solve",), counter)
+        patch_everywhere(monkeypatch, ("solve1",), counter)
         diag = hw_bound(chan).diagnostics
         assert (diag["iterations"], diag["accelerated_steps"]) == (29, 28)
         assert len(shapes) == 28
-        assert all(a == (k, k) and 2 <= k <= 6 for a, (k,) in shapes)  # k pairs mixed
+        assert all(a == (k, k) and 2 <= k <= 6 for a, (k,), _, _ in shapes)  # k pairs mixed
+        assert all(kw == {"signature": "dd->d"} and call is linalg._unconverged
+                   for _, _, kw, call in shapes)
 
     def test_sweep_makes_one_eigensolve(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)

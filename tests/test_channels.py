@@ -215,12 +215,6 @@ class TestDirectConstructor:
         with pytest.raises(ValueError, match="not trace preserving"):
             QuantumChannel((ket0_bra0, ket1_bra0))
 
-    def test_the_callers_array_cannot_change_the_channel(self):
-        a = np.eye(2, dtype=complex)
-        c = QuantumChannel([a])
-        a[:] = PAULI_X
-        assert np.array_equal(c.kraus[0], I2) and np.array_equal(c.choi, IDENT.choi)
-
     @pytest.mark.parametrize("q_in, q_out, stack", [
         (1, 1, shifted_depolarizing_kraus(0.1, 0.3)),
         (2, 2, np.array(random_channel(2, 2).kraus)),

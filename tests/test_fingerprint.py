@@ -28,8 +28,9 @@ def test_digests_match_the_recorded_fingerprint():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(src), os.environ.get("PYTHONPATH"),
     ])))
+    # a numeric warning fails the run here as it fails tier-1's pytest, not only printed
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--check"],
+        [sys.executable, "-W", "error::RuntimeWarning", str(SCRIPT), "--check"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     # only the script's own process runs the OpenBLAS kernel it pins, so it decides the skip

@@ -7,6 +7,7 @@ import pytest
 
 import causalcap
 from causalcap.linalg import (
+    eig_errstate,
     eigh,
     eigvalsh,
     partial_transpose,
@@ -15,7 +16,7 @@ from causalcap.linalg import (
     random_isometry,
     random_unitary,
     require_state,
-    solve,
+    solve1,
     trace_norm,
 )
 
@@ -67,13 +68,22 @@ class TestPartialTranspose:
         out = partial_transpose(stack, dims, subsystem)
         assert out.shape == stack.shape and out.tobytes() == looped.tobytes()
 
-    @pytest.mark.parametrize("bad, match", [
-        (np.ones(4), r"expected a 2-d matrix, got shape \(4,\)"),
-        (np.ones((3, 4, 2)), r"dims \(2, 2\) do not match matrix shape \(3, 4, 2\)"),
-    ], ids=["1-d", "stack-of-wrong-shape"])
-    def test_rejects_what_is_not_a_matrix_or_a_stack(self, bad, match):
+    @pytest.mark.parametrize("bad, dims, match", [
+        (np.ones(4), (2, 2), r"expected a 2-d matrix, got shape \(4,\)"),
+        (np.ones((3, 4, 2)), (2, 2), r"dims \(2, 2\) do not match matrix shape \(3, 4, 2\)"),
+        *[(np.eye(4), dims, rf"^dims must be two positive integers, got {re.escape(repr(dims))}$")
+          for dims in [(2.9, 2.9), (True, 4), ("2", "2"), (2, 2, 5), (-2, -2), (0, 4), (4,)]],
+    ], ids=["1-d", "stack-of-wrong-shape", "float-dims", "bool-dims", "str-dims", "three-dims",
+            "negative-dims", "zero-dims", "one-dim"])
+    def test_rejects_what_is_not_a_matrix_or_a_stack(self, bad, dims, match):
         with pytest.raises(ValueError, match=match):
-            partial_transpose(bad, (2, 2), 0)
+            partial_transpose(bad, dims, 0)
+
+    def test_numpy_integer_dims_give_the_same_bits(self):
+        a = random_complex(8, 8, np.random.default_rng(103))
+        ref = partial_transpose(a, (2, 4), 1).tobytes()
+        for dims in [(np.int64(2), np.int32(4)), np.array([2, 4]), [np.uint8(2), 4]]:
+            assert partial_transpose(a, dims, 1).tobytes() == ref
 
     def test_rejects_a_third_subsystem(self):
         with pytest.raises(ValueError, match="subsystem must be 0 or 1"):
@@ -156,11 +166,18 @@ def error_state():
     return np.geterr(), np.geterrcall()
 
 
+@eig_errstate  # a decorator: an np.errstate cannot be entered twice with ``with``
+def raw_solve(a, b):
+    """The fixed-point loop's Gram solve: the raw gufunc, inside linalg's one error state."""
+    return solve1(a, b, signature="dd->d")
+
+
 class TestEigensolverKernels:
-    """eigh, eigvalsh and solve call LAPACK's gufuncs, np.linalg's private kernels, directly.
+    """eigh and eigvalsh call LAPACK's gufuncs, np.linalg's private kernels, directly.
 
     These tests pin the contract every caller relies on: the wrappers return np.linalg's arrays
-    bit for bit, raise its LinAlgError where LAPACK fails, and restore the error state.
+    bit for bit, raise its LinAlgError where LAPACK fails, and restore the error state. So does
+    the raw solve1 gufunc under eig_errstate, as the fixed-point loop's Gram solve calls it.
     """
 
     @staticmethod
@@ -188,7 +205,7 @@ class TestEigensolverKernels:
         for _ in range(25):
             f = rng.standard_normal((k, 8))
             gram, rhs = f @ f.T, rng.standard_normal(k)  # as the Anderson step's Gram system
-            assert_same_bits((solve(gram, rhs),), (np.linalg.solve(gram, rhs),))
+            assert_same_bits((raw_solve(gram, rhs),), (np.linalg.solve(gram, rhs),))
 
     @pytest.mark.parametrize("function", [eigh, eigvalsh])
     def test_unconverged_eigensolve_raises_as_np_linalg(self, function):
@@ -200,16 +217,17 @@ class TestEigensolverKernels:
         with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
             getattr(np.linalg, function.__name__)(nan)
 
-    def test_singular_solve_raises_as_np_linalg(self):
+    def test_singular_solve_under_the_error_state_raises(self):
         zero, ones, before = np.zeros((3, 3)), np.ones(3), error_state()
-        for function in (solve, np.linalg.solve):
-            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-                function(zero, ones)
+        with pytest.raises(np.linalg.LinAlgError):
+            raw_solve(zero, ones)
         assert error_state() == before
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(zero, ones)
 
     def test_error_state_is_restored_after_a_solve(self):
         before, h = error_state(), random_hermitian(4, np.random.default_rng(102))
-        eigh(h), eigvalsh(h), solve(np.eye(2), np.ones(2))
+        eigh(h), eigvalsh(h)
         assert error_state() == before
 
 
@@ -297,9 +315,9 @@ def test_every_public_src_definition_is_used():
 
 
 def test_every_hermitian_eigensolve_goes_through_linalg():
-    """No src module but linalg reaches np.linalg.eigh or eigvalsh, or imports numpy's private
-    numpy.linalg._umath_linalg: linalg's wrappers are the package's one route to the kernels."""
-    bypasses, private = [], set()
+    """No src module but linalg reaches np.linalg.eigh, eigvalsh or solve, or imports numpy's
+    private numpy.linalg._umath_linalg: linalg is the package's one route to the kernels."""
+    bypasses, private, kernels = [], set(), ("eigh", "eigvalsh", "solve")
     for path in sorted(Path(causalcap.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             imported = []
@@ -310,9 +328,9 @@ def test_every_hermitian_eigensolve_goes_through_linalg():
             if any("_umath_linalg" in name for name in imported):
                 private.add(path.stem)
             if path.stem != "linalg" and (
-                any(name in ("numpy.linalg.eigh", "numpy.linalg.eigvalsh") for name in imported)
+                any(name in [f"numpy.linalg.{k}" for k in kernels] for name in imported)
                 or isinstance(node, ast.Attribute)
-                and node.attr in ("eigh", "eigvalsh")
+                and node.attr in kernels
                 and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")
             ):
                 bypasses.append(f"{path.stem}:{node.lineno}")

@@ -327,6 +327,11 @@ class TestLogNegativity:
     def test_maximally_mixed(self):
         assert abs(log_negativity(np.eye(4) / 4, (2, 2))) < 1e-12
 
+    def test_rejects_dims_that_are_not_integers(self):
+        # refused, not truncated: (2.9, 2.9) read as (2, 2) would return 0.0 without a word
+        with pytest.raises(ValueError, match="dims must be two positive integers"):
+            log_negativity(np.eye(4) / 4, (2.9, 2.9))
+
     def test_rejects_non_state(self):
         # SWAP / 2 is Hermitian with unit trace, but has eigenvalue -1/2
         with pytest.raises(ValueError, match="not a state"):
