@@ -23,21 +23,20 @@ import numpy as np
 from . import pdm as pdm_mod
 from .channels import (
     QuantumChannel,
-    check_one_point,
     check_shifted_depolarizing,
     choi_from_kraus,
     shifted_depolarizing_kraus,
 )
-from .linalg import (CPTP_ATOL, eig_errstate, eigh_lo, eigvalsh, eigvalsh_lo,  # noqa: F401
-                     partial_transpose, solve1, trace_norm)
+from .linalg import (CPTP_ATOL, _integer, _real, eig_errstate, eigh_lo,  # noqa: F401
+                     eigvalsh, eigvalsh_lo, partial_transpose, solve1, trace_norm)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Accepted by the Holevo-Werner entry points for compatibility; no effect.
 
-    ``restarts`` must be at least 1, and neither it nor ``seed`` changes a
-    result: the solver is deterministic and, because the problem is concave,
+    ``restarts`` must be an integer of at least 1 and ``seed`` one of at least 0, and neither
+    changes a result: the solver is deterministic and, because the problem is concave,
     needs no restarts. Its bracket tolerance is ``CPTP_ATOL`` and its step cap
     ``MAX_ITERS``; neither is a setting.
     """
@@ -46,8 +45,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        _integer(self.restarts, "restarts", 1)
+        _integer(self.seed, "seed", 0)
 
 
 @dataclass(eq=False)  # by identity, as channels and PDMs: best_input is an array
@@ -90,9 +89,9 @@ def causality_bound(c: QuantumChannel) -> BoundReport:
 
 def analytic_shifted_depol(p: float, gamma: float) -> float:
     """Closed-form causality bound for the shifted depolarizing channel at one point."""
-    check_one_point(p, gamma)
+    p, gamma = _real(p, "p"), _real(gamma, "gamma")  # in doubles, as the channel is built
     check_shifted_depolarizing(p, gamma)
-    return _analytic(float(p), float(gamma))  # in doubles, as the channel is built
+    return _analytic(p, gamma)
 
 
 def _analytic(p: float, gamma: float) -> float:
@@ -406,9 +405,12 @@ def sweep_shifted_depol(
     Builds no channels: R = T_A(J), J from :func:`channels.choi_from_kraus` of the stacked
     :func:`channels.shifted_depolarizing_kraus` as for a channel, gives the causality column
     (one batched eigensolve) and HW (:func:`_solve_covariant` on each row of R.tolist(), with
-    :func:`hw_bound`'s floor), bit for bit as channel-built. ``cfg`` and ``workers`` do nothing.
+    :func:`hw_bound`'s floor), bit for bit as channel-built. Each grid is a sequence of finite
+    real numbers, or one such number. ``cfg`` and ``workers`` do nothing.
     """
-    points = np.array([(p, g) for p in p_grid for g in gamma_grid], dtype=float).reshape(-1, 2)
+    ps, gs = ([_real(x, name) for x in np.atleast_1d(grid).tolist()]
+              for grid, name in ((p_grid, "p"), (gamma_grid, "gamma")))
+    points = np.array([(p, g) for p in ps for g in gs], dtype=float).reshape(-1, 2)
     if not points.size:  # an empty grid: there is no R to stack
         return []
     j = choi_from_kraus(shifted_depolarizing_kraus(*points.T))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import CPTP_ATOL, I2, PAULI_Z, as_matrix, random_complex
+from .linalg import CPTP_ATOL, I2, PAULI_Z, _integer, _matrix, _qubits, _real, random_complex
 
 # the most qubits_in + qubits_out a channel file may declare: J at most 256x256
 MAX_FILE_QUBITS = 8
@@ -39,21 +39,6 @@ def choi_from_kraus(ops) -> np.ndarray:
     j += j.conj().swapaxes(-1, -2)  # safe in place: NumPy copies an operand overlapping j
     j *= 0.5
     return j
-
-
-def _qubit_count(q) -> int:
-    """``q`` as an int (NumPy integers pass, bool does not); anything else is a ValueError."""
-    if isinstance(q, (int, np.integer)) and not isinstance(q, bool):
-        return int(q)
-    raise ValueError(f"qubit counts must be integers, got {q!r}")
-
-
-def _qubit_counts(qubits_in, qubits_out, optional: bool = False) -> list:
-    """The declared counts as ints of at least 1; with ``optional`` a None count is left out."""
-    counts = [q if q is None and optional else _qubit_count(q) for q in (qubits_in, qubits_out)]
-    if min((q for q in counts if q is not None), default=1) < 1:
-        raise ValueError(f"qubit counts must be at least 1, got {qubits_in}->{qubits_out}")
-    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +67,8 @@ class QuantumChannel:
         except (TypeError, ValueError):  # ragged operators, or an iterator
             ops = None
         if ops is None or ops.ndim != 3 or not len(ops):  # per operator, for the message
-            mats = [as_matrix(a) for a in self.kraus]
+            mats = [_matrix(a, "Kraus operator")
+                    for a in (self.kraus if ops is None else np.atleast_1d(ops))]
             if not mats:
                 raise ValueError("a channel needs at least one Kraus operator")
             if any(a.shape != mats[0].shape for a in mats):
@@ -92,9 +78,7 @@ class QuantumChannel:
         peak = np.abs(ops).max(initial=0.0)  # also inf where a finite entry's modulus overflows
         if not peak < np.inf and not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite (found NaN or infinity)")
-        qubits_in, qubits_out = cols.bit_length() - 1, rows.bit_length() - 1
-        if min(qubits_in, qubits_out) < 1 or (1 << qubits_in, 1 << qubits_out) != (cols, rows):
-            raise ValueError(f"Kraus shape {(rows, cols)} is not (2**m, 2**n) with m, n >= 1")
+        qubits_out, qubits_in = _qubits((rows, cols), "Kraus")
         if not peak <= 1.0 + CPTP_ATOL:  # TP bounds every |entry| by 1; more could overflow J
             raise ValueError("Kraus entries must have magnitude at most 1")
         ops.setflags(write=False)
@@ -125,19 +109,19 @@ def from_kraus(ops: Sequence[np.ndarray], qubits_in: int | None = None,
     """:class:`QuantumChannel` of ``ops``. Each qubit count a caller declares is checked first,
     before J is built: an integer of at least 1 that matches the first operator's shape."""
     if qubits_in is not None or qubits_out is not None:
-        qubits_in, qubits_out = _qubit_counts(qubits_in, qubits_out, optional=True)
+        counts = [q if q is None else _integer(q, name, 1)
+                  for q, name in ((qubits_in, "qubits_in"), (qubits_out, "qubits_out"))]
         ops = list(ops)  # any iterable, as the type takes
-        shape = as_matrix(ops[0]).shape if ops else ()  # no ops: the type refuses
-        # by bit length, never 2**q, so a huge count fails at once; d & (d - 1) is 0 for 2**m
-        if any(q is not None and (q != d.bit_length() - 1 or d & (d - 1))
-               for q, d in zip((qubits_in, qubits_out), shape[::-1])):
+        shape = np.shape(ops[0]) if ops else ()  # no ops, or not 2-d: the type refuses
+        if len(shape) == 2 and any(q not in (None, n)
+                                   for q, n in zip(counts, reversed(_qubits(shape, "Kraus")))):
             raise ValueError(f"Kraus shape {shape} does not match {qubits_in}->{qubits_out} qubits")
     return QuantumChannel(ops, label)
 
 
 def apply(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Channel action: sum_k A_k rho A_k^dagger."""
-    rho = as_matrix(rho)
+    rho = _matrix(rho, "rho")
     if rho.shape != (c.dim_in, c.dim_in):
         raise ValueError(f"state shape {rho.shape} does not match channel input {c.dim_in}")
     return (c.kraus @ rho @ c.kraus.conj().swapaxes(1, 2)).sum(axis=0)
@@ -183,12 +167,6 @@ def check_shifted_depolarizing(p, gamma) -> None:
             raise ValueError(f"gamma={gamma_i!r} outside [0, 1]")
 
 
-def check_one_point(p, gamma) -> None:
-    """Reject a p or gamma that is not one value: a float, a NumPy scalar or a 0-d array."""
-    if np.asarray(p).ndim or np.asarray(gamma).ndim:
-        raise ValueError(f"not one point: p has shape {np.shape(p)}, gamma {np.shape(gamma)}")
-
-
 def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
     """Kraus operators sqrt(1-4p) I, sqrt(2p(1+gamma)) |0><x| and sqrt(2p(1-gamma)) |1><x|
     (x = 0, 1) of rho -> (1-4p) rho + 4p (I + gamma Z)/2, points checked first: a complex
@@ -207,7 +185,7 @@ def shifted_depolarizing_kraus(p, gamma) -> np.ndarray:
 
 def shifted_depolarizing(p: float, gamma: float) -> QuantumChannel:
     """Single-qubit map rho -> (1-4p) rho + 4p (I + gamma Z)/2, from its nonzero Kraus operators."""
-    check_one_point(p, gamma)
+    p, gamma = _real(p, "p"), _real(gamma, "gamma")
     ops = shifted_depolarizing_kraus(p, gamma)
     return QuantumChannel(ops[ops.any(axis=(1, 2))],
                           f"shifted-depolarizing(p={p:g},gamma={gamma:g})")
@@ -220,24 +198,24 @@ CHANNEL_NAMES = ("identity", "depolarizing", "shifted-depolarizing", "dephasing"
 def named_channel(name: str, **params) -> QuantumChannel:
     """Construct one of the built-in channel families (``CHANNEL_NAMES``) by name."""
     try:
-        name = name.lower()
+        name = name.lower() if isinstance(name, str) else name  # another type is unknown
         if name == "identity":
-            qubits = _qubit_count(params.pop("qubits", 1))
-            if not 1 <= qubits <= 3:  # before np.eye allocates: sized for 3+3 qubits
+            qubits = _integer(params.pop("qubits", 1), "qubits", 1)
+            if qubits > 3:  # before np.eye allocates: sized for 3+3 qubits
                 raise ValueError(f"identity channel needs 1 to 3 qubits, got {qubits}")
             _reject_extra(name, params)
             return QuantumChannel([np.eye(2**qubits)], f"identity({qubits})")
         if name == "depolarizing":
-            p = _number(params, "p")
+            p = _real(params.pop("p"), "p")
             _reject_extra(name, params)
             ops = shifted_depolarizing_kraus(p, 0.0)
             return QuantumChannel(ops[ops.any(axis=(1, 2))], f"depolarizing(p={p:g})")
         if name == "shifted-depolarizing":
-            p, gamma = _number(params, "p"), _number(params, "gamma")
+            p, gamma = _real(params.pop("p"), "p"), _real(params.pop("gamma"), "gamma")
             _reject_extra(name, params)
             return shifted_depolarizing(p, gamma)
         if name == "dephasing":
-            lam = _number(params, "strength", 1.0)
+            lam = _real(params.pop("strength", 1.0), "strength")
             _reject_extra(name, params)
             if not 0.0 <= lam <= 1.0:
                 raise ValueError(f"dephasing strength {lam!r} outside [0, 1]")
@@ -246,7 +224,7 @@ def named_channel(name: str, **params) -> QuantumChannel:
                 f"dephasing({lam:g})",
             )
         if name == "amplitude-damping":
-            eta = _number(params, "eta")
+            eta = _real(params.pop("eta"), "eta")
             _reject_extra(name, params)
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"damping eta {eta!r} outside [0, 1]")
@@ -256,15 +234,6 @@ def named_channel(name: str, **params) -> QuantumChannel:
         raise ValueError(f"unknown channel name {name!r} (known: {', '.join(CHANNEL_NAMES)})")
     except KeyError as exc:  # a params.pop without a default
         raise ValueError(f"channel {name!r} needs parameter {exc.args[0]!r}") from None
-
-
-def _number(params: dict, key: str, *default) -> float:
-    """Pop ``key`` (else ``default``) as a float; what float() refuses is a ValueError naming it."""
-    value = params.pop(key, *default)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"parameter {key!r} must be one real number, got {value!r}") from None
 
 
 def _reject_extra(name: str, params: dict) -> None:
@@ -279,10 +248,9 @@ def random_channel(qubits_in: int, qubits_out: int, env_qubits: int = 1,
     The isometry is an orthonormalized random complex matrix; the
     environment is traced out. Deterministic per seed.
     """
-    qubits_in, qubits_out = _qubit_counts(qubits_in, qubits_out)  # before 2**q is formed
-    env_qubits = _qubit_count(env_qubits)
-    if env_qubits < 1:
-        raise ValueError("env_qubits must be at least 1")
+    qubits_in, qubits_out = (_integer(q, name, 1) for q, name in  # before 2**q is formed
+                             ((qubits_in, "qubits_in"), (qubits_out, "qubits_out")))
+    env_qubits, seed = _integer(env_qubits, "env_qubits", 1), _integer(seed, "seed", 0)
     dim_in, dim_out, dim_env = 2**qubits_in, 2**qubits_out, 2**env_qubits
     if dim_out * dim_env < dim_in:
         raise ValueError(
@@ -311,7 +279,7 @@ def channel_from_dict(data: dict) -> QuantumChannel:
     """Parse the channel JSON schema, naming the violated invariant on failure."""
     try:
         label = str(data["label"])
-        qubits_in, qubits_out = _qubit_counts(data["qubits_in"], data["qubits_out"])
+        qubits_in, qubits_out = (_integer(data[k], k, 1) for k in ("qubits_in", "qubits_out"))
         raw = data["kraus"]
     except (KeyError, TypeError) as exc:
         raise ChannelFormatError(f"malformed channel description: {exc}") from exc
@@ -323,13 +291,11 @@ def channel_from_dict(data: dict) -> QuantumChannel:
             f"{MAX_FILE_QUBITS} qubits in and out together"
         )
     try:
-        ops = [
-            np.array([[complex(re, im) for re, im in row] for row in a], dtype=complex)
-            for a in raw
+        ops = [  # each part one finite real number: JSON true would otherwise read as 1
+            np.array([[complex(_real(re, "re"), _real(im, "im")) for re, im in row] for row in a],
+                     dtype=complex) for a in raw
         ]
-        if any(type(x) is bool for a in raw for row in a for pair in row for x in pair):
-            raise TypeError("JSON true and false are not numbers")
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ChannelFormatError(f"kraus entries must be [re, im] pairs: {exc}") from exc
     try:
         return from_kraus(ops, qubits_in, qubits_out, label=label)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -35,7 +34,7 @@ from .channels import (
     named_channel,
     tp_residual,
 )
-from .linalg import eigvalsh
+from .linalg import _integer, _real, eigvalsh
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -111,18 +110,16 @@ def write_sweep_csv(rows, path) -> None:
 
 
 def cmd_sweep(args) -> int:
-    if args.p_steps < 1 or args.gamma_steps < 1:
-        raise ValueError("--p-steps and --gamma-steps must be at least 1")
-    if args.p_steps * args.gamma_steps > MAX_SWEEP_POINTS:
+    for name in ("p", "gamma"):  # ends and span finite: np.linspace warns on inf, NaN
+        _integer(getattr(args, f"{name}_steps"), f"--{name}-steps", 1)
+        lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+        for flag, value in (("min", lo), ("max", hi), (f"max - --{name}-min", hi - lo)):
+            _real(value, f"--{name}-{flag}")
+    if args.p_steps * args.gamma_steps > MAX_SWEEP_POINTS:  # before a grid is built
         raise ValueError(
             f"--p-steps x --gamma-steps = {args.p_steps * args.gamma_steps} points; "
             f"at most {MAX_SWEEP_POINTS} are allowed"
         )
-    for name in ("p", "gamma"):  # np.linspace warns on these; a NaN end meets the range check
-        lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
-        for flag, value in (("min", lo), ("max", hi), (f"max - --{name}-min", hi - lo)):
-            if math.isinf(value):
-                raise ValueError(f"--{name}-{flag} = {value:g} is not finite")
     p_grid = np.linspace(args.p_min, args.p_max, args.p_steps)
     gamma_grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     cfg = bounds_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)

@@ -9,6 +9,7 @@ made at sparse storage or large-dimension performance.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -47,10 +48,45 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     return eigvalsh_lo(a, signature="D->d")
 
 
-def as_matrix(a) -> np.ndarray:
+# The package's input rules, each written once here and named by the argument it checks.
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``: NumPy integers pass, bool does not."""
+    if type(value) is int and value >= least:  # the common case, at a fraction of the cost
+        return value
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _qubits(shape: tuple, name: str, least: int = 1) -> tuple[int, int]:
+    """(m, n) for a 2-d ``shape`` (2**m, 2**n) with m, n >= ``least``; read by bit length, so a
+    declared count is compared with m or n and never raised to 2**count."""
+    rows, cols = shape
+    m, n = rows.bit_length() - 1, cols.bit_length() - 1
+    if m < least or n < least or rows != 1 << m or cols != 1 << n:
+        raise ValueError(f"{name} shape {shape} is not (2**m, 2**n) with m, n >= {least}")
+    return m, n
+
+
+def _real(value, name: str) -> float:
+    """``value`` as one finite float: a real int or float, NumPy scalar or 0-d array; not bool."""
+    if type(value) is float and math.isfinite(value):  # the common case, at a fraction of the cost
+        return value
+    a = np.asarray(value)
+    if a.ndim or a.dtype.kind not in "iuf" or not math.isfinite(x := float(a)):
+        raise ValueError(f"{name} must be one finite real number, got {value!r}")
+    return x
+
+
+def _matrix(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a complex 2-d array with finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+        raise ValueError(f"{name} must be a 2-d matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} entries must be finite (found NaN or infinity)")
     return m
 
 
@@ -62,13 +98,14 @@ def partial_transpose(a: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    d1, d2 = dims if len(dims) == 2 else (0, 0)  # another count fails the check below
-    if d1 is True or d2 is True or not (isinstance(d1, (int, np.integer))  # bool is an int
-                                        and isinstance(d2, (int, np.integer)) and d1 > 0 < d2):
-        raise ValueError(f"dims must be two positive integers, got {dims!r}")
+    try:
+        d1, d2 = dims
+    except (TypeError, ValueError):  # not a pair
+        raise ValueError(f"dims must be two integers, got {dims!r}") from None
+    d1, d2 = _integer(d1, "dims", 1), _integer(d2, "dims", 1)
     if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"dims {dims} do not match matrix shape {a.shape}")
-    if subsystem not in (0, 1):
+    if _integer(subsystem, "subsystem", 0) > 1:
         raise ValueError("subsystem must be 0 or 1")
     t = a.reshape(-1, d1, d2, d1, d2)
     t = t.transpose(0, 3, 2, 1, 4) if subsystem == 0 else t.transpose(0, 1, 4, 3, 2)
@@ -77,11 +114,9 @@ def partial_transpose(a: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Reject non-finite or non-Hermitian input; symmetrize tolerated drift."""
-    a = as_matrix(a)
+    a = _matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite (found NaN or infinity)")
     adjoint = a.conj().T
     defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if defect > HERM_ATOL:
@@ -94,12 +129,12 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
 def require_state(rho: np.ndarray) -> np.ndarray:
     """Reject anything but a density matrix; return it symmetrized."""
     rho = require_hermitian(rho)
+    trace = np.trace(rho).real  # first: a 0x0 matrix has trace 0 and no eigenvalue
+    if abs(trace - 1.0) > CPTP_ATOL:
+        raise ValueError(f"not a state: trace {trace!r}")
     vals = eigvalsh(rho)
     if vals[0] < -CPTP_ATOL:
         raise ValueError(f"not a state: eigenvalue {vals[0]:.3e}")
-    trace = np.trace(rho).real
-    if abs(trace - 1.0) > CPTP_ATOL:
-        raise ValueError(f"not a state: trace {trace!r}")
     return rho
 
 

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import MAX_FILE_QUBITS, QuantumChannel, _qubit_count
+from .channels import MAX_FILE_QUBITS, QuantumChannel
 from .linalg import (
     CPTP_ATOL,
     I2,
-    as_matrix,
+    _integer,
+    _matrix,
+    _qubits,
     partial_transpose,
     require_state,
     trace_norm,
@@ -43,9 +45,8 @@ class PseudoDensityMatrix:
 
     def __post_init__(self):
         norm = trace_norm(self.matrix)
-        m = as_matrix(self.matrix)
-        if m.shape[0] < 4 or m.shape[0] & (m.shape[0] - 1):  # square (checked): 2**n, n >= 2
-            raise ValueError(f"matrix shape {m.shape} is not that of 2 or more qubits")
+        m = np.asarray(self.matrix, dtype=complex)  # 2-d, square and finite: trace_norm checked
+        _qubits(m.shape, "matrix", 2)
         tr = float(m.trace().real)
         if abs(tr - 1.0) > CPTP_ATOL:
             raise ValueError(f"pseudo-density matrix trace {tr!r} is not 1")
@@ -60,9 +61,7 @@ def swap_matrix(l: int) -> np.ndarray:
 
     It exchanges the two l-qubit registers: |x, y> -> |y, x>.
     """
-    l = _qubit_count(l)
-    if l < 1:
-        raise ValueError("need at least one qubit pair")
+    l = _integer(l, "l", 1)
     if 2 * l > MAX_FILE_QUBITS:  # before 2**l: the package's largest operator is 256x256
         raise ValueError(f"SWAP on l={l} pairs exceeds {MAX_FILE_QUBITS} qubits")
     d = 2**l
@@ -134,10 +133,8 @@ def lemma1_check(k_map: np.ndarray) -> float:
     For K from k qubits to m qubits, read from its 2**m x 2**k shape, compares
     (I x K) S_k (I x K^dag) against (K^dag x I) S_m (K x I); both sides live on k+m qubits.
     """
-    k_map = as_matrix(k_map)
-    m, k = (n.bit_length() - 1 for n in k_map.shape)
-    if min(k, m) < 1 or (1 << m, 1 << k) != k_map.shape:
-        raise ValueError(f"map shape {k_map.shape} is not 2**m x 2**k for m, k >= 1 qubits")
+    k_map = _matrix(k_map, "k_map")
+    m, k = _qubits(k_map.shape, "k_map")
     eye_k = np.eye(2**k, dtype=complex)
     eye_m = np.eye(2**m, dtype=complex)
     lhs = np.kron(eye_k, k_map) @ swap_matrix(k) @ np.kron(eye_k, k_map.conj().T)

@@ -30,6 +30,7 @@ from .channels import (
 from .linalg import (
     CPTP_ATOL,
     HERM_ATOL,
+    _integer,
     eigh,
     eigvalsh,
     random_density,
@@ -119,10 +120,7 @@ def _cases(name, seed, first, cases, margins, tol=CPTP_ATOL, fixed=()) -> SuiteR
     returns that case's margins. A case fails when its largest margin exceeds
     ``tol``; the suite's worst margin is the largest over its cases.
     """
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    cases, seed = _integer(cases, "cases", 1), _integer(seed, "seed", 0)
     drawn = [margins(_case_rng(seed, first + i)) for i in range(cases)]
     worst = [max(case) for case in drawn + list(fixed)]
     return SuiteResult(name, len(worst), sum(1 for m in worst if m > tol), max(worst))

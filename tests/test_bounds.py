@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,24 +133,26 @@ class TestAnalytic:
         with pytest.raises(ValueError):
             analytic_shifted_depol(0.3, 0.0)
 
-    @pytest.mark.parametrize("p, gamma, shapes", [
-        (np.array([0.1, 0.2]), 0.3, r"\(2,\), gamma \(\)"),
-        ([0.1], [0.2], r"\(1,\), gamma \(1,\)"),
-        (np.array([0.1]), np.array([0.2]), r"\(1,\), gamma \(1,\)"),
-        (0.1, np.array([[0.2]]), r"\(\), gamma \(1, 1\)"),
+    @pytest.mark.parametrize("p, gamma, bad", [  # bad: the first argument that is not one value
+        (np.array([0.1, 0.2]), 0.3, "p"),
+        ([0.1], [0.2], "p"),
+        (np.array([0.1]), np.array([0.2]), "p"),
+        (0.1, np.array([[0.2]]), "gamma"),
         (np.array(0.1), np.array(0.2), None),
         (np.float64(0.1), np.float64(0.2), None),
         (np.float32(0.1), np.float32(0.2), None),
     ], ids=["array", "lists", "1-element-arrays", "column-gamma", "0-d", "float64", "float32"])
-    def test_one_point_functions_take_one_point(self, p, gamma, shapes):
-        if shapes is None:  # one value each: as the same values in floats
+    def test_one_point_functions_take_one_point(self, p, gamma, bad):
+        if bad is None:  # one value each: as the same values in floats
             point = float(p), float(gamma)
             assert analytic_shifted_depol(p, gamma) == analytic_shifted_depol(*point)
             assert np.array_equal(shifted_depolarizing(p, gamma).choi,
                                   shifted_depolarizing(*point).choi)
             return
+        shown = re.escape(repr({"p": p, "gamma": gamma}[bad]))
+        message = f"^{bad} must be one finite real number, got {shown}$"
         for function in (analytic_shifted_depol, shifted_depolarizing):
-            with pytest.raises(ValueError, match=f"^not one point: p has shape {shapes}$"):
+            with pytest.raises(ValueError, match=message):
                 function(p, gamma)
 
 
@@ -1119,7 +1122,9 @@ class TestSweep:
         [
             (np.linspace(0.0, 0.3, 26), np.linspace(0.0, 1.0, 21), "p=0.252 outside"),
             (np.linspace(0.0, 0.25, 26), np.linspace(0.0, 1.5, 21), "gamma=1.05 outside"),
-            (np.linspace(np.nan, 0.25, 26), np.linspace(0.0, 1.0, 21), "p=nan outside"),
+            (np.linspace(np.nan, 0.25, 26), np.linspace(0.0, 1.0, 21),
+             "^p must be one finite real number, got nan$"),
+            ([0.1], [[0.2]], r"^gamma must be one finite real number, got \[0\.2\]$"),
         ],
     )
     def test_grid_outside_the_family_raises(self, p_grid, gamma_grid, message):
@@ -1153,7 +1158,13 @@ class TestOptimizerConfig:
         assert [f.name for f in dataclasses.fields(cfg)] == ["restarts", "seed"]
         assert cfg.restarts == 32 and cfg.seed == 0 and MAX_ITERS == 2000
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"restarts": 0}, "restarts must be at least 1, got 0"),
+        ({"restarts": True}, "restarts must be an integer, got True"),
+        ({"restarts": 2.0}, r"restarts must be an integer, got 2\.0"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"seed": None}, "seed must be an integer, got None"),
+    ], ids=["zero-restarts", "bool-restarts", "float-restarts", "negative-seed", "none-seed"])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             OptimizerConfig(**kwargs)

@@ -38,7 +38,7 @@ DEPHASE = from_kraus([np.sqrt(0.5) * I2, np.sqrt(0.5) * PAULI_Z], label="dephase
 # malformed Kraus operators, each with the message it raises whether or not 1->1 is declared
 MALFORMED = {
     "none": ([], "a channel needs at least one Kraus operator"),
-    "1-d": ([np.ones(2), np.ones(2)], r"expected a 2-d matrix, got shape \(2,\)"),
+    "1-d": ([np.ones(2), np.ones(2)], r"Kraus operator must be a 2-d matrix, got shape \(2,\)"),
     "ragged": ([I2, np.eye(4, 2)], "Kraus operators must share a common shape"),
     "nan": ([np.diag([np.nan, 1.0])], r"must be finite \(found NaN or infinity\)"),
     "inf": ([np.diag([1.0, -np.inf])], r"must be finite \(found NaN or infinity\)"),
@@ -143,18 +143,18 @@ class TestFromKraus:
             QuantumChannel([I2, np.eye(4, 2, dtype=complex)])
 
     @pytest.mark.parametrize("ops, qubits, shown", [
-        ([np.eye(1)], (0, 0), "0->0"),
-        ([I2], (-1, 1), "-1->1"),
-        ([I2], (None, 0), "None->0"),  # a count left out is shown as left out
+        ([np.eye(1)], (0, 0), "qubits_in must be at least 1, got 0"),
+        ([I2], (-1, 1), "qubits_in must be at least 1, got -1"),
+        ([I2], (None, 0), "qubits_out must be at least 1, got 0"),  # a count left out is skipped
     ], ids=["0-0", "negative", "out-only"])
     def test_rejects_declared_qubit_counts_below_one(self, ops, qubits, shown):
-        with pytest.raises(ValueError, match=f"^qubit counts must be at least 1, got {shown}$"):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
             from_kraus(ops, *qubits)
 
     @pytest.mark.parametrize("op", [np.ones(2), np.ones((2, 2, 1)), np.array(1.0)],
                              ids=["1-d", "3-d", "0-d"])
     def test_rejects_an_operator_that_is_not_2d(self, op):
-        with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \("):
+        with pytest.raises(ValueError, match=r"^Kraus operator must be a 2-d matrix, got shape \("):
             QuantumChannel([I2, op])
 
     @pytest.mark.parametrize("case, form", [(case, form) for case in MALFORMED for form in FORMS
@@ -169,34 +169,34 @@ class TestFromKraus:
                                             for form in FORMS])
     def test_a_shape_no_qubit_map_has_is_named_without_counts(self, case, form):
         ops, (rows, cols) = NOT_QUBIT_SHAPES[case]
-        for build in (QuantumChannel, from_kraus):
+        # declared counts are compared with the first operator's shape, which meets the same
+        # rule before the type runs
+        for build in (QuantumChannel, from_kraus, lambda o: from_kraus(o, 1, 1)):
             with pytest.raises(ValueError, match=rf"^Kraus shape \({rows}, {cols}\) is not "
                                                  r"\(2\*\*m, 2\*\*n\) with m, n >= 1$"):
                 build(FORMS[form](ops))
-        # declared counts are compared with the first operator's shape before the type runs
-        with pytest.raises(ValueError,
-                           match=rf"^Kraus shape \({rows}, {cols}\) does not match 1->1 qubits$"):
-            from_kraus(FORMS[form](ops), 1, 1)
 
     @pytest.mark.parametrize("build, shown", [
-        (lambda: from_kraus([I2], 1.0, 1.0), "1.0"),
-        (lambda: from_kraus([I2], qubits_out=2.0), "2.0"),
-        (lambda: random_channel(1.0, 1), "1.0"),
-        (lambda: random_channel(1, 1, env_qubits=1.5), "1.5"),
-        (lambda: named_channel("identity", qubits=2.7), "2.7"),
-        (lambda: from_kraus([I2], True, 1), "True"),
-        (lambda: random_channel(1, 1, env_qubits=True), "True"),
-        (lambda: named_channel("identity", qubits=False), "False"),
+        (lambda: from_kraus([I2], 1.0, 1.0), "qubits_in must be an integer, got 1.0"),
+        (lambda: from_kraus([I2], qubits_out=2.0), "qubits_out must be an integer, got 2.0"),
+        (lambda: random_channel(1.0, 1), "qubits_in must be an integer, got 1.0"),
+        (lambda: random_channel(1, 1, env_qubits=1.5), "env_qubits must be an integer, got 1.5"),
+        (lambda: named_channel("identity", qubits=2.7), "qubits must be an integer, got 2.7"),
+        (lambda: from_kraus([I2], True, 1), "qubits_in must be an integer, got True"),
+        (lambda: random_channel(1, 1, env_qubits=True), "env_qubits must be an integer, got True"),
+        (lambda: named_channel("identity", qubits=False), "qubits must be an integer, got False"),
     ], ids=["from_kraus", "from_kraus-out", "random", "random-env", "identity",
             "from_kraus-bool", "random-env-bool", "identity-bool"])
     def test_rejects_qubit_counts_that_are_not_integers(self, build, shown):
-        with pytest.raises(ValueError, match=f"must be integers, got {re.escape(shown)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
             build()
 
     def test_numpy_integer_counts_are_stored_as_int(self):
         c = random_channel(np.int64(1), np.int32(2), env_qubits=np.uint8(1))
         assert (type(c.qubits_in), type(c.qubits_out), c.dim_in, c.dim_out) == (int, int, 2, 4)
         assert type(named_channel("identity", qubits=np.int64(2)).qubits_in) is int
+        a, b = random_channel(1, 1, seed=np.uint8(7)), random_channel(1, 1, seed=7)
+        assert np.array_equal(a.choi, b.choi) and a.label == b.label
 
 
 class TestDirectConstructor:
@@ -662,7 +662,7 @@ class TestNamedChannel:
     def test_a_parameter_that_is_not_one_number_is_a_value_error_naming_it(
         self, name, params, key, value
     ):
-        with pytest.raises(ValueError, match=f"^parameter '{key}' must be one real number, got "):
+        with pytest.raises(ValueError, match=f"^{key} must be one finite real number, got "):
             named_channel(name, **params, **{key: value})
 
 
@@ -689,6 +689,15 @@ class TestRandomChannel:
         b = random_channel(1, 1, env_qubits=2, seed=42)
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
 
+    @pytest.mark.parametrize("seed, message", [
+        (None, "seed must be an integer, got None"), (True, "seed must be an integer, got True"),
+        (1.5, r"seed must be an integer, got 1\.5"), (-1, "seed must be at least 0, got -1"),
+    ], ids=["none", "bool", "float", "negative"])
+    def test_seed_is_an_integer_of_at_least_0(self, seed, message):
+        # None would draw an unseeded channel labelled seed=None; 1.5 fails inside SeedSequence
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_channel(1, 1, seed=seed)
+
     def test_env_required(self):
         with pytest.raises(ValueError, match="env_qubits"):
             random_channel(1, 1, env_qubits=0, seed=0)
@@ -700,8 +709,8 @@ class TestRandomChannel:
     @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (0, 0), (-1, 1), (1, -2)])
     def test_rejects_qubit_counts_below_one(self, qubits):
         # checked before 2**q: a negative count would make a float dimension
-        shown = f"{qubits[0]}->{qubits[1]}"
-        with pytest.raises(ValueError, match=f"qubit counts must be at least 1, got {shown}$"):
+        name, count = ("qubits_in", qubits[0]) if qubits[0] < 1 else ("qubits_out", qubits[1])
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {count}$"):
             random_channel(*qubits, env_qubits=1, seed=0)
 
 
@@ -742,11 +751,11 @@ class TestChannelFile:
             load_channel(path)
 
     @pytest.mark.parametrize("qubits, message", [
-        (1.5, r"qubit counts must be integers, got 1\.5"),
-        (True, "qubit counts must be integers, got True"),
-        ("1", "qubit counts must be integers, got '1'"),
-        (None, "qubit counts must be integers, got None"),
-        (0, "qubit counts must be at least 1, got 0->1"),
+        (1.5, r"qubits_in must be an integer, got 1\.5"),
+        (True, "qubits_in must be an integer, got True"),
+        ("1", "qubits_in must be an integer, got '1'"),
+        (None, "qubits_in must be an integer, got None"),
+        (0, "qubits_in must be at least 1, got 0"),
         (10**400, "10{400}->1 qubits: a channel file may have at most 8 qubits in and out together"),
     ], ids=["float", "bool", "str", "none", "zero", "huge"])
     def test_rejects_qubit_count_that_is_not_a_positive_int(self, qubits, message):
@@ -755,13 +764,15 @@ class TestChannelFile:
         with pytest.raises(ChannelFormatError, match=f"^{message}$"):
             channel_from_dict(data)
 
-    @pytest.mark.parametrize("column, entry", [(0, [True, False]), (0, [1.0, False]),
-                                               (1, [False, 0.0])])
-    def test_rejects_boolean_entry(self, column, entry):
+    @pytest.mark.parametrize("column, entry, part, shown", [(0, [True, False], "re", True),
+                                                            (0, [1.0, False], "im", False),
+                                                            (1, [False, 0.0], "re", False)])
+    def test_rejects_boolean_entry(self, column, entry, part, shown):
         # each would read as the number it equals, and the file as the identity channel
         data = channel_to_dict(named_channel("identity"))
         data["kraus"][0][0][column] = entry
-        with pytest.raises(ChannelFormatError, match="^kraus entries must be .* not numbers$"):
+        message = rf"^kraus entries must be \[re, im\] pairs: {part} must be one finite real number"
+        with pytest.raises(ChannelFormatError, match=f"{message}, got {shown}$"):
             channel_from_dict(data)
 
     def test_rejects_entry_too_large_for_a_float(self):

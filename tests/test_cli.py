@@ -373,7 +373,7 @@ class TestExitCodes:
         [
             ([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [[[1.0, 0.0]]]],
              "Kraus operators must share a common shape"),
-            ([[]], "expected a 2-d matrix, got shape (0,)"),
+            ([[]], "Kraus operator must be a 2-d matrix, got shape (0,)"),
         ],
         ids=["different-shapes", "not-2d"],
     )
@@ -390,7 +390,7 @@ class TestExitCodes:
         doc["kraus"][0][0][0] = [True, False]  # else read as 1.0, and the file loads
         code, out, err = run(capsys, ["bound", "--channel", str(write_doc(tmp_path, doc))])
         assert_clean_failure(code, out, err, 3)
-        assert err.endswith(": JSON true and false are not numbers\n")
+        assert err.endswith(": re must be one finite real number, got True\n")
 
     def test_entry_too_large_for_a_float_exit3(self, capsys, tmp_path):
         doc = ad_doc()
@@ -465,7 +465,6 @@ class TestExitCodes:
         [
             (["--p-max", "0.3"], "p=0.252 outside [0, 1/4]"),
             (["--gamma-max", "1.5"], "gamma=1.05 outside [0, 1]"),
-            (["--p-min", "nan"], "p=nan outside [0, 1/4]"),
         ],
     )
     def test_grid_outside_the_family_exit2(self, capsys, tmp_path, flags, message):
@@ -478,12 +477,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--p-min=-inf"], "--p-min = -inf is not finite"),
-            (["--p-max", "inf"], "--p-max = inf is not finite"),
-            (["--gamma-min=-inf"], "--gamma-min = -inf is not finite"),
-            (["--gamma-max", "inf"], "--gamma-max = inf is not finite"),
+            (["--p-min=-inf"], "--p-min must be one finite real number, got -inf"),
+            (["--p-max", "inf"], "--p-max must be one finite real number, got inf"),
+            (["--gamma-min=-inf"], "--gamma-min must be one finite real number, got -inf"),
+            (["--gamma-max", "inf"], "--gamma-max must be one finite real number, got inf"),
             (["--gamma-min=-1e308", "--gamma-max", "1e308"],
-             "--gamma-max - --gamma-min = inf is not finite"),
+             "--gamma-max - --gamma-min must be one finite real number, got inf"),
+            (["--p-min", "nan"], "--p-min must be one finite real number, got nan"),
         ],
     )
     def test_infinite_grid_end_exit2(self, capsys, tmp_path, flags, message):
@@ -565,7 +565,7 @@ def test_exit_codes_reach_the_shell(argv, code):
         assert json.loads(done.stdout)["method"] == "causality"
     else:
         assert_clean_failure(done.returncode, done.stdout, done.stderr, code)
-        assert done.stderr == "error: cases must be at least 1\n"
+        assert done.stderr == "error: cases must be at least 1, got 0\n"
 
 
 # --------------------------------------------- exit-code contract, fuzzed in process

@@ -71,10 +71,14 @@ class TestPartialTranspose:
     @pytest.mark.parametrize("bad, dims, match", [
         (np.ones(4), (2, 2), r"expected a 2-d matrix, got shape \(4,\)"),
         (np.ones((3, 4, 2)), (2, 2), r"dims \(2, 2\) do not match matrix shape \(3, 4, 2\)"),
-        *[(np.eye(4), dims, rf"^dims must be two positive integers, got {re.escape(repr(dims))}$")
-          for dims in [(2.9, 2.9), (True, 4), ("2", "2"), (2, 2, 5), (-2, -2), (0, 4), (4,)]],
+        *[(np.eye(4), dims, f"^dims must be {re.escape(message)}$") for dims, message in [
+            ((2.9, 2.9), "an integer, got 2.9"), ((True, 4), "an integer, got True"),
+            (("2", "2"), "an integer, got '2'"), ((2, 2, 5), "two integers, got (2, 2, 5)"),
+            ((-2, -2), "at least 1, got -2"), ((0, 4), "at least 1, got 0"),
+            ((4,), "two integers, got (4,)"), (4, "two integers, got 4"),
+            (None, "two integers, got None")]],
     ], ids=["1-d", "stack-of-wrong-shape", "float-dims", "bool-dims", "str-dims", "three-dims",
-            "negative-dims", "zero-dims", "one-dim"])
+            "negative-dims", "zero-dims", "one-dim", "int-dims", "none-dims"])
     def test_rejects_what_is_not_a_matrix_or_a_stack(self, bad, dims, match):
         with pytest.raises(ValueError, match=match):
             partial_transpose(bad, dims, 0)
@@ -85,9 +89,14 @@ class TestPartialTranspose:
         for dims in [(np.int64(2), np.int32(4)), np.array([2, 4]), [np.uint8(2), 4]]:
             assert partial_transpose(a, dims, 1).tobytes() == ref
 
-    def test_rejects_a_third_subsystem(self):
-        with pytest.raises(ValueError, match="subsystem must be 0 or 1"):
-            partial_transpose(np.eye(4), (2, 2), 2)
+    @pytest.mark.parametrize("subsystem, message", [
+        (2, "subsystem must be 0 or 1"), (True, "subsystem must be an integer, got True"),
+        (-1, "subsystem must be at least 0, got -1"),
+        (1.0, r"subsystem must be an integer, got 1\.0"),
+    ], ids=["third", "bool", "negative", "float"])
+    def test_rejects_a_third_subsystem(self, subsystem, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partial_transpose(np.eye(4), (2, 2), subsystem)
 
 
 def test_random_isometry_rejects_a_smaller_output():

@@ -200,8 +200,20 @@ class TestSuites:
 
     @pytest.mark.parametrize("suite", [*SUITES.values(), lemma2_suite], ids=lambda f: f.__name__)
     def test_negative_seed_rejected(self, suite):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             suite(seed=-1, cases=1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"cases": True}, "cases must be an integer, got True"),
+        ({"cases": 1.0}, r"cases must be an integer, got 1\.0"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
+    ], ids=["bool-cases", "float-cases", "none-seed", "bool-seed", "float-seed"])
+    @pytest.mark.parametrize("suite", [*SUITES.values(), lemma2_suite], ids=lambda f: f.__name__)
+    def test_seed_and_cases_must_be_integers(self, suite, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            suite(**{"seed": 0, "cases": 1, **kwargs})
 
     def test_case_counts(self):
         # lemmas adds the monotonicity cases, bounds its four fixed HW and two N x N cases
